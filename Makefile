@@ -13,17 +13,17 @@ GO       ?= go
 FUZZTIME ?= 5s
 # BENCH_OUT names the checked-in benchmark evidence file; bump the
 # numeral with the PR that re-measures (schema in EXPERIMENTS.md).
-BENCH_OUT  ?= results/BENCH_10.json
+BENCH_OUT  ?= results/BENCH_14.json
 BENCHCOUNT ?= 3
 # NPROC drives the -cpu pass over the parallelism-sensitive
 # benchmarks; on a single-core box the pass degenerates to the serial
 # measurement and merges with the main run.
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
 # BENCH_PKGS is every package whose benchmarks land in BENCH_OUT.
-BENCH_PKGS = . ./internal/mcyield/
+BENCH_PKGS = . ./internal/mcyield/ ./internal/floorplan/
 # BENCH_CPU_PATTERN selects the benchmarks whose scaling the -cpu pass
 # measures; their highest-proc rows are what benchjson keeps.
-BENCH_CPU_PATTERN = 'BenchmarkCompileParallel|BenchmarkMCYieldParallel'
+BENCH_CPU_PATTERN = 'BenchmarkCompileParallel|BenchmarkCompileRefine|BenchmarkMCYieldParallel'
 # BENCH_BASELINE is the newest checked-in evidence file other than
 # BENCH_OUT itself — what `make bench` and the bench-delta gate diff
 # fresh numbers against. Empty on a tree with no prior evidence, in
@@ -148,7 +148,7 @@ bench:
 # benchmark harness itself still compiles and runs (wired into
 # `make check`; it measures nothing).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkCompile(64kbyte|Parallel|Untraced|Traced)' -benchtime=1x -count=1 .
+	$(GO) test -run '^$$' -bench 'BenchmarkCompile(64kbyte|Parallel|Refine|Untraced|Traced)' -benchtime=1x -count=1 .
 	$(GO) test -run '^$$' -bench 'BenchmarkMCYield$$' -benchtime=1x -count=1 ./internal/mcyield/
 
 # Soft regression gate wired into `make check`: one iteration of every
@@ -176,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMCParams -fuzztime=$(FUZZTIME) ./internal/canon/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/sweep/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchEvaluator -fuzztime=$(FUZZTIME) ./internal/sram/
+	$(GO) test -run='^$$' -fuzz=FuzzRefineDifferential -fuzztime=$(FUZZTIME) ./internal/floorplan/
 
 # Adversarial-input campaign against the full compile pipeline: exits
 # non-zero on any panic, hang or untyped error.

@@ -193,6 +193,24 @@ func BenchmarkCompileParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileRefine is BenchmarkCompile64kbyte with an
+// 8000-move floorplan refine (the largest budget bisrbench draws) at
+// the daemon's default fan-out: the annealing starts dominate it, so
+// it tracks the refine kernel inside a whole compile.
+func BenchmarkCompileRefine(b *testing.B) {
+	p := compiler.Params{
+		Words: 4096, BPW: 128, BPC: 8, Spares: 4,
+		BufSize: 2, StrapCells: 32, Process: tech.CDA07,
+		RefineIterations: 8000, Parallelism: runtime.GOMAXPROCS(0),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := compiler.Compile(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompileUntraced / BenchmarkCompileTraced measure the span
 // overhead contract of internal/obs: run both and compare —
 //

@@ -168,10 +168,31 @@ func macrosByName(macros []Macro) map[string]*Macro {
 }
 
 // refineOne is one deterministic annealing start: it owns its RNG and
-// placement clones and shares only read-only inputs (macros, nets,
+// placement slices and shares only read-only inputs (macros, nets,
 // initial), so any number of starts may run concurrently. It returns
 // the best placements found, their annealing cost, and a typed budget
 // error when ctx expired mid-run.
+//
+// Placements live in slots indexed by position in macros (names are
+// unique, as Place and Stack enforce). Each move rewrites at most two
+// slots in place and is undone if rejected, so no move allocates. The
+// kernel is byte-identical to the original map-based one, kept as the
+// test oracle refineOneRef; TestRefinedCompileGolden and
+// FuzzRefineDifferential pin that. Any change must keep:
+//   - the RNG draw order: Intn(3) picks the move kind, then the move
+//     draws its operands; a degenerate relocate (n == m) or swap
+//     (a == b) continues without cooling;
+//   - rng.Float64 drawn only when the candidate does not improve
+//     (cc >= curCost);
+//   - the wirelength summed in net order, then pin order;
+//   - port centres taken after translation: Rect.Center truncates, so
+//     translating a precomputed centre would move odd-sum coordinates
+//     (the per-orientation rects are precomputed, the centres are not);
+//   - moves = it on a budget stop;
+//   - map membership: a macro absent from initial.Placements sits at
+//     the zero Placement, its pins count towards wirelength but its
+//     box joins neither the outline nor the overlap check until a
+//     move places it.
 func refineOne(ctx context.Context, macros []Macro, nets []Net, initial *Result, iterations int, seed int64) (map[string]Placement, float64, error) {
 	moves := 0
 	var endSpan func(...obs.Attr)
@@ -180,60 +201,12 @@ func refineOne(ctx context.Context, macros []Macro, nets []Net, initial *Result,
 		endSpan(obs.Int("moves", moves), obs.Int("budget", iterations),
 			obs.Int("seed", int(seed)))
 	}()
-	byName := macrosByName(macros)
-	names := make([]string, 0, len(macros))
-	for i := range macros {
-		names = append(names, macros[i].Name)
-	}
-	cur := map[string]Placement{}
-	for n, pl := range initial.Placements {
-		cur[n] = pl
-	}
+	a := newAnnealer(macros, nets, initial)
+	n := len(macros)
 	rng := rand.New(rand.NewSource(seed))
 
-	cost := func(pls map[string]Placement) float64 {
-		var bbox geom.Rect
-		for n, pl := range pls {
-			bbox = bbox.Union(placedBounds(byName[n], pl))
-		}
-		area := float64(bbox.Area())
-		w, h := float64(bbox.W()), float64(bbox.H())
-		aspect := 1.0
-		if w > 0 && h > 0 {
-			aspect = math.Max(w, h) / math.Min(w, h)
-		}
-		wl := 0.0
-		for _, net := range nets {
-			var pts []geom.Point
-			for _, pin := range net.Pins {
-				r, _, ok := portRect(byName[pin.Macro], pls[pin.Macro], pin.Port)
-				if ok {
-					pts = append(pts, r.Center())
-				}
-			}
-			for i := 1; i < len(pts); i++ {
-				wl += math.Abs(float64(pts[i].X-pts[i-1].X)) + math.Abs(float64(pts[i].Y-pts[i-1].Y))
-			}
-		}
-		return area*(1+0.5*(aspect-1)) + wl*(math.Sqrt(area)+1)/8
-	}
-	legal := func(pls map[string]Placement) bool {
-		boxes := make([]geom.Rect, 0, len(pls))
-		for n, pl := range pls {
-			boxes = append(boxes, placedBounds(byName[n], pl))
-		}
-		for i := range boxes {
-			for j := i + 1; j < len(boxes); j++ {
-				if boxes[i].Overlaps(boxes[j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	curCost := cost(cur)
-	best := clonePlacements(cur)
+	curCost := a.cost()
+	best := append([]slot(nil), a.cur...)
 	bestCost := curCost
 	temp := curCost * 0.05
 	cool := math.Pow(0.01, 1/float64(iterations)) // decay to 1% over the run
@@ -249,25 +222,24 @@ func refineOne(ctx context.Context, macros []Macro, nets []Net, initial *Result,
 				break
 			}
 		}
-		cand := clonePlacements(cur)
 		switch rng.Intn(3) {
 		case 0: // re-orient in place (keep the lower-left corner)
-			n := names[rng.Intn(len(names))]
-			pl := cand[n]
-			old := placedBounds(byName[n], pl)
+			i := rng.Intn(n)
+			old := a.cur[i].box
+			pl := a.cur[i].pl
 			pl.Orient = geom.AllOrients[rng.Intn(len(geom.AllOrients))]
-			tb := geom.TransformRect(byName[n].Cell.Bounds(), pl.Orient)
+			tb := a.bounds[i][orientIndex(pl.Orient)]
 			pl.At = geom.Point{X: old.X0 - tb.X0, Y: old.Y0 - tb.Y0}
-			cand[n] = pl
+			a.set(i, pl)
 		case 1: // relocate against a random other macro's edge
-			n := names[rng.Intn(len(names))]
-			m := names[rng.Intn(len(names))]
-			if n == m {
+			i := rng.Intn(n)
+			j := rng.Intn(n)
+			if i == j {
 				continue
 			}
-			anchor := placedBounds(byName[m], cand[m])
-			pl := cand[n]
-			tb := geom.TransformRect(byName[n].Cell.Bounds(), pl.Orient)
+			anchor := a.cur[j].box
+			pl := a.cur[i].pl
+			tb := a.bounds[i][orientIndex(pl.Orient)]
 			var at geom.Point
 			switch rng.Intn(4) {
 			case 0:
@@ -280,43 +252,193 @@ func refineOne(ctx context.Context, macros []Macro, nets []Net, initial *Result,
 				at = geom.Point{X: anchor.X0, Y: anchor.Y0 - tb.H()}
 			}
 			pl.At = geom.Point{X: at.X - tb.X0, Y: at.Y - tb.Y0}
-			cand[n] = pl
+			a.set(i, pl)
 		default: // swap two macros' anchor corners
-			a := names[rng.Intn(len(names))]
-			b := names[rng.Intn(len(names))]
-			if a == b {
+			i := rng.Intn(n)
+			j := rng.Intn(n)
+			if i == j {
 				continue
 			}
-			ba := placedBounds(byName[a], cand[a])
-			bb := placedBounds(byName[b], cand[b])
-			pa, pb := cand[a], cand[b]
-			ta := geom.TransformRect(byName[a].Cell.Bounds(), pa.Orient)
-			tbx := geom.TransformRect(byName[b].Cell.Bounds(), pb.Orient)
+			ba, bb := a.cur[i].box, a.cur[j].box
+			pa, pb := a.cur[i].pl, a.cur[j].pl
+			ta := a.bounds[i][orientIndex(pa.Orient)]
+			tbx := a.bounds[j][orientIndex(pb.Orient)]
 			pa.At = geom.Point{X: bb.X0 - ta.X0, Y: bb.Y0 - ta.Y0}
 			pb.At = geom.Point{X: ba.X0 - tbx.X0, Y: ba.Y0 - tbx.Y0}
-			cand[a], cand[b] = pa, pb
+			a.set(i, pa)
+			a.set(j, pb)
 		}
-		if !legal(cand) {
+		if !a.legal() {
+			a.revert()
 			temp *= cool
 			continue
 		}
-		cc := cost(cand)
+		cc := a.cost()
 		if cc < curCost || rng.Float64() < math.Exp((curCost-cc)/math.Max(temp, 1)) {
-			cur, curCost = cand, cc
+			a.keep()
+			curCost = cc
 			if cc < bestCost {
-				best, bestCost = clonePlacements(cand), cc
+				copy(best, a.cur)
+				bestCost = cc
 			}
+		} else {
+			a.revert()
 		}
 		temp *= cool
 	}
 
-	return best, bestCost, budgetErr
+	out := make(map[string]Placement, n)
+	for i, s := range best {
+		if s.present {
+			out[macros[i].Name] = s.pl
+		}
+	}
+	return out, bestCost, budgetErr
 }
 
-func clonePlacements(in map[string]Placement) map[string]Placement {
-	out := make(map[string]Placement, len(in))
-	for k, v := range in {
-		out[k] = v
+// slot is one macro's annealing state.
+type slot struct {
+	pl  Placement
+	box geom.Rect // placed bounds under pl
+	// present reports that the macro has a placement: it had one in
+	// the initial floorplan or a move has placed it since.
+	present bool
+}
+
+// pinRect is a net pin resolved to its macro slot, with the port rect
+// under each orientation (indexed by orientIndex).
+type pinRect struct {
+	slot  int
+	rects [8]geom.Rect
+}
+
+// annealer holds one start's placements and the geometry looked up
+// once per start.
+type annealer struct {
+	bounds [][8]geom.Rect // per slot: cell bounds under each orientation
+	nets   [][]pinRect    // per net: the pins whose port exists, in pin order
+	cur    []slot
+	undo   []undoEntry // slots rewritten by the pending move
+}
+
+type undoEntry struct {
+	i   int
+	old slot
+}
+
+// orientIndex maps an orientation to 0..7. TransformPoint reads only
+// Mirror and Rot&3, so orientations with equal indexes transform
+// every rect alike.
+func orientIndex(o geom.Orient) int {
+	i := o.Rot & 3
+	if o.Mirror {
+		i += 4
+	}
+	return i
+}
+
+// orientRects returns r under each orientation, by orientIndex.
+func orientRects(r geom.Rect) [8]geom.Rect {
+	var out [8]geom.Rect
+	for i := range out {
+		out[i] = geom.TransformRect(r, geom.Orient{Rot: i & 3, Mirror: i >= 4})
 	}
 	return out
+}
+
+func newAnnealer(macros []Macro, nets []Net, initial *Result) *annealer {
+	a := &annealer{
+		bounds: make([][8]geom.Rect, len(macros)),
+		nets:   make([][]pinRect, len(nets)),
+		cur:    make([]slot, len(macros)),
+		undo:   make([]undoEntry, 0, 2),
+	}
+	slotOf := make(map[string]int, len(macros))
+	for i := range macros {
+		slotOf[macros[i].Name] = i
+		a.bounds[i] = orientRects(macros[i].Cell.Bounds())
+		pl, ok := initial.Placements[macros[i].Name]
+		a.cur[i] = slot{pl: pl, box: a.placed(i, pl), present: ok}
+	}
+	for k, net := range nets {
+		for _, pin := range net.Pins {
+			i, ok := slotOf[pin.Macro]
+			if !ok {
+				continue // unreachable past indexMacros
+			}
+			if pt, ok := macros[i].Cell.Port(pin.Port); ok {
+				a.nets[k] = append(a.nets[k], pinRect{slot: i, rects: orientRects(pt.Rect)})
+			}
+		}
+	}
+	return a
+}
+
+// placed is placedBounds of slot i's macro under pl.
+func (a *annealer) placed(i int, pl Placement) geom.Rect {
+	return a.bounds[i][orientIndex(pl.Orient)].Translate(pl.At)
+}
+
+// set places slot i at pl, logging its previous state for revert.
+func (a *annealer) set(i int, pl Placement) {
+	a.undo = append(a.undo, undoEntry{i: i, old: a.cur[i]})
+	a.cur[i] = slot{pl: pl, box: a.placed(i, pl), present: true}
+}
+
+// keep accepts the pending move.
+func (a *annealer) keep() { a.undo = a.undo[:0] }
+
+// revert undoes the pending move.
+func (a *annealer) revert() {
+	for k := len(a.undo) - 1; k >= 0; k-- {
+		a.cur[a.undo[k].i] = a.undo[k].old
+	}
+	a.undo = a.undo[:0]
+}
+
+// legal reports whether the placed boxes are pairwise disjoint.
+func (a *annealer) legal() bool {
+	for i := range a.cur {
+		if !a.cur[i].present {
+			continue
+		}
+		for j := i + 1; j < len(a.cur); j++ {
+			if a.cur[j].present && a.cur[i].box.Overlaps(a.cur[j].box) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cost is the annealing objective: outline area with an aspect-ratio
+// penalty, plus the port-centre chain wirelength scaled by the
+// outline's side.
+func (a *annealer) cost() float64 {
+	var bbox geom.Rect
+	for i := range a.cur {
+		if a.cur[i].present {
+			bbox = bbox.Union(a.cur[i].box)
+		}
+	}
+	area := float64(bbox.Area())
+	w, h := float64(bbox.W()), float64(bbox.H())
+	aspect := 1.0
+	if w > 0 && h > 0 {
+		aspect = math.Max(w, h) / math.Min(w, h)
+	}
+	wl := 0.0
+	for _, pins := range a.nets {
+		var prev geom.Point
+		for k := range pins {
+			pin := &pins[k] // by pointer: the rect table is 256 bytes
+			pl := a.cur[pin.slot].pl
+			c := pin.rects[orientIndex(pl.Orient)].Translate(pl.At).Center()
+			if k > 0 {
+				wl += math.Abs(float64(c.X-prev.X)) + math.Abs(float64(c.Y-prev.Y))
+			}
+			prev = c
+		}
+	}
+	return area*(1+0.5*(aspect-1)) + wl*(math.Sqrt(area)+1)/8
 }
