@@ -215,6 +215,13 @@ func TestJournalFreshIDsSkipResumedOnes(t *testing.T) {
 		t.Fatalf("fresh sweep collided with resumed ID %s", sw.ID)
 	}
 	wait(t, fresh)
+	// The resumed sweep journals in the background too; let it finish
+	// before the temp dir is removed.
+	resumed, ok := h.mgr.Get(sw.ID)
+	if !ok {
+		t.Fatalf("resumed sweep %s not live", sw.ID)
+	}
+	wait(t, resumed)
 }
 
 func TestJournalValidation(t *testing.T) {

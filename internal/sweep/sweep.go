@@ -742,10 +742,13 @@ func (m *Manager) finishGroup(sw *Sweep, g *group, entry *cache.Entry, err error
 	}
 	sw.mu.Unlock()
 	if finished {
-		close(sw.done)
+		// Complete before close: a waiter that sees the sweep done must
+		// also see its journal record gone, or a crash in between would
+		// resume a sweep the client already saw finish.
 		if !transient {
 			m.cfg.Journal.Complete(sw.ID)
 		}
+		close(sw.done)
 	}
 }
 
