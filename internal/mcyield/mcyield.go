@@ -136,7 +136,37 @@ func sigmaLevel(p float64, n int) float64 {
 	if p <= 0 {
 		p = 1 / (2 * float64(n+1))
 	}
+	if p < 1e-10 {
+		return tailQuantile(p)
+	}
 	return math.Sqrt2 * math.Erfinv(1-2*p)
+}
+
+// tailQuantile solves Q(z) = p for a tail probability p < 1e-10,
+// where Q(z) = Erfc(z/√2)/2 is the upper normal tail. The closed form
+// Sqrt2*Erfinv(1-2p) cannot serve here: 1-2p rounds to 1 for
+// p ≲ 5.5e-17 and yields +Inf (math.Erfcinv(2p) is the same
+// expression in Go). Newton's method on ln Q(z) − ln p starts from
+// sqrt(−2 ln p), which lies beyond the root because Q(z) < e^(−z²/2);
+// ln Q is concave, so the iterates fall monotonically onto the root.
+// If Q or the density underflows (p near the subnormal range) the
+// last iterate stands, which is finite.
+func tailQuantile(p float64) float64 {
+	lp := math.Log(p)
+	z := math.Sqrt(-2 * lp)
+	for i := 0; i < 50; i++ {
+		q := 0.5 * math.Erfc(z/math.Sqrt2)
+		pdf := math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
+		if q == 0 || pdf == 0 {
+			break
+		}
+		step := (math.Log(q) - lp) * q / pdf
+		z += step
+		if math.Abs(step) <= 1e-12*z {
+			break
+		}
+	}
+	return z
 }
 
 // Estimate runs the Monte-Carlo yield estimate. Worker goroutines

@@ -256,3 +256,30 @@ func TestRNGStreamsIndependent(t *testing.T) {
 		t.Fatal("different seeds produced identical streams")
 	}
 }
+
+// TestSigmaLevelDeepTail: below p ≈ 5.5e-17 the closed form
+// Sqrt2*Erfinv(1-2p) overflows to +Inf (1-2p rounds to 1), and just
+// above that it has lost digits. The Newton tail solve must be finite
+// and match the normal quantile.
+func TestSigmaLevelDeepTail(t *testing.T) {
+	for _, c := range []struct{ p, want float64 }{
+		{1.84e-17, 8.42267},
+		{5e-17, 8.30479},
+		{1e-300, 37.0471},
+	} {
+		got := sigmaLevel(c.p, 100)
+		if math.IsInf(got, 0) || math.IsNaN(got) || math.Abs(got-c.want) > 5e-5 {
+			t.Errorf("sigma(%g) = %v, want %v", c.p, got, c.want)
+		}
+		if q := 0.5 * math.Erfc(got/math.Sqrt2); math.Abs(q-c.p) > 1e-9*c.p {
+			t.Errorf("sigma(%g) = %v: tail %g misses p", c.p, got, q)
+		}
+	}
+	if z := sigmaLevel(math.SmallestNonzeroFloat64, 100); math.IsInf(z, 0) || math.IsNaN(z) {
+		t.Errorf("sigma(min subnormal) = %v, want finite", z)
+	}
+	// The two branches agree where they meet.
+	if a, b := sigmaLevel(1e-10, 100), tailQuantile(1e-10); math.Abs(a-b) > 1e-6 {
+		t.Errorf("branches disagree at 1e-10: %v vs %v", a, b)
+	}
+}
