@@ -380,6 +380,9 @@ func (q *Queue) worker() {
 		// empties.
 		q.cond.Broadcast()
 		q.mu.Unlock()
+		// Release waiters only now that the counters include the job:
+		// whoever sees it finish must also see it counted.
+		close(j.done)
 	}
 }
 
@@ -415,7 +418,6 @@ func (q *Queue) failFast(j *Job) {
 	j.mu.Unlock()
 	q.observeQueueWait(j, submitted, now, true)
 	j.state.Store(int32(StateFailed))
-	close(j.done)
 }
 
 // run executes one job under the per-job deadline, converting panics
@@ -467,7 +469,6 @@ func (q *Queue) run(j *Job) {
 	} else {
 		j.state.Store(int32(StateDone))
 	}
-	close(j.done)
 }
 
 // Shutdown gracefully drains the queue: intake stops immediately,

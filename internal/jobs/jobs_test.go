@@ -477,3 +477,24 @@ func TestDefaultWorkersUsesAllCPUs(t *testing.T) {
 		t.Fatalf("negative workers = %d, want GOMAXPROCS = %d", got, want)
 	}
 }
+
+// TestDoneImpliesCounted: a job's Done channel closes only after the
+// queue's counters include it, so a caller that saw the job finish
+// (an HTTP client that got its response, a sweep that completed)
+// never reads jobs_completed_total without it.
+func TestDoneImpliesCounted(t *testing.T) {
+	q := New(Config{Workers: 2})
+	defer q.Shutdown(context.Background())
+	for i := 1; i <= 2000; i++ {
+		j, _, err := q.Submit(fmt.Sprint(i), Interactive, func(ctx context.Context) (any, error) {
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if st := q.Stats(); st.Completed != uint64(i) || st.Running != 0 {
+			t.Fatalf("job %d done, but stats say completed=%d running=%d", i, st.Completed, st.Running)
+		}
+	}
+}
