@@ -364,7 +364,7 @@ func newAnnealer(macros []Macro, nets []Net, initial *Result) *annealer {
 		for _, pin := range net.Pins {
 			i, ok := slotOf[pin.Macro]
 			if !ok {
-				continue // unreachable past indexMacros
+				continue // Place and Stack reject such nets
 			}
 			if pt, ok := macros[i].Cell.Port(pin.Port); ok {
 				a.nets[k] = append(a.nets[k], pinRect{slot: i, rects: orientRects(pt.Rect)})
