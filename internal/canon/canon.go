@@ -354,7 +354,7 @@ func ParseRequest(data []byte) (Request, error) {
 	if err := dec.Decode(&r); err != nil {
 		return Request{}, cerr.Wrap(cerr.CodeInvalidParams, err, "canon: bad request JSON")
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
 		return Request{}, cerr.New(cerr.CodeInvalidParams, "canon: trailing data after request JSON")
 	}
 	if err := r.CheckVersion(); err != nil {

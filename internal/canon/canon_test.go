@@ -182,8 +182,13 @@ func TestParseRequestStrict(t *testing.T) {
 	} else if cerr.CodeOf(err) != cerr.CodeInvalidParams {
 		t.Fatalf("code %v", cerr.CodeOf(err))
 	}
-	if _, err := ParseRequest([]byte(`{"words":1} {"words":2}`)); err == nil {
-		t.Fatal("trailing data must be rejected")
+	for _, tail := range []string{` {"words":2}`, `}`, `]`, `]]`, `1}`} {
+		if _, err := ParseRequest([]byte(`{"words":1}` + tail)); err == nil {
+			t.Fatalf("trailing data %q must be rejected", tail)
+		}
+	}
+	if _, err := ParseRequest([]byte("{\"words\":1} \t\r\n")); err != nil {
+		t.Fatalf("trailing whitespace must be accepted: %v", err)
 	}
 }
 

@@ -62,8 +62,8 @@ func Canonicalize(raw []byte) ([]byte, error) {
 	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("cjson: %w", err)
 	}
-	// Reject trailing garbage after the first value.
-	if dec.More() {
+	// Reject anything but whitespace after the first value.
+	if len(bytes.TrimLeft(raw[dec.InputOffset():], " \t\r\n")) != 0 {
 		return nil, fmt.Errorf("cjson: trailing data after JSON value")
 	}
 	var b bytes.Buffer

@@ -103,8 +103,13 @@ func TestNoHTMLEscaping(t *testing.T) {
 }
 
 func TestCanonicalizeRejectsTrailingData(t *testing.T) {
-	if _, err := Canonicalize([]byte(`{"a":1} {"b":2}`)); err == nil {
-		t.Fatal("trailing data must be rejected")
+	for _, doc := range []string{`{"a":1} {"b":2}`, `{"a":1}}`, `{"a":1}]`, `{"a":1}]]`, `1}`} {
+		if _, err := Canonicalize([]byte(doc)); err == nil {
+			t.Fatalf("trailing data in %q must be rejected", doc)
+		}
+	}
+	if got, err := Canonicalize([]byte("{\"a\":1} \t\r\n")); err != nil || string(got) != `{"a":1}` {
+		t.Fatalf("trailing whitespace: got %s, %v", got, err)
 	}
 }
 

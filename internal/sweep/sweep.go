@@ -85,7 +85,7 @@ func ParseSpec(data []byte) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, cerr.Wrap(cerr.CodeBadRequest, err, "sweep: bad spec JSON")
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
 		return Spec{}, cerr.New(cerr.CodeBadRequest, "sweep: trailing data after spec JSON")
 	}
 	if s.Version != 0 && s.Version != canon.WireVersion {

@@ -80,6 +80,10 @@ func TestParseSpecStrictAndVersioned(t *testing.T) {
 		`{"base":{"words":256},"axen":{}}`,                              // typo'd field
 		`not json`,
 		`{"base":{"words":256,"bpw":8,"bpc":4,"spares":4}} trailing`,
+		`{"base":{"words":256,"bpw":8,"bpc":4,"spares":4}}}`,
+		`{"base":{"words":256,"bpw":8,"bpc":4,"spares":4}}]`,
+		`{"base":{"words":256,"bpw":8,"bpc":4,"spares":4}}]]`,
+		`{"base":{"words":256,"bpw":8,"bpc":4,"spares":4}}1}`,
 	}
 	for _, body := range cases {
 		if _, err := ParseSpec([]byte(body)); cerr.CodeOf(err) != cerr.CodeBadRequest {
