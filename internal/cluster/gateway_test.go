@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -579,5 +580,28 @@ func TestGatewayV1DebugTraceAndPagedResults(t *testing.T) {
 	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("paged client rows: %+v", res)
+	}
+}
+
+// TestGatewayWriteJSONUnencodable checks that a payload the canonical
+// encoder refuses (NaN) is answered as a JSON 500 envelope, not as
+// text/plain.
+func TestGatewayWriteJSONUnencodable(t *testing.T) {
+	var g Gateway
+	rec := httptest.NewRecorder()
+	g.writeJSON(rec, http.StatusOK, gwEnvelope{Data: map[string]float64{"sigma": math.NaN()}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "ERR_INTERNAL" {
+		t.Fatalf("body %q is not an ERR_INTERNAL envelope (%v)", rec.Body.String(), err)
 	}
 }

@@ -617,13 +617,13 @@ func (s *Server) writeData(w http.ResponseWriter, status int, v any) {
 	s.writeJSON(w, status, envelope{Data: v})
 }
 
-// writeJSON renders v as canonical JSON.
+// writeJSON renders v as canonical JSON. A value that cannot be
+// encoded (a non-finite float) is answered with a JSON 500 envelope.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	b, err := cjson.MarshalIndent(v)
 	if err != nil {
-		http.Error(w, `{"error":{"code":"ERR_INTERNAL","message":"response encoding failed"}}`,
-			http.StatusInternalServerError)
-		return
+		status = http.StatusInternalServerError
+		b = []byte(`{"error":{"code":"ERR_INTERNAL","message":"response encoding failed"}}` + "\n")
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)

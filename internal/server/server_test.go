@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -448,5 +449,27 @@ func TestHTTPStatusTableTotal(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("table covers %d codes, want %d", len(got), len(want))
+	}
+}
+
+// TestWriteJSONUnencodable checks that a payload the canonical encoder
+// refuses (NaN) is answered as a JSON 500 envelope, not as text/plain.
+func TestWriteJSONUnencodable(t *testing.T) {
+	var s Server
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, http.StatusOK, envelope{Data: map[string]float64{"sigma": math.NaN()}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "ERR_INTERNAL" {
+		t.Fatalf("body %q is not an ERR_INTERNAL envelope (%v)", rec.Body.String(), err)
 	}
 }
