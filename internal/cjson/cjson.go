@@ -1,231 +1,178 @@
 // Package cjson renders canonical JSON: a byte-deterministic encoding
 // used wherever BISRAMGEN output is hashed, cached or compared —
 // content-addressed cache keys (internal/canon), cached artifacts
-// (internal/cache), and the datasheet.json the compiler emits.
+// (internal/cache), response envelopes, and the datasheet.json the
+// compiler emits.
 //
-// The canonical form is ordinary JSON with three extra guarantees:
+// Marshal and MarshalIndent walk a value once with reflect and append
+// canonical bytes to one buffer. Output from a json.Marshaler (the
+// json.RawMessage reports that compile responses, sweep rows and
+// metrics documents carry) goes through a byte-level canonicalizer,
+// which Canonicalize also uses; it validates the document, sorts each
+// object's members as it emits them and builds no tree.
 //
-//   - Object keys are emitted in ascending byte order, at every level,
-//     including keys that originate from Go maps.
-//   - Numbers are emitted in a fixed format: integers as-is, floats in
-//     Go's shortest round-trip 'g' form (strconv.FormatFloat bitSize 64,
-//     precision -1), which is fully determined by the IEEE-754 bits.
-//     NaN and ±Inf are rejected, mirroring encoding/json.
-//   - No insignificant whitespace in Marshal; MarshalIndent uses "  "
-//     (two spaces) and "\n" only, with a trailing newline.
+// The output is what encoding/json would produce, decoded into
+// map[string]any with UseNumber and re-encoded with sorted keys. So
+// encoding/json's rules decide which values appear: exported fields,
+// tag names, omitempty, "-", embedded structs under Go's dominance
+// rule (nil embedded pointers are skipped), json.Marshaler, []byte as
+// base64, nil slices and maps as null. On top of that:
+//
+//   - Object keys are in ascending byte order at every level: struct
+//     fields sort by JSON name, integer map keys by their decimal
+//     string (so "10" sorts before "2"). Within marshaler output the
+//     last of two equal keys wins.
+//   - Numbers have one spelling. NaN and ±Inf are errors and −0 is 0.
+//     Integral floats up to 2^53 are exact; larger integral floats
+//     below 1e21 keep encoding/json's zero-padded shortest digits when
+//     those fit an int64 or uint64 (2^60 is 1152921504606847000);
+//     every other float uses the shortest 'g' form (1e20 is 1e+20,
+//     1e-7 is 1e-07), with a float32 formatted at 32 bits. A number
+//     literal from marshaler output or Canonicalize stays an integer
+//     when it parses as an int64 or uint64 and is otherwise
+//     reformatted in shortest 'g' form, so 1.50, 1.5e0 and 1.5 all
+//     become 1.5.
+//   - Strings escape only '"', '\\', \n, \r, \t and other bytes below
+//     0x20 (as \u00xx). Each invalid UTF-8 byte, and each lone
+//     surrogate escape, becomes U+FFFD; '<', '>', '&' and U+2028/2029
+//     stay raw.
+//   - Marshal adds no whitespace. MarshalIndent indents with two
+//     spaces, writes ": " after keys, keeps empty containers as [] and
+//     {}, and ends with a newline.
 //
 // Two byte-equal canonical documents therefore denote equal values,
 // and equal values always canonicalise to byte-equal documents — the
-// property SHA-256 content addressing needs.
+// property SHA-256 content addressing needs. Encoding/json features no
+// marshalled type uses (encoding.TextMarshaler and the ",string" and
+// ",omitzero" options) are errors naming the type.
 package cjson
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strconv"
+	"errors"
+	"reflect"
+	"sync"
 )
+
+// maxDepth bounds object and array nesting, as encoding/json's
+// decoder does.
+const maxDepth = 10000
+
+// maxPooledBuf caps the output buffer an encoder keeps between calls,
+// so one huge document does not stay resident.
+const maxPooledBuf = 1 << 20
+
+var errDepth = errors.New("cjson: exceeded max nesting depth")
 
 // Marshal renders v as compact canonical JSON.
 func Marshal(v any) ([]byte, error) {
-	tree, err := toTree(v)
-	if err != nil {
-		return nil, err
-	}
-	var b bytes.Buffer
-	writeCanonical(&b, tree, "", "")
-	return b.Bytes(), nil
+	return marshal(v, false)
 }
 
 // MarshalIndent renders v as canonical JSON indented with two spaces
 // and terminated by a newline — the human-facing variant used for
-// datasheet.json files.
+// datasheet.json files and response envelopes.
 func MarshalIndent(v any) ([]byte, error) {
-	tree, err := toTree(v)
-	if err != nil {
+	return marshal(v, true)
+}
+
+func marshal(v any, indent bool) ([]byte, error) {
+	e := getEncoder(indent)
+	defer putEncoder(e)
+	if err := e.value(reflect.ValueOf(v)); err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	writeCanonical(&b, tree, "", "  ")
-	b.WriteByte('\n')
-	return b.Bytes(), nil
+	if indent {
+		e.buf = append(e.buf, '\n')
+	}
+	return bytes.Clone(e.buf), nil
 }
 
 // Canonicalize re-encodes raw JSON text into compact canonical form.
 // It is how foreign documents (user-POSTed requests, stored artifacts)
-// are normalised before hashing or comparison.
+// are normalised before hashing or comparison. Only whitespace may
+// follow the value.
 func Canonicalize(raw []byte) ([]byte, error) {
-	var v any
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	if err := dec.Decode(&v); err != nil {
-		return nil, fmt.Errorf("cjson: %w", err)
+	e := getEncoder(false)
+	defer putEncoder(e)
+	if err := e.raw(raw); err != nil {
+		return nil, err
 	}
-	// Reject anything but whitespace after the first value.
-	if len(bytes.TrimLeft(raw[dec.InputOffset():], " \t\r\n")) != 0 {
-		return nil, fmt.Errorf("cjson: trailing data after JSON value")
-	}
-	var b bytes.Buffer
-	writeCanonical(&b, v, "", "")
-	return b.Bytes(), nil
+	return bytes.Clone(e.buf), nil
 }
 
-// toTree lowers an arbitrary Go value to the generic JSON tree
-// (map[string]any / []any / json.Number / string / bool / nil) by a
-// round trip through encoding/json with UseNumber, so struct tags,
-// omitempty and MarshalJSON implementations all apply exactly as they
-// would in a plain json.Marshal call.
-func toTree(v any) (any, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("cjson: %w", err)
-	}
-	var tree any
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	if err := dec.Decode(&tree); err != nil {
-		return nil, fmt.Errorf("cjson: %w", err)
-	}
-	return tree, nil
+// encoder is the state of one Marshal, MarshalIndent or Canonicalize
+// call. Encoders are pooled; the slices below are reused as stacks.
+type encoder struct {
+	buf    []byte
+	indent bool
+	// depth is the current object/array nesting.
+	depth int
+
+	// ptrLevel and ptrSeen detect reference cycles the way
+	// encoding/json does: only past startDetectingCyclesAfter nested
+	// pointers, maps or slices.
+	ptrLevel int
+	ptrSeen  map[any]struct{}
+
+	// entries holds the members of the maps being encoded.
+	entries []mapEntry
+	// members and keys hold the members and decoded keys of the raw
+	// objects being canonicalized.
+	members []member
+	keys    []byte
+	// str holds a decoded raw string; scratch holds an object's
+	// members while they are reordered.
+	str     []byte
+	scratch []byte
 }
 
-// writeCanonical emits the tree. indent == "" selects compact form.
-func writeCanonical(b *bytes.Buffer, v any, prefix, indent string) {
-	switch t := v.(type) {
-	case nil:
-		b.WriteString("null")
-	case bool:
-		if t {
-			b.WriteString("true")
-		} else {
-			b.WriteString("false")
-		}
-	case string:
-		writeString(b, t)
-	case json.Number:
-		writeNumber(b, t)
-	case float64:
-		// Only reachable when a caller hands a pre-decoded tree that
-		// skipped UseNumber; format deterministically all the same.
-		b.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-	case []any:
-		if len(t) == 0 {
-			b.WriteString("[]")
-			return
-		}
-		b.WriteByte('[')
-		inner := prefix + indent
-		for i, e := range t {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if indent != "" {
-				b.WriteByte('\n')
-				b.WriteString(inner)
-			}
-			writeCanonical(b, e, inner, indent)
-		}
-		if indent != "" {
-			b.WriteByte('\n')
-			b.WriteString(prefix)
-		}
-		b.WriteByte(']')
-	case map[string]any:
-		if len(t) == 0 {
-			b.WriteString("{}")
-			return
-		}
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b.WriteByte('{')
-		inner := prefix + indent
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if indent != "" {
-				b.WriteByte('\n')
-				b.WriteString(inner)
-			}
-			writeString(b, k)
-			b.WriteByte(':')
-			if indent != "" {
-				b.WriteByte(' ')
-			}
-			writeCanonical(b, t[k], inner, indent)
-		}
-		if indent != "" {
-			b.WriteByte('\n')
-			b.WriteString(prefix)
-		}
-		b.WriteByte('}')
-	default:
-		// The tree only contains the types above by construction; a
-		// stray type means toTree was bypassed. Fall back to
-		// encoding/json (still deterministic for scalar types).
-		raw, err := json.Marshal(t)
-		if err != nil {
-			b.WriteString("null")
-			return
-		}
-		b.Write(raw)
-	}
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+
+func getEncoder(indent bool) *encoder {
+	e := encoderPool.Get().(*encoder)
+	e.indent = indent
+	return e
 }
 
-// writeNumber normalises a JSON number literal: integers pass through
-// unchanged (minus a redundant leading "+" or exponent form is kept
-// as parsed when integral round-trips fail), floats are reformatted in
-// shortest round-trip 'g' form so 1.50, 1.5e0 and 1.5 all canonicalise
-// to "1.5".
-func writeNumber(b *bytes.Buffer, n json.Number) {
-	s := n.String()
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		b.WriteString(strconv.FormatInt(i, 10))
+func putEncoder(e *encoder) {
+	if cap(e.buf) > maxPooledBuf {
+		e.buf = nil
+	}
+	e.buf = e.buf[:0]
+	e.depth, e.ptrLevel = 0, 0
+	clear(e.ptrSeen)
+	clear(e.entries[:cap(e.entries)])
+	e.entries = e.entries[:0]
+	e.members, e.keys = e.members[:0], e.keys[:0]
+	encoderPool.Put(e)
+}
+
+// open enters an object or array.
+func (e *encoder) open() error {
+	e.depth++
+	if e.depth > maxDepth {
+		return errDepth
+	}
+	return nil
+}
+
+// newline starts a new line at the current depth in indented output.
+func (e *encoder) newline() {
+	if !e.indent {
 		return
 	}
-	if u, err := strconv.ParseUint(s, 10, 64); err == nil {
-		b.WriteString(strconv.FormatUint(u, 10))
-		return
+	e.buf = append(e.buf, '\n')
+	for i := 0; i < e.depth; i++ {
+		e.buf = append(e.buf, ' ', ' ')
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
-		return
-	}
-	// Out-of-range literal (e.g. a 100-digit integer): keep it verbatim
-	// — it is still a fixed function of the input bytes.
-	b.WriteString(s)
 }
 
-// writeString emits a JSON string with the minimal escape set
-// (quote, backslash, control characters), leaving all other bytes —
-// including multi-byte UTF-8 like the march notation arrows — as-is.
-// encoding/json escapes <, > and & for HTML safety; canonical form
-// does not, so the encoding is a pure function of the string value.
-func writeString(b *bytes.Buffer, s string) {
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
+// colon ends an object key.
+func (e *encoder) colon() {
+	if e.indent {
+		e.buf = append(e.buf, ':', ' ')
+	} else {
+		e.buf = append(e.buf, ':')
 	}
-	b.WriteByte('"')
 }
