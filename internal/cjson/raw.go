@@ -144,8 +144,13 @@ func (e *encoder) rawObject(data []byte, i int) (int, error) {
 			return i, syntaxError(data, i, "looking for beginning of object key string")
 		}
 		keyOff := len(e.keys)
+		var plain []byte // the key as written, when that is canonical
 		var err error
-		if e.keys, i, err = decodeString(e.keys, data, i); err != nil {
+		if j := plainEnd(data, i); j >= 0 {
+			plain = data[i : j+1]
+			e.keys = append(e.keys, data[i+1:j]...)
+			i = j + 1
+		} else if e.keys, i, err = decodeString(e.keys, data, i); err != nil {
 			return i, err
 		}
 		keyEnd := len(e.keys)
@@ -161,7 +166,11 @@ func (e *encoder) rawObject(data []byte, i int) (int, error) {
 		}
 		e.newline()
 		outOff := len(e.buf)
-		e.buf = appendString(e.buf, e.keys[keyOff:keyEnd])
+		if plain != nil {
+			e.buf = append(e.buf, plain...)
+		} else {
+			e.buf = appendString(e.buf, e.keys[keyOff:keyEnd])
+		}
 		e.colon()
 		if i, err = e.rawValue(data, i+1); err != nil {
 			return i, err
@@ -208,27 +217,11 @@ func (e *encoder) reorder(objOff int, ms []member) {
 }
 
 // rawString appends the canonical form of the string starting at
-// data[i]. A string without escapes, control bytes or invalid UTF-8 is
-// already canonical and is copied as it stands.
+// data[i].
 func (e *encoder) rawString(data []byte, i int) (int, error) {
-	for j := i + 1; j < len(data); {
-		c := data[j]
-		if c == '"' {
-			e.buf = append(e.buf, data[i:j+1]...)
-			return j + 1, nil
-		}
-		if c == '\\' || c < 0x20 {
-			break
-		}
-		if c < utf8.RuneSelf {
-			j++
-			continue
-		}
-		r, size := utf8.DecodeRune(data[j:])
-		if r == utf8.RuneError && size == 1 {
-			break
-		}
-		j += size
+	if j := plainEnd(data, i); j >= 0 {
+		e.buf = append(e.buf, data[i:j+1]...)
+		return j + 1, nil
 	}
 	var err error
 	if e.str, i, err = decodeString(e.str[:0], data, i); err != nil {
@@ -236,6 +229,30 @@ func (e *encoder) rawString(data []byte, i int) (int, error) {
 	}
 	e.buf = appendString(e.buf, e.str)
 	return i, nil
+}
+
+// plainEnd returns the index of the closing quote of the string that
+// starts at data[i] if the string has no escapes, control bytes or
+// invalid UTF-8, which makes it its own canonical form; otherwise -1.
+func plainEnd(data []byte, i int) int {
+	for j := i + 1; j < len(data); {
+		c := data[j]
+		switch {
+		case c == '"':
+			return j
+		case c == '\\' || c < 0x20:
+			return -1
+		case c < utf8.RuneSelf:
+			j++
+		default:
+			r, size := utf8.DecodeRune(data[j:])
+			if r == utf8.RuneError && size == 1 {
+				return -1
+			}
+			j += size
+		}
+	}
+	return -1
 }
 
 // decodeString appends the value of the JSON string starting at
