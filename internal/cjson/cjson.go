@@ -31,11 +31,11 @@
 //     literal from marshaler output or Canonicalize stays an integer
 //     when it parses as an int64 or uint64 and is otherwise
 //     reformatted in shortest 'g' form, so 1.50, 1.5e0 and 1.5 all
-//     become 1.5.
+//     become 1.5; a literal beyond float64 range is kept verbatim.
 //   - Strings escape only '"', '\\', \n, \r, \t and other bytes below
-//     0x20 (as \u00xx). Each invalid UTF-8 byte, and each lone
-//     surrogate escape, becomes U+FFFD; '<', '>', '&' and U+2028/2029
-//     stay raw.
+//     0x20 (as \u00xx, in lowercase hex). Each invalid UTF-8 byte, and
+//     each lone surrogate escape, becomes U+FFFD; '<', '>', '&' and
+//     U+2028/2029 stay raw.
 //   - Marshal adds no whitespace. MarshalIndent indents with two
 //     spaces, writes ": " after keys, keeps empty containers as [] and
 //     {}, and ends with a newline.
@@ -58,9 +58,9 @@ import (
 // decoder does.
 const maxDepth = 10000
 
-// maxPooledBuf caps the output buffer an encoder keeps between calls,
-// so one huge document does not stay resident.
-const maxPooledBuf = 1 << 20
+// maxPooled caps the buffer bytes a pooled encoder keeps between
+// calls, so one huge document does not stay resident.
+const maxPooled = 1 << 20
 
 var errDepth = errors.New("cjson: exceeded max nesting depth")
 
@@ -136,8 +136,8 @@ func getEncoder(indent bool) *encoder {
 }
 
 func putEncoder(e *encoder) {
-	if cap(e.buf) > maxPooledBuf {
-		e.buf = nil
+	if cap(e.buf)+cap(e.keys)+cap(e.str)+cap(e.scratch) > maxPooled {
+		return
 	}
 	e.buf = e.buf[:0]
 	e.depth, e.ptrLevel = 0, 0
