@@ -13,14 +13,14 @@ GO       ?= go
 FUZZTIME ?= 5s
 # BENCH_OUT names the checked-in benchmark evidence file; bump the
 # numeral with the PR that re-measures (schema in EXPERIMENTS.md).
-BENCH_OUT  ?= results/BENCH_14.json
+BENCH_OUT  ?= results/BENCH_15.json
 BENCHCOUNT ?= 3
 # NPROC drives the -cpu pass over the parallelism-sensitive
 # benchmarks; on a single-core box the pass degenerates to the serial
 # measurement and merges with the main run.
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
 # BENCH_PKGS is every package whose benchmarks land in BENCH_OUT.
-BENCH_PKGS = . ./internal/mcyield/ ./internal/floorplan/
+BENCH_PKGS = . ./internal/mcyield/ ./internal/floorplan/ ./internal/cjson/ ./internal/canon/
 # BENCH_CPU_PATTERN selects the benchmarks whose scaling the -cpu pass
 # measures; their highest-proc rows are what benchjson keeps.
 BENCH_CPU_PATTERN = 'BenchmarkCompileParallel|BenchmarkCompileRefine|BenchmarkMCYieldParallel'
@@ -177,6 +177,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/sweep/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchEvaluator -fuzztime=$(FUZZTIME) ./internal/sram/
 	$(GO) test -run='^$$' -fuzz=FuzzRefineDifferential -fuzztime=$(FUZZTIME) ./internal/floorplan/
+	$(GO) test -run='^$$' -fuzz=FuzzCanonicalDifferential -fuzztime=$(FUZZTIME) ./internal/cjson/
 
 # Adversarial-input campaign against the full compile pipeline: exits
 # non-zero on any panic, hang or untyped error.
