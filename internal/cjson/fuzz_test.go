@@ -211,14 +211,14 @@ func (g *gen) docValue(b []byte, depth int) []byte {
 // addressability.
 type (
 	fzLeaf struct {
-		A     int             `json:"a"`
-		B     string          `json:"b,omitempty"`
-		C     *float64        `json:"c,omitempty"`
-		D     any             `json:"d"`
-		E     []byte          `json:"e,omitempty"`
-		F     map[string]int  `json:"f,omitempty"`
-		G     [2]uint8        `json:"g"`
-		H     float32         //
+		A     int            `json:"a"`
+		B     string         `json:"b,omitempty"`
+		C     *float64       `json:"c,omitempty"`
+		D     any            `json:"d"`
+		E     []byte         `json:"e,omitempty"`
+		F     map[string]int `json:"f,omitempty"`
+		G     [2]uint8       `json:"g"`
+		H     float32
 		I     json.Number     `json:",omitempty"`
 		J     json.RawMessage `json:"j,omitempty"`
 		K     uint16          `json:"k,omitempty"`
@@ -289,6 +289,9 @@ func (m fzValMarsh) MarshalJSON() ([]byte, error) {
 }
 
 func (m *fzPtrMarsh) MarshalJSON() ([]byte, error) {
+	if m == nil { // a nil *fzPtrMarsh held in a json.Marshaler
+		return []byte("null"), nil
+	}
 	return []byte(fmt.Sprintf(`{ "z": %d, "a" : [1, 2.50], "z": "last %d" }`, m.N, m.N)), nil
 }
 
