@@ -1,12 +1,14 @@
-// Command bisramgate is the BISRAMGEN federation gateway: one HTTP
-// surface speaking the daemon's /v1 contract in front of a fleet of
-// bisramgend shards. Compile submissions and key-addressed reads
-// route to the content key's consistent-hash owner (failing over to
-// ring successors while a shard is down), job reads follow the shard
-// that accepted the job, and sweeps fan their points across the fleet
-// — merged into a results document byte-identical to a single
-// daemon's, because every shard derives the same bytes from the same
-// canonical key.
+// Command bisramgate is the BISRAMGEN federation gateway: the daemon's
+// own /v1 surface (internal/server) over a fleet backend
+// (internal/cluster) in front of bisramgend shards. Compile
+// submissions and key-addressed reads route to the content key's
+// consistent-hash owner (failing over to ring successors while a shard
+// is down), job reads follow the shard that accepted the job, and
+// sweeps fan their points across the fleet — merged into a results
+// document byte-identical to a single daemon's, because every shard
+// derives the same bytes from the same canonical key. The catalogs
+// come from the gateway's own build; GET /metrics?scope=fleet merges
+// every shard's scrape.
 //
 // Example:
 //

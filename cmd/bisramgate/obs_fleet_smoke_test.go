@@ -77,17 +77,26 @@ func TestObsFleetSmoke(t *testing.T) {
 
 	// --- 3. Fleet scrape: counters sum across shards. ---
 	fleet := parseProm(t, getRaw(t, gwBase+"/metrics?scope=fleet&format=prometheus"))
-	var want float64
-	perShard := make([]float64, len(urls))
+	shardProm := make([][]obs.PromFamily, len(urls))
 	for i, u := range urls {
-		perShard[i] = counterValue(t, parseProm(t, getRaw(t, u+"/metrics?format=prometheus")), "jobs_completed_total")
-		want += perShard[i]
+		shardProm[i] = parseProm(t, getRaw(t, u+"/metrics?format=prometheus"))
 	}
-	if want == 0 {
-		t.Fatal("no shard completed any job; the sum check would be vacuous")
-	}
-	if got := counterValue(t, fleet, "jobs_completed_total"); got != want {
-		t.Fatalf("fleet jobs_completed_total = %v, shard sum = %v", got, want)
+	// jobs_completed_total goes last: the kill drill below reuses its
+	// per-shard values.
+	perShard := make([]float64, len(urls))
+	var want float64
+	for _, name := range []string{"store_misses_total", "jobs_completed_total"} {
+		want = 0
+		for i := range urls {
+			perShard[i] = counterValue(t, shardProm[i], name)
+			want += perShard[i]
+		}
+		if want == 0 {
+			t.Fatalf("no shard moved %s; the sum check would be vacuous", name)
+		}
+		if got := counterValue(t, fleet, name); got != want {
+			t.Fatalf("fleet %s = %v, shard sum = %v", name, got, want)
+		}
 	}
 	// Gauges stay per node, tagged with the shard URL.
 	prom := string(getRaw(t, gwBase+"/metrics?scope=fleet&format=prometheus"))
@@ -137,7 +146,7 @@ func TestObsFleetSmoke(t *testing.T) {
 // spans parented under the gateway's proxy.route span.
 func assertMergedTrace(t *testing.T, gwBase, jobID string) {
 	t.Helper()
-	raw := getRaw(t, gwBase+"/debug/trace/"+jobID)
+	raw := getRaw(t, gwBase+"/v1/debug/traces/"+jobID)
 	var doc struct {
 		TraceEvents []struct {
 			Name string            `json:"name"`

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -153,12 +154,17 @@ func main() {
 		clusterView = cluster.View{SelfURL: self, GatewayURL: *gatewayURL, Table: tab}
 		fmt.Fprintf(os.Stderr, "bisramgend: federated as %s in a %d-member ring\n", self, tab.PeersTotal())
 	}
-	var logW = os.Stderr
+	// A nil interface, not a nil *os.File, so -quiet skips request
+	// logging entirely.
+	var logW io.Writer = os.Stderr
+	if *quiet {
+		logW = nil
+	}
 	srv := server.New(server.Config{
 		Queue:         q,
 		Cache:         c,
 		Store:         st,
-		LogWriter:     logWriter(*quiet, logW),
+		LogWriter:     logW,
 		SyncWait:      *syncWait,
 		Metrics:       reg,
 		EnablePprof:   *enablePprof,
@@ -225,12 +231,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "bisramgend: drained cleanly")
-}
-
-// logWriter selects the request-log destination.
-func logWriter(quiet bool, w *os.File) *os.File {
-	if quiet {
-		return nil
-	}
-	return w
 }

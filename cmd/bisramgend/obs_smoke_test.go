@@ -23,7 +23,7 @@ import (
 //
 //  1. /metrics?format=prometheus parses as text exposition and carries
 //     nonzero compile_stage_duration_seconds buckets,
-//  2. GET /debug/trace/{job_id} returns a loadable Chrome trace-event
+//  2. GET /v1/debug/traces/{job_id} returns a loadable Chrome trace-event
 //     document containing the queue-wait and pipeline stage spans,
 //  3. /debug/pprof/ answers (the -pprof flag works end to end),
 //  4. the slow-compile forensics line lands on stderr.
@@ -105,7 +105,7 @@ func TestObsSmoke(t *testing.T) {
 
 	// 2. The job trace is a loadable Chrome trace-event document with
 	// the pipeline spans.
-	traceDoc := getText(t, base+"/debug/trace/"+compiled.JobID)
+	traceDoc := getText(t, base+"/v1/debug/traces/"+compiled.JobID)
 	var doc struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`

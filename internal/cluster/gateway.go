@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/canon"
 	"repro/internal/cerr"
 	"repro/internal/chaos"
-	"repro/internal/cjson"
 	"repro/internal/compiler"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -44,24 +42,16 @@ type GatewayConfig struct {
 	// router job whose Run proxies the compile to the owning shard.
 	// Required.
 	Queue *jobs.Queue
-	// Client performs peer exchanges; nil installs one with RouteRetry.
-	Client *sweep.Client
 	// Registry receives the gateway metrics; nil allocates a private
 	// one.
 	Registry *obs.Registry
-	// Chaos, when non-nil, injects scripted faults at the proxy.route
-	// point and into the sweep manager's mc.sample statistical-yield
-	// estimates.
+	// Chaos, when non-nil, injects scripted faults at the proxy.route,
+	// trace.fetch and fleet.scrape points and into the sweep manager's
+	// mc.sample statistical-yield estimates.
 	Chaos *chaos.Injector
 	// SweepMaxPoints caps one sweep's cross product; <= 0 takes the
 	// sweep default.
 	SweepMaxPoints int
-	// JobRouteMemory bounds the job-id -> shard map (FIFO); <= 0 means
-	// 4096.
-	JobRouteMemory int
-	// TraceBudget bounds retained per-job gateway traces for the merged
-	// GET /debug/trace/{id} view (FIFO); <= 0 means 512.
-	TraceBudget int
 	// FleetScrapeTimeout bounds each per-peer exchange of a
 	// GET /metrics?scope=fleet scrape; <= 0 means 2s.
 	FleetScrapeTimeout time.Duration
@@ -74,38 +64,18 @@ type GatewayConfig struct {
 // concurrently.
 const fleetScrapeFanout = 8
 
-// Gateway is the federation front door: one HTTP surface that speaks
-// the daemon's /v1 contract while fanning the work across a shard
-// fleet. Compile submissions and key-addressed reads route to the
-// key's ring owner (failing over to successors while a shard is
-// down); job reads follow the shard that accepted the job; sweeps run
-// on a local manager whose per-point compiles are proxied — so the
-// sweep envelope a cluster serves is byte-identical to a single
-// daemon's, because rows are computed by the same code from the same
-// reports.
+// Gateway is the federation front door: the daemon's own /v1 surface
+// (server.New) over a fleet backend. Compile submissions and
+// key-addressed reads route to the key's ring owner (failing over to
+// successors while a shard is down); job reads follow the shard that
+// accepted the job; sweeps run on the server's manager with per-point
+// compiles proxied — so the sweep envelope a cluster serves is
+// byte-identical to a single daemon's, because rows are computed by
+// the same code from the same reports.
 type Gateway struct {
-	cfg    GatewayConfig
-	client *sweep.Client
-	sweeps *sweep.Manager
-	mux    *http.ServeMux
-	start  time.Time
-
-	requests     *obs.CounterVec // proxy_requests_total{peer}
-	failures     *obs.CounterVec // proxy_failures_total{peer}
-	fallback     *obs.Counter    // proxy_failovers_total
-	scrapeErrors *obs.Counter    // fleet_scrape_errors_total
-	scrapeDur    *obs.Histogram  // fleet_scrape_duration_seconds
-
-	jobMu    sync.Mutex
-	jobPeer  map[string]string
-	jobOrder []string
-	// jobTrace retains the gateway-side trace of each routed compile
-	// (FIFO, TraceBudget) — the base span set of the merged
-	// /debug/trace/{id} view.
-	jobTrace   map[string]*obs.Trace
-	traceOrder []string
-
-	codeByName map[string]cerr.Code
+	cfg   GatewayConfig
+	srv   *server.Server
+	fleet *fleet
 }
 
 // NewGateway builds the gateway and its HTTP surface.
@@ -119,156 +89,84 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	if cfg.JobRouteMemory <= 0 {
-		cfg.JobRouteMemory = 4096
-	}
-	if cfg.TraceBudget <= 0 {
-		cfg.TraceBudget = 512
-	}
 	if cfg.FleetScrapeTimeout <= 0 {
 		cfg.FleetScrapeTimeout = 2 * time.Second
 	}
-	g := &Gateway{
-		cfg:        cfg,
-		client:     cfg.Client,
-		mux:        http.NewServeMux(),
-		start:      time.Now(),
-		jobPeer:    map[string]string{},
-		jobTrace:   map[string]*obs.Trace{},
-		codeByName: map[string]cerr.Code{},
+	f := &fleet{
+		table:  cfg.Table,
+		chaos:  cfg.Chaos,
+		client: sweep.NewClient(""),
+		jobs:   server.NewJobTable[route](server.DefaultTraceBudget, nil),
+		start:  time.Now(),
 	}
-	if g.client == nil {
-		g.client = sweep.NewClient("")
-		g.client.Retry = RouteRetry
-	}
-	for _, c := range cerr.Codes() {
-		g.codeByName[c.String()] = c
-	}
-	g.sweeps = sweep.NewManager(sweep.Config{
-		Queue: cfg.Queue,
-		// The gateway holds no artifacts; its cache is the fleet's. A
-		// Lookup asks the key's owning shard for an already-cached
-		// report, so cluster sweep rows carry the same cached flags a
-		// warm single daemon would, and repeats cost zero recompiles.
-		Lookup:    g.lookupFleet,
-		Run:       g.runProxiedCompile,
-		Registry:  cfg.Registry,
-		Chaos:     cfg.Chaos,
-		MaxPoints: cfg.SweepMaxPoints,
+	f.client.Retry = RouteRetry
+	f.registerMetrics(cfg.Registry)
+	srv := server.New(server.Config{
+		Backend:        f,
+		Cluster:        View{Table: cfg.Table},
+		Queue:          cfg.Queue,
+		Metrics:        cfg.Registry,
+		Chaos:          cfg.Chaos,
+		SweepMaxPoints: cfg.SweepMaxPoints,
+		SSEHeartbeat:   cfg.SSEHeartbeat,
 	})
-	g.registerMetrics()
-	g.routes()
-	return g, nil
+	return &Gateway{cfg: cfg, srv: srv, fleet: f}, nil
 }
 
-// Handler returns the gateway's HTTP surface.
-func (g *Gateway) Handler() http.Handler { return g.mux }
+// Handler returns the gateway's HTTP surface: the server's, plus
+// GET /metrics?scope=fleet, one merged scrape of every shard.
+func (g *Gateway) Handler() http.Handler {
+	h := g.srv.Handler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/metrics" && r.URL.Query().Get("scope") == "fleet" {
+			g.fleetMetrics(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
 
-func (g *Gateway) registerMetrics() {
-	r := g.cfg.Registry
-	t := g.cfg.Table
-	r.GaugeFunc("cluster_ring_version", "Monotonic ring-state version; bumps on every member up/down transition.",
-		func() float64 { return float64(t.Version()) })
-	r.GaugeFunc("cluster_peers_up", "Ring members currently passing health probes.",
-		func() float64 { return float64(t.PeersUp()) })
-	r.GaugeFunc("cluster_peers_total", "Ring member count.",
-		func() float64 { return float64(t.PeersTotal()) })
-	g.requests = r.CounterVec("proxy_requests_total", "Exchanges routed to each peer.", "peer")
-	g.failures = r.CounterVec("proxy_failures_total", "Failed exchanges per peer (transport errors, open breakers, injected faults).", "peer")
-	g.fallback = r.Counter("proxy_failovers_total", "Requests that fell over to a ring successor after the preferred shard failed.")
-	g.scrapeErrors = r.Counter("fleet_scrape_errors_total",
+// fleet is the gateway's server.Backend: ring routing with failover,
+// verbatim relay of shard answers, a job-to-shard memory, proxied
+// sweep compiles and cross-process trace merging.
+type fleet struct {
+	table  *Table
+	chaos  *chaos.Injector
+	client *sweep.Client
+	// jobs remembers, per routed job id, the shard that issued it and
+	// the gateway side of its trace.
+	jobs  *server.JobTable[route]
+	start time.Time
+
+	requests     *obs.CounterVec // proxy_requests_total{peer}
+	failures     *obs.CounterVec // proxy_failures_total{peer}
+	fallback     *obs.Counter    // proxy_failovers_total
+	scrapeErrors *obs.Counter    // fleet_scrape_errors_total
+	scrapeDur    *obs.Histogram  // fleet_scrape_duration_seconds
+}
+
+// route is the gateway's record of one job: the issuing shard, and the
+// gateway-side trace of the compile that created it (nil for a job
+// found by searching the fleet).
+type route struct {
+	peer  string
+	trace *obs.Trace
+}
+
+func (f *fleet) registerMetrics(r *obs.Registry) {
+	f.requests = r.CounterVec("proxy_requests_total", "Exchanges routed to each peer.", "peer")
+	f.failures = r.CounterVec("proxy_failures_total", "Failed exchanges per peer (transport errors, open breakers, injected faults).", "peer")
+	f.fallback = r.Counter("proxy_failovers_total", "Requests that fell over to a ring successor after the preferred shard failed.")
+	f.scrapeErrors = r.Counter("fleet_scrape_errors_total",
 		"Per-peer failures (transport, bad status, unparseable exposition, injected faults) during fleet metric scrapes.")
-	g.scrapeDur = r.Histogram("fleet_scrape_duration_seconds",
+	f.scrapeDur = r.Histogram("fleet_scrape_duration_seconds",
 		"Wall-clock time of one whole GET /metrics?scope=fleet scrape across the fleet.", nil)
 	// Pre-seed the per-peer children so the exposition is complete and
 	// deterministic from the first scrape.
-	for _, m := range t.Ring().Members() {
-		g.requests.With(m)
-		g.failures.With(m)
+	for _, m := range f.table.Ring().Members() {
+		f.requests.With(m)
+		f.failures.With(m)
 	}
-}
-
-// routes mounts the /v1 surface. Every /v1 pattern gets an enveloped
-// 405 fallback carrying the Allow list.
-func (g *Gateway) routes() {
-	g.route("POST", "/v1/compile", g.handleCompile)
-	g.route("GET", "/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) { g.proxyJob(w, r, "") })
-	g.route("GET", "/v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) { g.proxyJob(w, r, "/result") })
-	// GET patterns also serve HEAD (Go 1.22 mux), hence the wider
-	// Allow lists.
-	g.route("GET, HEAD", "/v1/jobs/{id}/artifact/{name}", func(w http.ResponseWriter, r *http.Request) {
-		g.proxyJob(w, r, "/artifact/"+r.PathValue("name"))
-	})
-	g.route("GET, HEAD", "/v1/objects/{key}", g.handleObject)
-	g.route("GET", "/v1/objects/{key}/report", g.handleObjectReport)
-	g.route("POST", "/v1/sweeps", g.handleSweepCreate)
-	g.route("GET", "/v1/sweeps/{id}", g.handleSweepStatus)
-	g.route("GET", "/v1/sweeps/{id}/results", g.handleSweepResults)
-	g.route("GET", "/v1/sweeps/{id}/events", g.handleSweepEvents)
-	g.route("GET", "/v1/processes", func(w http.ResponseWriter, r *http.Request) { g.proxyAny(w, r, "/v1/processes") })
-	g.route("GET", "/v1/tests", func(w http.ResponseWriter, r *http.Request) { g.proxyAny(w, r, "/v1/tests") })
-	g.route("GET", "/v1/debug/traces/{id}", g.handleTraceV1)
-	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	// Deprecated alias of /v1/debug/traces/{id}.
-	g.mux.HandleFunc("GET /debug/trace/{id}", g.handleTrace)
-}
-
-// route registers handler for the allowed methods plus a bare-pattern
-// fallback answering every other method with an enveloped 405 and the
-// Allow list. allow is comma-separated ("GET, HEAD"); the first token
-// is the pattern's mux method.
-func (g *Gateway) route(allow, pattern string, h http.HandlerFunc) {
-	first, _, _ := strings.Cut(allow, ",")
-	g.mux.HandleFunc(first+" "+pattern, h)
-	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		g.writeError(w, cerr.New(cerr.CodeBadRequest,
-			"cluster: method %s not allowed on %s", r.Method, pattern),
-			http.StatusMethodNotAllowed)
-	})
-}
-
-// envelope mirrors the daemon's uniform /v1 response document, so
-// gateway-authored responses are shape-identical to shard-authored
-// ones.
-type gwEnvelope struct {
-	Job   any          `json:"job,omitempty"`
-	Sweep any          `json:"sweep,omitempty"`
-	Data  any          `json:"data,omitempty"`
-	Page  *sweep.Page  `json:"page,omitempty"`
-	Error *gwWireError `json:"error"`
-}
-
-type gwWireError struct {
-	Code    string `json:"code"`
-	Stage   string `json:"stage,omitempty"`
-	Message string `json:"message"`
-}
-
-// writeJSON renders v as canonical JSON. A value that cannot be
-// encoded (a non-finite float) is answered with a JSON 500 envelope.
-func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := cjson.MarshalIndent(v)
-	if err != nil {
-		status = http.StatusInternalServerError
-		b = []byte(`{"error":{"code":"ERR_INTERNAL","message":"response encoding failed"}}` + "\n")
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	w.Write(b)
-}
-
-func (g *Gateway) writeError(w http.ResponseWriter, err error, statusOverride int) {
-	status := statusOverride
-	if status == 0 {
-		status = server.HTTPStatus(err)
-	}
-	g.writeJSON(w, status, gwEnvelope{Error: &gwWireError{
-		Code:    cerr.CodeOf(err).String(),
-		Stage:   cerr.StageOf(err),
-		Message: err.Error(),
-	}})
 }
 
 // relay writes a shard's verbatim response to the client, preserving
@@ -304,13 +202,13 @@ func relay(w http.ResponseWriter, resp *sweep.RawResponse) {
 // injected route fault) marks the peer down and moves on; any HTTP
 // response is a terminal answer. accept, when non-nil, can veto a
 // response (e.g. a 404 during key-addressed reads) to keep searching.
-func (g *Gateway) exchange(ctx context.Context, key, method, path string, body []byte,
+func (f *fleet) exchange(ctx context.Context, key, method, path string, body []byte,
 	accept func(status int) bool) (*sweep.RawResponse, string, error) {
-	candidates := g.cfg.Table.Route(key)
+	candidates := f.table.Route(key)
 	if len(candidates) == 0 {
 		// Whole fleet marked down: the table may be stale (mass restart),
 		// so try everyone in ring order rather than failing outright.
-		candidates = g.cfg.Table.Ring().Successors(key, 0)
+		candidates = f.table.Ring().Successors(key, 0)
 	}
 	var lastErr error
 	var lastResp *sweep.RawResponse
@@ -320,26 +218,23 @@ func (g *Gateway) exchange(ctx context.Context, key, method, path string, body [
 			// Only count re-routes forced by a failed peer — a healthy
 			// shard answering "not resident" (accept veto) is a miss,
 			// not a failover.
-			g.fallback.Inc()
+			f.fallback.Inc()
 			failed = false
 		}
 		// The span-derived context flows into DoRaw so the injected
 		// traceparent names proxy.route as the remote parent — the span
 		// shard-side compile stages nest under after the trace merge.
 		rctx, end := obs.Start(ctx, "proxy.route")
-		g.cfg.Chaos.Delay(chaos.PointProxyRoute)
-		if err := g.cfg.Chaos.Fail(chaos.PointProxyRoute); err != nil {
-			g.failures.With(peer).Inc()
+		f.chaos.Delay(chaos.PointProxyRoute)
+		if err := f.chaos.Fail(chaos.PointProxyRoute); err != nil {
+			f.failures.With(peer).Inc()
 			end(obs.String("peer", peer), obs.String("outcome", "chaos"))
 			lastErr = err
 			failed = true
 			continue
 		}
-		g.requests.With(peer).Inc()
-		resp, err := g.client.DoRaw(rctx, method, peer+path, body)
+		resp, err := f.send(rctx, peer, method, path, body)
 		if err != nil {
-			g.failures.With(peer).Inc()
-			g.cfg.Table.MarkDown(peer)
 			end(obs.String("peer", peer), obs.String("outcome", "error"))
 			lastErr = err
 			failed = true
@@ -366,64 +261,13 @@ func (g *Gateway) exchange(ctx context.Context, key, method, path string, body [
 	return nil, "", lastErr
 }
 
-// rememberJob binds a shard-issued job id to its shard (bounded FIFO)
-// so job status/result/artifact reads route straight there.
-func (g *Gateway) rememberJob(id, peer string) {
-	if id == "" || peer == "" {
-		return
-	}
-	g.jobMu.Lock()
-	defer g.jobMu.Unlock()
-	if _, seen := g.jobPeer[id]; !seen {
-		g.jobOrder = append(g.jobOrder, id)
-		for len(g.jobOrder) > g.cfg.JobRouteMemory {
-			delete(g.jobPeer, g.jobOrder[0])
-			g.jobOrder = g.jobOrder[1:]
-		}
-	}
-	g.jobPeer[id] = peer
-}
-
-func (g *Gateway) peerForJob(id string) (string, bool) {
-	g.jobMu.Lock()
-	defer g.jobMu.Unlock()
-	p, ok := g.jobPeer[id]
-	return p, ok
-}
-
-// rememberTrace retains the gateway-side trace of a routed compile
-// (bounded FIFO, like the daemon's trace budget).
-func (g *Gateway) rememberTrace(id string, tr *obs.Trace) {
-	if id == "" || tr == nil {
-		return
-	}
-	g.jobMu.Lock()
-	defer g.jobMu.Unlock()
-	if _, seen := g.jobTrace[id]; !seen {
-		g.traceOrder = append(g.traceOrder, id)
-		for len(g.traceOrder) > g.cfg.TraceBudget {
-			delete(g.jobTrace, g.traceOrder[0])
-			g.traceOrder = g.traceOrder[1:]
-		}
-	}
-	g.jobTrace[id] = tr
-}
-
-// traceForJob resolves a retained gateway trace by job id.
-func (g *Gateway) traceForJob(id string) (*obs.Trace, bool) {
-	g.jobMu.Lock()
-	defer g.jobMu.Unlock()
-	tr, ok := g.jobTrace[id]
-	return tr, ok
-}
-
 // upMembers lists the routable fleet: up members in ring-member order,
 // or everyone when the table says nobody is (stale-table fallback).
-func (g *Gateway) upMembers() []string {
-	all := g.cfg.Table.Ring().Members()
+func (f *fleet) upMembers() []string {
+	all := f.table.Ring().Members()
 	up := make([]string, 0, len(all))
 	for _, m := range all {
-		if g.cfg.Table.Up(m) {
+		if f.table.Up(m) {
 			up = append(up, m)
 		}
 	}
@@ -433,49 +277,64 @@ func (g *Gateway) upMembers() []string {
 	return up
 }
 
-// handleCompile is POST /v1/compile: canonicalize exactly as a shard
-// would (same strict parse, same key), then forward the body verbatim
-// to the key's owner.
-func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxRequestBody))
+// findJob sends a bodiless method+path to the shard remembered for job
+// id, whose answer is final; when none is remembered, or it cannot be
+// reached, it asks each up shard in turn until one answers with a
+// status found accepts, and remembers that shard. It returns the
+// accepted answer, else the last one received, with the shard that
+// gave it; nil when no shard answered.
+func (f *fleet) findJob(ctx context.Context, id, method, path string, found func(status int) bool) (*sweep.RawResponse, string) {
+	rec, remembered := f.jobs.Get(id)
+	if remembered {
+		if resp, err := f.send(ctx, rec.peer, method, path, nil); err == nil {
+			return resp, rec.peer
+		}
+	}
+	var last *sweep.RawResponse
+	var lastPeer string
+	for _, peer := range f.upMembers() {
+		resp, err := f.send(ctx, peer, method, path, nil)
+		if err != nil {
+			continue
+		}
+		if found(resp.Status) {
+			f.jobs.Put(id, route{peer: peer, trace: rec.trace})
+			return resp, peer
+		}
+		last, lastPeer = resp, peer
+	}
+	return last, lastPeer
+}
+
+// send is one exchange with peer, counted per peer; a transport
+// failure marks the peer down.
+func (f *fleet) send(ctx context.Context, peer, method, path string, body []byte) (*sweep.RawResponse, error) {
+	f.requests.With(peer).Inc()
+	resp, err := f.client.DoRaw(ctx, method, peer+path, body)
 	if err != nil {
-		g.writeError(w, cerr.Wrap(cerr.CodeInvalidParams, err, "cluster: request body"), http.StatusRequestEntityTooLarge)
-		return
+		f.failures.With(peer).Inc()
+		f.table.MarkDown(peer)
 	}
-	req, err := canon.ParseRequest(body)
-	if err != nil {
-		g.writeError(w, err, 0)
-		return
-	}
-	params, err := req.Params()
-	if err != nil {
-		g.writeError(w, err, 0)
-		return
-	}
-	key, err := canon.KeyOfParams(params)
-	if err != nil {
-		g.writeError(w, err, 0)
-		return
-	}
-	path := "/v1/compile"
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
+	return resp, err
+}
+
+// Compile forwards the body verbatim to the key's owner (the server
+// already parsed and keyed it exactly as a shard will) and relays the
+// answer.
+func (f *fleet) Compile(w http.ResponseWriter, r *http.Request, c server.Compile) error {
 	// Every routed compile records a gateway trace: the proxy.route
 	// spans land here, the wire identity travels to the shard, and
-	// GET /debug/trace/{job_id} merges both sides back together.
+	// GET /v1/debug/traces/{job_id} merges both sides back together.
 	tr := obs.NewTrace("")
-	ctx := obs.WithTrace(r.Context(), tr)
-	resp, peer, err := g.exchange(ctx, key, http.MethodPost, path, body, nil)
+	resp, peer, err := f.exchange(obs.WithTrace(r.Context(), tr), c.Key, http.MethodPost, r.URL.RequestURI(), c.Body, nil)
 	if err != nil {
-		g.writeError(w, err, 0)
-		return
+		return err
 	}
 	if id := jobIDOf(resp.Body); id != "" {
-		g.rememberJob(id, peer)
-		g.rememberTrace(id, tr)
+		f.jobs.Put(id, route{peer: peer, trace: tr})
 	}
 	relay(w, resp)
+	return nil
 }
 
 // jobIDOf extracts job.job_id from a compile response envelope, "" if
@@ -492,176 +351,94 @@ func jobIDOf(body []byte) string {
 	return env.Job.JobID
 }
 
-// proxyJob is GET /v1/jobs/{id}[suffix]: follow the shard that issued
-// the job when known, otherwise sweep the up fleet — the first answer
-// that isn't "unknown job" wins.
-func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string) {
-	id := r.PathValue("id")
-	path := "/v1/jobs/" + id + suffix
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	if peer, ok := g.peerForJob(id); ok {
-		g.requests.With(peer).Inc()
-		if resp, err := g.client.DoRaw(r.Context(), r.Method, peer+path, nil); err == nil {
-			relay(w, resp)
-			return
-		}
-		g.failures.With(peer).Inc()
-		g.cfg.Table.MarkDown(peer)
-	}
-	var notFound *sweep.RawResponse
-	for _, peer := range g.upMembers() {
-		g.requests.With(peer).Inc()
-		resp, err := g.client.DoRaw(r.Context(), r.Method, peer+path, nil)
-		if err != nil {
-			g.failures.With(peer).Inc()
-			g.cfg.Table.MarkDown(peer)
-			continue
-		}
-		if resp.Status != http.StatusNotFound {
-			g.rememberJob(id, peer)
-			relay(w, resp)
-			return
-		}
-		notFound = resp
-	}
-	if notFound != nil {
-		relay(w, notFound)
-		return
-	}
-	g.writeError(w, cerr.New(cerr.CodeInvalidParams, "cluster: unknown job %q", id), http.StatusNotFound)
-}
-
-// handleObject is GET/HEAD /v1/objects/{key}: a key-addressed read
-// routed by the ring. A shard that doesn't hold the object (404) is
-// not final — after failover a key's artifact may live on a
-// successor, so the search continues through the candidates.
-func (g *Gateway) handleObject(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	resp, _, err := g.exchange(r.Context(), key, r.Method, "/v1/objects/"+key, nil,
+// Job relays the job read from the shard that issued the job, or from
+// the first shard that knows the id.
+func (f *fleet) Job(w http.ResponseWriter, r *http.Request, id, _ string) bool {
+	resp, _ := f.findJob(r.Context(), id, r.Method, r.URL.RequestURI(),
 		func(status int) bool { return status != http.StatusNotFound })
-	if err != nil {
-		g.writeError(w, err, 0)
-		return
+	if resp == nil {
+		return false
 	}
 	relay(w, resp)
+	return true
 }
 
-// handleObjectReport is GET /v1/objects/{key}/report: the cached
-// compile report for a content key, never triggering a compile. Like
-// handleObject, a 404 keeps searching ring successors — after
-// failover the report may be resident on a non-owner.
-func (g *Gateway) handleObjectReport(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	resp, _, err := g.exchange(r.Context(), key, http.MethodGet, "/v1/objects/"+key+"/report", nil,
+// Object relays a key-addressed read routed by the ring. A shard that
+// doesn't hold the key (404) is not final — after failover an object
+// or report may live on a successor, so the search continues through
+// the candidates.
+func (f *fleet) Object(w http.ResponseWriter, r *http.Request, key string, _ bool) error {
+	resp, _, err := f.exchange(r.Context(), key, r.Method, r.URL.Path, nil,
 		func(status int) bool { return status != http.StatusNotFound })
 	if err != nil {
-		g.writeError(w, err, 0)
-		return
+		return err
 	}
 	relay(w, resp)
+	return nil
 }
 
-// proxyAny serves fleet-invariant catalogs (/v1/processes, /v1/tests)
-// from the first up shard that answers.
-func (g *Gateway) proxyAny(w http.ResponseWriter, r *http.Request, path string) {
-	var lastErr error
-	for _, peer := range g.upMembers() {
-		g.requests.With(peer).Inc()
-		resp, err := g.client.DoRaw(r.Context(), http.MethodGet, peer+path, nil)
-		if err != nil {
-			g.failures.With(peer).Inc()
-			g.cfg.Table.MarkDown(peer)
-			lastErr = err
-			continue
+// Trace is the end-to-end view of a routed compile: the gateway's own
+// span set is the base, and the issuing shard's set is fetched and
+// spliced under the proxy.route span that injected the wire identity.
+// A failed remote fetch (or an injected trace.fetch fault) degrades to
+// the gateway-local spans: a partial trace still answers "where did the
+// time go" questions.
+func (f *fleet) Trace(ctx context.Context, id string) (server.Trace, bool) {
+	rec, ok := f.jobs.Get(id)
+	if !ok || rec.trace == nil {
+		return nil, false
+	}
+	sets := []obs.SpanSet{rec.trace.SpanSet("gateway")}
+	f.chaos.Delay(chaos.PointTraceFetch)
+	if f.chaos.Fail(chaos.PointTraceFetch) == nil {
+		resp, peer := f.findJob(ctx, id, http.MethodGet, "/v1/debug/traces/"+id+"?format=spans",
+			func(status int) bool { return status == http.StatusOK })
+		if resp != nil && resp.Status == http.StatusOK {
+			if ss, err := obs.ParseSpanSet(resp.Body); err == nil {
+				if ss.Node == "" {
+					ss.Node = peer
+				}
+				sets = append(sets, ss)
+			}
 		}
-		relay(w, resp)
-		return
 	}
-	if lastErr == nil {
-		lastErr = cerr.New(cerr.CodeOverloaded, "cluster: no shard reachable")
-	}
-	g.writeError(w, lastErr, 0)
+	return obs.MergeSpanSets(sets), true
 }
 
-// handleSweepCreate is POST /v1/sweeps: the sweep runs on the
-// gateway's own manager; each unique point's compile is proxied to
-// its owning shard by runProxiedCompile. Row computation is
-// deterministic from the report metrics, so the merged results
-// envelope is byte-identical to a single daemon's.
-func (g *Gateway) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxRequestBody))
-	if err != nil {
-		g.writeError(w, cerr.Wrap(cerr.CodeBadRequest, err, "cluster: sweep body"), http.StatusRequestEntityTooLarge)
-		return
+// Health reports the gateway role and the fleet view — per-peer
+// up/down and the ring version — and "degraded" while no shard is up.
+func (f *fleet) Health(doc map[string]any) string {
+	t := f.table
+	peers := map[string]string{}
+	for _, m := range t.Ring().Members() {
+		state := "up"
+		if !t.Up(m) {
+			state = "down"
+		}
+		peers[m] = state
 	}
-	spec, err := sweep.ParseSpec(body)
-	if err != nil {
-		g.writeError(w, err, 0)
-		return
+	doc["role"] = "gateway"
+	doc["ring_version"] = t.Version()
+	doc["peers_up"] = t.PeersUp()
+	doc["peers_total"] = t.PeersTotal()
+	doc["peers"] = peers
+	if t.PeersUp() == 0 {
+		// A gateway with no reachable shard cannot serve compiles.
+		return "degraded"
 	}
-	sw, err := g.sweeps.Create(spec)
-	if err != nil {
-		g.writeError(w, err, 0)
-		return
-	}
-	g.writeJSON(w, http.StatusAccepted, gwEnvelope{Sweep: sw.Status()})
+	return ""
 }
 
-func (g *Gateway) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	sw, ok := g.sweeps.Get(r.PathValue("id"))
-	if !ok {
-		g.writeError(w, cerr.New(cerr.CodeInvalidParams, "cluster: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	g.writeJSON(w, http.StatusOK, gwEnvelope{Sweep: sw.Status()})
-}
-
-// handleSweepResults is GET /v1/sweeps/{id}/results, with the same
-// ?offset=&limit= window semantics as a shard: no parameters means
-// the full document, a window adds the page metadata to the envelope.
-func (g *Gateway) handleSweepResults(w http.ResponseWriter, r *http.Request) {
-	sw, ok := g.sweeps.Get(r.PathValue("id"))
-	if !ok {
-		g.writeError(w, cerr.New(cerr.CodeInvalidParams, "cluster: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	res := sw.Results()
-	offset, limit, paged, err := server.PageParams(r)
-	if err != nil {
-		g.writeError(w, err, 0)
-		return
-	}
-	if !paged {
-		g.writeJSON(w, http.StatusOK, gwEnvelope{Data: res})
-		return
-	}
-	win, pg := res.Paginate(offset, limit)
-	g.writeJSON(w, http.StatusOK, gwEnvelope{Data: win, Page: &pg})
-}
-
-// handleSweepEvents is GET /v1/sweeps/{id}/events: the cluster
-// sweep's live SSE progress stream — same wire format as a shard's,
-// because both serve the shared sweep feed.
-func (g *Gateway) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw, ok := g.sweeps.Get(r.PathValue("id"))
-	if !ok {
-		g.writeError(w, cerr.New(cerr.CodeInvalidParams, "cluster: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	sweep.ServeEvents(w, r, sw, g.cfg.SSEHeartbeat)
-}
-
-// lookupFleet is the gateway sweep manager's Lookup seam: ask the
-// key's owning shard (then ring successors) for an already-cached
-// report. A hit makes the point a cached row, exactly as a warm
-// single daemon's Lookup would; any miss or failure just means the
-// point routes a compile.
-func (g *Gateway) lookupFleet(key string) (*cache.Entry, bool) {
+// Lookup is the sweep manager's Lookup seam: the gateway holds no
+// artifacts, so it asks the key's owning shard (then ring successors)
+// for an already-cached report. A hit makes the point a cached row,
+// exactly as a warm single daemon's Lookup would, and repeats cost
+// zero recompiles; any miss or failure just means the point routes a
+// compile.
+func (f *fleet) Lookup(key string) (*cache.Entry, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	resp, _, err := g.exchange(ctx, key, http.MethodGet, "/v1/objects/"+key+"/report", nil,
+	resp, _, err := f.exchange(ctx, key, http.MethodGet, "/v1/objects/"+key+"/report", nil,
 		func(status int) bool { return status == http.StatusOK })
 	if err != nil || resp.Status != http.StatusOK {
 		return nil, false
@@ -685,22 +462,22 @@ func (g *Gateway) lookupFleet(key string) (*cache.Entry, bool) {
 // its cache).
 var errPeerLost = cerr.New(cerr.CodeInternal, "cluster: shard lost after accepting the job")
 
-// runProxiedCompile is the gateway sweep manager's Run seam: POST the
-// point's normalized wire request to the owning shard and build the
-// entry from the response. One full re-route is allowed when a shard
-// dies between accepting and finishing a compile.
-func (g *Gateway) runProxiedCompile(ctx context.Context, key string, req canon.Request, _ compiler.Params) (*cache.Entry, error) {
+// Run is the sweep manager's Run seam: POST the point's normalized
+// wire request to the owning shard and build the entry from the
+// response. One full re-route is allowed when a shard dies between
+// accepting and finishing a compile.
+func (f *fleet) Run(ctx context.Context, key string, req canon.Request, _ compiler.Params) (*cache.Entry, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, cerr.Wrap(cerr.CodeInternal, err, "cluster: encoding request for %s", key)
 	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		resp, peer, xerr := g.exchange(ctx, key, http.MethodPost, "/v1/compile", body, nil)
+		resp, peer, xerr := f.exchange(ctx, key, http.MethodPost, "/v1/compile", body, nil)
 		if xerr != nil {
 			return nil, xerr
 		}
-		entry, eerr := g.entryFromCompileResponse(ctx, peer, key, resp)
+		entry, eerr := f.entryFromCompileResponse(ctx, peer, key, resp)
 		if eerr == errPeerLost && ctx.Err() == nil {
 			lastErr = eerr
 			continue // the dead peer is marked down; re-route to a successor
@@ -710,32 +487,27 @@ func (g *Gateway) runProxiedCompile(ctx context.Context, key string, req canon.R
 	return nil, lastErr
 }
 
-// shardJob is the slice of a shard's compile/job envelope the gateway
-// consumes.
-type shardJob struct {
-	Key      string          `json:"key"`
-	JobID    string          `json:"job_id"`
-	State    string          `json:"state"`
-	Degraded bool            `json:"degraded"`
-	Report   json.RawMessage `json:"report"`
-}
-
 // entryFromCompileResponse turns a shard's compile response into a
 // cache entry: a synchronous 200 carries the report inline; a 202 job
 // handle (the shard's sync-wait expired) is polled to completion.
-func (g *Gateway) entryFromCompileResponse(ctx context.Context, peer, key string, resp *sweep.RawResponse) (*cache.Entry, error) {
+func (f *fleet) entryFromCompileResponse(ctx context.Context, peer, key string, resp *sweep.RawResponse) (*cache.Entry, error) {
 	var env struct {
-		Job   shardJob     `json:"job"`
-		Error *gwWireError `json:"error"`
+		Job struct {
+			Key      string          `json:"key"`
+			JobID    string          `json:"job_id"`
+			Degraded bool            `json:"degraded"`
+			Report   json.RawMessage `json:"report"`
+		} `json:"job"`
+		Error *sweep.WireError `json:"error"`
 	}
 	if err := json.Unmarshal(resp.Body, &env); err != nil {
 		return nil, cerr.Wrap(cerr.CodeInternal, err, "cluster: shard %s returned non-envelope JSON (status %d)", peer, resp.Status)
 	}
 	if env.Error != nil {
-		return nil, g.wireToErr(env.Error)
+		return nil, wireToErr(env.Error)
 	}
 	if resp.Status == http.StatusAccepted || len(env.Job.Report) == 0 {
-		return g.pollJobResult(ctx, peer, env.Job.JobID, key)
+		return f.pollJobResult(ctx, peer, env.Job.JobID, key)
 	}
 	if env.Job.Key != key {
 		return nil, cerr.New(cerr.CodeInternal, "cluster: shard %s answered key %s for %s", peer, env.Job.Key, key)
@@ -746,10 +518,12 @@ func (g *Gateway) entryFromCompileResponse(ctx context.Context, peer, key string
 // wireToErr rebuilds a shard's typed error locally, preserving the
 // code (so sweep point error codes match a single daemon's) and the
 // stage.
-func (g *Gateway) wireToErr(we *gwWireError) error {
-	code, ok := g.codeByName[we.Code]
-	if !ok {
-		code = cerr.CodeInternal
+func wireToErr(we *sweep.WireError) error {
+	code := cerr.CodeInternal
+	for _, c := range cerr.Codes() {
+		if c.String() == we.Code {
+			code = c
+		}
 	}
 	err := error(cerr.New(code, "%s", we.Message))
 	if we.Stage != "" {
@@ -761,15 +535,13 @@ func (g *Gateway) wireToErr(we *gwWireError) error {
 // pollJobResult follows a 202 job handle on the issuing shard until
 // the job finishes. A transport failure here reports errPeerLost so
 // the caller can re-route the whole compile.
-func (g *Gateway) pollJobResult(ctx context.Context, peer, jobID, key string) (*cache.Entry, error) {
+func (f *fleet) pollJobResult(ctx context.Context, peer, jobID, key string) (*cache.Entry, error) {
 	if jobID == "" {
 		return nil, cerr.New(cerr.CodeInternal, "cluster: shard %s answered without report or job id", peer)
 	}
-	path := peer + "/v1/jobs/" + jobID + "/result"
 	for {
-		resp, err := g.client.DoRaw(ctx, http.MethodGet, path, nil)
+		resp, err := f.send(ctx, peer, http.MethodGet, "/v1/jobs/"+jobID+"/result", nil)
 		if err != nil {
-			g.cfg.Table.MarkDown(peer)
 			if ctx.Err() != nil {
 				return nil, cerr.Wrap(cerr.CodeBudgetExceeded, ctx.Err(), "cluster: waiting on %s", jobID)
 			}
@@ -784,14 +556,14 @@ func (g *Gateway) pollJobResult(ctx context.Context, peer, jobID, key string) (*
 			continue
 		}
 		var env struct {
-			Data  json.RawMessage `json:"data"`
-			Error *gwWireError    `json:"error"`
+			Data  json.RawMessage  `json:"data"`
+			Error *sweep.WireError `json:"error"`
 		}
 		if err := json.Unmarshal(resp.Body, &env); err != nil {
 			return nil, cerr.Wrap(cerr.CodeInternal, err, "cluster: job result from %s", peer)
 		}
 		if env.Error != nil {
-			return nil, g.wireToErr(env.Error)
+			return nil, wireToErr(env.Error)
 		}
 		if len(env.Data) == 0 {
 			return nil, cerr.New(cerr.CodeInternal, "cluster: empty job result from %s", peer)
@@ -800,69 +572,14 @@ func (g *Gateway) pollJobResult(ctx context.Context, peer, jobID, key string) (*
 	}
 }
 
-// handleHealthz reports the gateway's own state plus the fleet view:
-// per-peer up/down, the ring version, and role identification for
-// operators telling gateways from shards.
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	t := g.cfg.Table
-	peers := map[string]string{}
-	for _, m := range t.Ring().Members() {
-		state := "up"
-		if !t.Up(m) {
-			state = "down"
-		}
-		peers[m] = state
-	}
-	status := http.StatusOK
-	state := "ok"
-	if t.PeersUp() == 0 {
-		// A gateway with no reachable shard cannot serve compiles.
-		status = http.StatusServiceUnavailable
-		state = "degraded"
-	}
-	g.writeJSON(w, status, map[string]any{
-		"status":       state,
-		"role":         "gateway",
-		"uptime_s":     time.Since(g.start).Seconds(),
-		"ring_version": t.Version(),
-		"peers_up":     t.PeersUp(),
-		"peers_total":  t.PeersTotal(),
-		"peers":        peers,
-		// Resume debt of the gateway's own sweep manager (cluster sweeps
-		// run here, not on the shards).
-		"sweeps": g.sweeps.Backlog(),
-	})
-}
-
-// handleMetrics mirrors the daemon's dual exposition: JSON snapshot by
-// default, Prometheus text 0.0.4 with ?format=prometheus. With
-// ?scope=fleet the gateway scrapes every ring member concurrently and
-// re-emits one merged document instead (see handleFleetMetrics).
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("scope") == "fleet" {
-		g.handleFleetMetrics(w, r)
-		return
-	}
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		g.cfg.Registry.WritePrometheus(w)
-		return
-	}
-	g.writeJSON(w, http.StatusOK, map[string]any{
-		"obs":      g.cfg.Registry.Snapshot(),
-		"queue":    g.cfg.Queue.Stats(),
-		"uptime_s": time.Since(g.start).Seconds(),
-	})
-}
-
 // scrapeFleet fetches every ring member's Prometheus exposition with
 // bounded fan-out and a per-peer timeout. A peer that fails —
 // transport error, bad status, unparseable text, injected fault — is
 // skipped (stale-peer tolerance) and counted in
 // fleet_scrape_errors_total; the merge proceeds with the rest.
 func (g *Gateway) scrapeFleet(ctx context.Context) (scrapes []obs.FleetScrape, errs int) {
-	members := g.cfg.Table.Ring().Members()
+	f := g.fleet
+	members := f.table.Ring().Members()
 	results := make([]*obs.FleetScrape, len(members))
 	sem := make(chan struct{}, fleetScrapeFanout)
 	var wg sync.WaitGroup
@@ -873,14 +590,14 @@ func (g *Gateway) scrapeFleet(ctx context.Context) (scrapes []obs.FleetScrape, e
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			g.cfg.Chaos.Delay(chaos.PointFleetScrape)
-			if err := g.cfg.Chaos.Fail(chaos.PointFleetScrape); err != nil {
+			f.chaos.Delay(chaos.PointFleetScrape)
+			if err := f.chaos.Fail(chaos.PointFleetScrape); err != nil {
 				errCount.Add(1)
 				return
 			}
 			pctx, cancel := context.WithTimeout(ctx, g.cfg.FleetScrapeTimeout)
 			defer cancel()
-			resp, err := g.client.DoRaw(pctx, http.MethodGet, m+"/metrics?format=prometheus", nil)
+			resp, err := f.client.DoRaw(pctx, http.MethodGet, m+"/metrics?format=prometheus", nil)
 			if err != nil || resp.Status != http.StatusOK {
 				errCount.Add(1)
 				return
@@ -900,19 +617,19 @@ func (g *Gateway) scrapeFleet(ctx context.Context) (scrapes []obs.FleetScrape, e
 		}
 	}
 	n := int(errCount.Load())
-	g.scrapeErrors.Add(uint64(n))
+	f.scrapeErrors.Add(uint64(n))
 	return scrapes, n
 }
 
-// handleFleetMetrics is GET /metrics?scope=fleet: one merged metric
+// fleetMetrics is GET /metrics?scope=fleet: one merged metric
 // document for the whole fleet — counters summed, histogram buckets
-// summed, gauges labelled per node — as expvar-style JSON by default
-// or Prometheus text with ?format=prometheus.
-func (g *Gateway) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
+// summed, gauges labelled per node — as JSON by default or Prometheus
+// text with ?format=prometheus.
+func (g *Gateway) fleetMetrics(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	scrapes, errs := g.scrapeFleet(r.Context())
 	merged := obs.MergeFleet(scrapes)
-	g.scrapeDur.ObserveDuration(time.Since(t0))
+	g.fleet.scrapeDur.ObserveDuration(time.Since(t0))
 	nodes := make([]string, 0, len(scrapes))
 	for _, sc := range scrapes {
 		nodes = append(nodes, sc.Node)
@@ -923,111 +640,11 @@ func (g *Gateway) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 		merged.WritePrometheus(w)
 		return
 	}
-	g.writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"scope":         "fleet",
 		"nodes":         nodes,
 		"scrape_errors": errs,
 		"obs":           merged.Snapshot(),
-		"uptime_s":      time.Since(g.start).Seconds(),
+		"uptime_s":      time.Since(g.fleet.start).Seconds(),
 	})
-}
-
-// handleTrace is GET /debug/trace/{id}, the deprecated pre-/v1 alias
-// of /v1/debug/traces/{id}: the end-to-end view of a routed compile.
-// The gateway's own span set is the base; the issuing shard's set is
-// fetched and spliced under the proxy.route span that injected the
-// wire identity. A failed remote fetch (or an injected trace.fetch
-// fault) degrades to the gateway-local spans rather than erroring: a
-// partial trace still answers "where did the time go" questions.
-func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	g.renderTrace(w, r, r.URL.Query().Get("format"))
-}
-
-// handleTraceV1 is GET /v1/debug/traces/{id}, negotiated like the
-// shard route: ?format=tree|spans|chrome wins, otherwise Accept:
-// text/plain selects the tree and anything else the Chrome JSON.
-func (g *Gateway) handleTraceV1(w http.ResponseWriter, r *http.Request) {
-	format := r.URL.Query().Get("format")
-	if format == "" && strings.HasPrefix(r.Header.Get("Accept"), "text/plain") {
-		format = "tree"
-	}
-	g.renderTrace(w, r, format)
-}
-
-func (g *Gateway) renderTrace(w http.ResponseWriter, r *http.Request, format string) {
-	id := r.PathValue("id")
-	tr, ok := g.traceForJob(id)
-	if !ok {
-		g.writeError(w, cerr.New(cerr.CodeInvalidParams, "cluster: no trace for job %q", id), http.StatusNotFound)
-		return
-	}
-	sets := []obs.SpanSet{tr.SpanSet("gateway")}
-	if remote, ok := g.fetchRemoteSpans(r.Context(), id); ok {
-		sets = append(sets, remote)
-	}
-	merged := obs.MergeSpanSets(sets)
-	switch format {
-	case "tree":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, merged.Tree())
-		return
-	case "spans":
-		b, err := merged.SpanSet().JSON()
-		if err != nil {
-			g.writeError(w, cerr.Wrap(cerr.CodeInternal, err, "cluster: span set rendering"), 0)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
-		return
-	}
-	b, err := merged.ChromeJSON()
-	if err != nil {
-		g.writeError(w, cerr.Wrap(cerr.CodeInternal, err, "cluster: trace rendering"), 0)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
-}
-
-// fetchRemoteSpans retrieves the shard-side span set of a routed job:
-// the issuing shard when remembered, otherwise the first up member
-// that recognises the job id.
-func (g *Gateway) fetchRemoteSpans(ctx context.Context, id string) (obs.SpanSet, bool) {
-	g.cfg.Chaos.Delay(chaos.PointTraceFetch)
-	if err := g.cfg.Chaos.Fail(chaos.PointTraceFetch); err != nil {
-		return obs.SpanSet{}, false
-	}
-	peers := g.upMembers()
-	if peer, ok := g.peerForJob(id); ok {
-		peers = append([]string{peer}, peers...)
-	}
-	seen := map[string]bool{}
-	for _, peer := range peers {
-		if seen[peer] {
-			continue
-		}
-		seen[peer] = true
-		// Prefer the /v1 route; shards predating it answer 404 there,
-		// so fall back to the deprecated alias for mixed-version fleets.
-		resp, err := g.client.DoRaw(ctx, http.MethodGet, peer+"/v1/debug/traces/"+id+"?format=spans", nil)
-		if err == nil && resp.Status == http.StatusNotFound {
-			resp, err = g.client.DoRaw(ctx, http.MethodGet, peer+"/debug/trace/"+id+"?format=spans", nil)
-		}
-		if err != nil || resp.Status != http.StatusOK {
-			continue
-		}
-		ss, perr := obs.ParseSpanSet(resp.Body)
-		if perr != nil {
-			continue
-		}
-		if ss.Node == "" {
-			ss.Node = peer
-		}
-		return ss, true
-	}
-	return obs.SpanSet{}, false
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -384,30 +383,119 @@ func TestPeerFetchThroughRealShards(t *testing.T) {
 	}
 }
 
-// TestGatewayMethodTable: wrong methods get the enveloped 405 with
-// the full Allow list, matching the daemon's contract.
+// answer is the part of a response a client branches on.
+type answer struct {
+	status             int
+	allow, contentType string
+	member, code       string // envelope payload member, error code
+}
+
+func answerOf(t *testing.T, method, url, body string) answer {
+	t.Helper()
+	st, hdr, raw := httpDo(t, method, url, body)
+	a := answer{status: st, allow: hdr.Get("Allow"), contentType: hdr.Get("Content-Type")}
+	var env map[string]json.RawMessage
+	if strings.HasPrefix(a.contentType, "application/json") && json.Unmarshal(raw, &env) == nil {
+		for _, m := range []string{"job", "sweep", "data"} {
+			if v, ok := env[m]; ok && string(v) != "null" {
+				a.member = m
+			}
+		}
+		var we sweep.WireError
+		if json.Unmarshal(env["error"], &we) == nil {
+			a.code = we.Code
+		}
+	}
+	return a
+}
+
+// TestGatewayMethodTable: every row goes both to a daemon and to a
+// gateway over one shard, and the two must answer alike — status,
+// Allow, Content-Type, envelope member and error code. Both sides
+// compile the same request and run the same sweep first, so their job
+// and sweep ids line up.
 func TestGatewayMethodTable(t *testing.T) {
+	daemon := startShard(t)
 	_, _, _, gw := startFleet(t, 1)
-	for _, tc := range []struct {
-		method, path, allow string
-	}{
-		{http.MethodPut, "/v1/compile", "POST"},
-		{http.MethodDelete, "/v1/objects/" + strings.Repeat("0", 64), "GET, HEAD"},
-		{http.MethodPost, "/v1/objects/" + strings.Repeat("0", 64) + "/report", "GET"},
-		{http.MethodDelete, "/v1/jobs/job-000001/artifact/datasheet.txt", "GET, HEAD"},
-		{http.MethodDelete, "/v1/sweeps", "POST"},
-	} {
-		st, hdr, raw := httpDo(t, tc.method, gw.URL+tc.path, "")
-		if st != http.StatusMethodNotAllowed {
-			t.Fatalf("%s %s: %d", tc.method, tc.path, st)
+	var key string
+	for _, base := range []string{daemon.ts.URL, gw.URL} {
+		key, _ = compileVia(t, base)["key"].(string)
+		runSweepVia(t, base)
+	}
+	job, sw, obj := "/v1/jobs/job-000001", "/v1/sweeps/sweep-000001", "/v1/objects/"+key
+	type row struct{ method, path, body string }
+	routes := []row{
+		{http.MethodPost, "/v1/compile", gwReq},
+		{http.MethodGet, job, ""},
+		{http.MethodGet, job + "/result", ""},
+		{http.MethodGet, job + "/artifact/datasheet.txt", ""},
+		{http.MethodGet, obj, ""},
+		{http.MethodGet, obj + "/report", ""},
+		{http.MethodPost, "/v1/sweeps", gwSweep},
+		{http.MethodGet, sw, ""},
+		{http.MethodGet, sw + "/results", ""},
+		{http.MethodGet, sw + "/events", ""},
+		{http.MethodGet, "/v1/processes", ""},
+		{http.MethodGet, "/v1/tests", ""},
+		{http.MethodGet, "/v1/debug/traces/job-000001", ""},
+	}
+	rows := append([]row(nil), routes...)
+	for _, rt := range routes {
+		rows = append(rows, row{http.MethodDelete, rt.path, ""})
+	}
+	rows = append(rows, []row{
+		{http.MethodGet, "/v1/jobs/job-999999", ""},
+		{http.MethodGet, "/v1/sweeps/sweep-999999", ""},
+		{http.MethodGet, "/v1/debug/traces/job-999999", ""},
+		{http.MethodPost, "/v1/compile", "not json"},
+		{http.MethodPost, "/v1/compile", strings.Repeat("x", server.MaxRequestBody+1)},
+		{http.MethodPost, "/v1/compile?priority=urgent", gwReq},
+		{http.MethodGet, sw + "/results?limit=-2", ""},
+		{http.MethodHead, job + "/artifact/datasheet.txt", ""},
+	}...)
+	for _, row := range rows {
+		want := answerOf(t, row.method, daemon.ts.URL+row.path, row.body)
+		got := answerOf(t, row.method, gw.URL+row.path, row.body)
+		if got != want {
+			t.Errorf("%s %s: gateway %+v, daemon %+v", row.method, row.path, got, want)
 		}
-		if got := hdr.Get("Allow"); got != tc.allow {
-			t.Fatalf("%s %s Allow %q, want %q", tc.method, tc.path, got, tc.allow)
-		}
-		var env map[string]any
-		if err := json.Unmarshal(raw, &env); err != nil || env["error"] == nil {
-			t.Fatalf("405 not enveloped: %s", raw)
-		}
+	}
+}
+
+// TestGatewayShedsWithRetryAfter: a gateway whose only shard is dead
+// sheds compiles with its own 429 ERR_OVERLOADED once the shard's
+// breaker opens, carrying the Retry-After hint the error contract
+// promises, and counts its requests like a daemon.
+func TestGatewayShedsWithRetryAfter(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	r, err := NewRing([]string{dead.URL}, DefaultVNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
+	defer q.Shutdown(context.Background())
+	g, err := NewGateway(GatewayConfig{Table: NewTable(r), Queue: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+
+	var st int
+	var hdr http.Header
+	var raw []byte
+	for i := 0; i < 3; i++ {
+		st, hdr, raw = httpDo(t, http.MethodPost, ts.URL+"/v1/compile", gwReq)
+	}
+	if st != http.StatusTooManyRequests || !strings.Contains(string(raw), "ERR_OVERLOADED") {
+		t.Fatalf("compile through a dead fleet: %d %s", st, raw)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Fatal("gateway 429 carries no Retry-After")
+	}
+	if _, ok := g.cfg.Registry.Snapshot()["http_requests_total"]; !ok {
+		t.Fatal("gateway registry has no http_requests_total")
 	}
 }
 
@@ -499,10 +587,9 @@ func TestGatewayHealthz(t *testing.T) {
 	}
 }
 
-// TestGatewayV1DebugTraceAndPagedResults: the gateway mirrors the
-// shard's redesigned /v1 surface — /v1/debug/traces/{id} serves the
-// merged trace in every negotiated representation with enveloped 405
-// parity, the deprecated /debug/trace/{id} alias keeps working, and
+// TestGatewayV1DebugTraceAndPagedResults: the gateway serves the
+// shard's /v1 surface — /v1/debug/traces/{id} serves the merged trace
+// in every negotiated representation with enveloped 405 parity, and
 // /v1/sweeps/{id}/results windows rows with page metadata in the
 // envelope while the parameterless fetch stays the full document.
 func TestGatewayV1DebugTraceAndPagedResults(t *testing.T) {
@@ -521,10 +608,6 @@ func TestGatewayV1DebugTraceAndPagedResults(t *testing.T) {
 	// Both processes of the distributed trace are present.
 	if !bytes.Contains(chrome, []byte("gateway")) || !bytes.Contains(chrome, []byte("proxy.route")) {
 		t.Fatalf("merged trace missing gateway spans: %.500s", chrome)
-	}
-	st, _, legacy := httpDo(t, http.MethodGet, gw.URL+"/debug/trace/"+jobID, "")
-	if st != http.StatusOK || !bytes.Equal(chrome, legacy) {
-		t.Fatalf("deprecated alias diverged (status %d)", st)
 	}
 	// Tree and spans representations.
 	st, _, tree := httpDo(t, http.MethodGet, gw.URL+"/v1/debug/traces/"+jobID+"?format=tree", "")
@@ -580,28 +663,5 @@ func TestGatewayV1DebugTraceAndPagedResults(t *testing.T) {
 	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("paged client rows: %+v", res)
-	}
-}
-
-// TestGatewayWriteJSONUnencodable checks that a payload the canonical
-// encoder refuses (NaN) is answered as a JSON 500 envelope, not as
-// text/plain.
-func TestGatewayWriteJSONUnencodable(t *testing.T) {
-	var g Gateway
-	rec := httptest.NewRecorder()
-	g.writeJSON(rec, http.StatusOK, gwEnvelope{Data: map[string]float64{"sigma": math.NaN()}})
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Fatalf("Content-Type %q", ct)
-	}
-	var env struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "ERR_INTERNAL" {
-		t.Fatalf("body %q is not an ERR_INTERNAL envelope (%v)", rec.Body.String(), err)
 	}
 }

@@ -38,12 +38,12 @@ func getWith(t *testing.T, url string, hdr map[string]string) (int, http.Header,
 	return resp.StatusCode, resp.Header, body
 }
 
-// TestV1DebugTraceEndpoint: the redesigned GET /v1/debug/traces/{id}
-// serves the same representations as the deprecated /debug/trace/{id}
-// alias — Chrome JSON by default, a text tree via ?format=tree or
-// Accept: text/plain, a wire span set via ?format=spans — and speaks
-// the /v1 error contract: enveloped 404 for unknown ids, enveloped
-// 405 with an Allow header for wrong methods.
+// TestV1DebugTraceEndpoint: GET /v1/debug/traces/{id} serves Chrome
+// JSON by default, a text tree via ?format=tree or Accept: text/plain,
+// a wire span set via ?format=spans — and speaks the /v1 error
+// contract: enveloped 404 for unknown ids, enveloped 405 with an Allow
+// header for wrong methods. The pre-/v1 /debug/trace/{id} alias is
+// gone.
 func TestV1DebugTraceEndpoint(t *testing.T) {
 	ts, _, _, _ := testServer(t, jobs.Config{}, 1<<20)
 	code, m := postCompile(t, ts, smallReq, "")
@@ -55,15 +55,13 @@ func TestV1DebugTraceEndpoint(t *testing.T) {
 		t.Fatalf("no job_id in response: %v", m)
 	}
 
-	// Default representation: Chrome trace-event JSON, byte-identical
-	// to the deprecated alias.
+	// Default representation: Chrome trace-event JSON.
 	st, hdr, chrome := getWith(t, ts.URL+"/v1/debug/traces/"+jobID, nil)
 	if st != 200 || !strings.HasPrefix(hdr.Get("Content-Type"), "application/json") {
 		t.Fatalf("v1 trace: %d %q: %s", st, hdr.Get("Content-Type"), chrome)
 	}
-	_, _, legacy := getWith(t, ts.URL+"/debug/trace/"+jobID, nil)
-	if !bytes.Equal(chrome, legacy) {
-		t.Fatal("v1 and deprecated-alias chrome documents differ")
+	if st, _, _ := getWith(t, ts.URL+"/debug/trace/"+jobID, nil); st != http.StatusNotFound {
+		t.Fatalf("removed /debug/trace alias answered %d, want 404", st)
 	}
 
 	// ?format=tree and Accept: text/plain both select the tree.
@@ -113,9 +111,9 @@ func TestV1DebugTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestV1DebugStacks: GET /v1/debug/stacks (gated like the alias
-// behind EnableStacks) dumps every goroutine, and answers wrong
-// methods with the enveloped 405 the bare alias never had.
+// TestV1DebugStacks: GET /v1/debug/stacks (gated behind
+// EnableStacks) dumps every goroutine, and answers wrong methods with
+// the enveloped 405. The pre-/v1 /debug/stacks alias is gone.
 func TestV1DebugStacks(t *testing.T) {
 	q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
 	s := New(Config{Queue: q, Cache: cache.New(1 << 20), EnableStacks: true})
@@ -131,9 +129,8 @@ func TestV1DebugStacks(t *testing.T) {
 	if st != 200 || !strings.HasPrefix(hdr.Get("Content-Type"), "text/plain") || !bytes.Contains(body, []byte("goroutine")) {
 		t.Fatalf("v1 stacks: %d %q: %.200s", st, hdr.Get("Content-Type"), body)
 	}
-	st, _, legacy := getWith(t, ts.URL+"/debug/stacks", nil)
-	if st != 200 || !bytes.Contains(legacy, []byte("goroutine")) {
-		t.Fatalf("deprecated stacks alias: %d", st)
+	if st, _, _ := getWith(t, ts.URL+"/debug/stacks", nil); st != http.StatusNotFound {
+		t.Fatalf("removed /debug/stacks alias answered %d, want 404", st)
 	}
 
 	resp, err := http.Post(ts.URL+"/v1/debug/stacks", "", nil)

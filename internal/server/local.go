@@ -1,0 +1,573 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/cache"
+	"repro/internal/canon"
+	"repro/internal/cerr"
+	"repro/internal/chaos"
+	"repro/internal/compiler"
+	"repro/internal/gds"
+	"repro/internal/jobs"
+	"repro/internal/obs"
+	"repro/internal/render"
+)
+
+// local is the daemon's Backend: compiles run on the server's own
+// queue, content-addressed over the in-memory cache and the optional
+// disk store, and every job is remembered (bounded by TraceBudget) for
+// the job and trace reads.
+type local struct {
+	s    *Server
+	jobs *JobTable[localJob]
+
+	cacheHits    *obs.Counter
+	storeHits    *obs.Counter
+	cacheMisses  *obs.Counter
+	dedupes      *obs.Counter
+	putErrors    *obs.Counter
+	compileDur   *obs.Histogram
+	stageDur     *obs.HistogramVec
+	slowCompiles *obs.Counter
+	parStages    *obs.Counter
+	parDegree    *obs.Histogram
+}
+
+// localJob is the daemon's record of one job; the job carries its
+// trace.
+type localJob struct {
+	job *jobs.Job
+	key string
+}
+
+func newLocal(s *Server) *local {
+	l := &local{s: s, jobs: NewJobTable(s.cfg.TraceBudget, func(r localJob) bool {
+		_, _, done := r.job.Peek()
+		return !done
+	})}
+	l.registerMetrics()
+	s.latency = l.compileDur
+	return l
+}
+
+// registerMetrics wires the compile instruments and the cache and
+// store gauges into the obs registry.
+func (l *local) registerMetrics() {
+	s := l.s
+	r := s.cfg.Metrics
+	l.cacheHits = r.Counter("compile_cache_hits_total", "Compile submissions served from the artifact cache (either tier).")
+	l.storeHits = r.Counter("compile_store_hits_total", "Compile submissions served from the disk store tier (memory miss, disk hit).")
+	l.cacheMisses = r.Counter("compile_cache_misses_total", "Compile submissions that missed both cache tiers.")
+	l.dedupes = r.Counter("compile_deduped_total", "Compile submissions coalesced onto an identical in-flight job.")
+	l.compileDur = r.Histogram("compile_duration_seconds", "End-to-end compile execution time on a worker.", nil)
+	l.stageDur = r.HistogramVec("compile_stage_duration_seconds",
+		"Per-span pipeline stage latency (queue wait, compiler stages, bounded kernels).", "stage", nil)
+	l.slowCompiles = r.Counter("compile_slow_total", "Compiles that exceeded the slow-compile threshold.")
+	l.parStages = r.Counter("compile_parallel_stages_total",
+		"Concurrent stage fan-outs executed across all compiles (leafcells∥microcode, multi-start floorplan, analysis transients).")
+	l.parDegree = r.Histogram("compile_parallelism",
+		"Per-compile goroutine fan-out bound (the parallelism knob after server defaulting).",
+		[]float64{1, 2, 4, 8, 16, 32, 64})
+
+	if c := s.cfg.Cache; c != nil {
+		r.GaugeFunc("cache_bytes", "Resident artifact cache size in bytes.",
+			func() float64 { return float64(c.Stats().Bytes) })
+		r.GaugeFunc("cache_entries", "Resident artifact cache entry count.",
+			func() float64 { return float64(c.Stats().Entries) })
+	}
+	if st := s.cfg.Store; st != nil {
+		l.putErrors = r.Counter("store_put_errors_total", "Compiled entries the disk store failed to persist (the compile still succeeds).")
+		r.GaugeFunc("store_bytes", "Resident disk store size in bytes.",
+			func() float64 { return float64(st.Stats().Bytes) })
+		r.GaugeFunc("store_entries", "Disk store object count.",
+			func() float64 { return float64(st.Stats().Entries) })
+		r.CounterFunc("store_hits_total", "Disk store read hits (verified objects served).",
+			func() float64 { return float64(st.Stats().Hits) })
+		r.CounterFunc("store_misses_total", "Disk store read misses.",
+			func() float64 { return float64(st.Stats().Misses) })
+		r.CounterFunc("store_evictions_total", "Disk store objects removed by the byte-budget GC.",
+			func() float64 { return float64(st.Stats().Evictions) })
+		r.CounterFunc("store_corrupt_total", "Disk store objects that failed verification and were quarantined.",
+			func() float64 { return float64(st.Stats().Corrupt) })
+		r.GaugeFunc("store_scanned_at_startup", "Objects the opening index scan found (restart warmness).",
+			func() float64 { return float64(st.Stats().ScannedAtStartup) })
+		r.GaugeFunc("store_quarantine_objects", "Files currently held in the bounded quarantine directory.",
+			func() float64 { return float64(st.Stats().QuarantineObjects) })
+		const peerFetchHelp = "Ring-peer artifact fetches on local store miss, by outcome."
+		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
+			map[string]string{"outcome": "hit"},
+			func() float64 { return float64(st.Stats().PeerHits) })
+		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
+			map[string]string{"outcome": "miss"},
+			func() float64 { return float64(st.Stats().PeerMisses) })
+		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
+			map[string]string{"outcome": "corrupt"},
+			func() float64 { return float64(st.Stats().PeerCorrupt) })
+	}
+}
+
+// compileResponse is the "job" payload of submit/result responses.
+type compileResponse struct {
+	Key      string `json:"key"`
+	JobID    string `json:"job_id,omitempty"`
+	State    string `json:"state"`
+	Cached   bool   `json:"cached"`
+	Deduped  bool   `json:"deduped,omitempty"`
+	Degraded bool   `json:"degraded,omitempty"`
+	// CacheTier names the tier a cached response was served from:
+	// "hit" (memory) or "hit-disk" (store, promoted to memory).
+	CacheTier string `json:"cache_tier,omitempty"`
+	// ElapsedMs is the server-side handling time for this request —
+	// on a cache hit it collapses to lookup cost.
+	ElapsedMs float64         `json:"elapsed_ms"`
+	Artifacts map[string]int  `json:"artifacts,omitempty"` // name -> byte size
+	Report    json.RawMessage `json:"report,omitempty"`
+}
+
+// lookupEntry probes the two-tier artifact cache: the in-memory LRU
+// first, then the disk store, promoting disk hits into memory. The
+// returned tier is "hit", "hit-disk" or "miss".
+func (l *local) lookupEntry(key string) (*cache.Entry, string, bool) {
+	if e, ok := l.s.cfg.Cache.Get(key); ok {
+		return e, "hit", true
+	}
+	if st := l.s.cfg.Store; st != nil {
+		if e, ok := st.Get(key); ok {
+			l.s.cfg.Cache.Put(e)
+			return e, "hit-disk", true
+		}
+	}
+	return nil, "miss", false
+}
+
+// Lookup is the sweep manager's Lookup seam: both cache tiers.
+func (l *local) Lookup(key string) (*cache.Entry, bool) {
+	e, _, ok := l.lookupEntry(key)
+	return e, ok
+}
+
+// Run is the sweep manager's Run seam: one observed compile.
+func (l *local) Run(ctx context.Context, key string, _ canon.Request, p compiler.Params) (*cache.Entry, error) {
+	runStart := time.Now()
+	entry, err := l.runCompile(ctx, key, p)
+	l.observeCompile(obs.FromContext(ctx), time.Since(runStart), key, err)
+	return entry, err
+}
+
+// Compile serves a cache hit from either tier, and otherwise submits
+// the compile to the queue and waits for it (or hands back a job
+// handle with ?async=1 or once SyncWait expires).
+func (l *local) Compile(w http.ResponseWriter, r *http.Request, c Compile) error {
+	s := l.s
+	// Content-addressed fast path: an identical fully-validated input
+	// has already been compiled, in this process (memory tier) or a
+	// previous one (disk tier).
+	if entry, tier, ok := l.lookupEntry(c.Key); ok {
+		l.cacheHits.Inc()
+		if tier == "hit-disk" {
+			l.storeHits.Inc()
+		}
+		annotateCache(w, tier)
+		resp := entryResponse(entry, "", false, c.Start, true)
+		resp.CacheTier = tier
+		WriteJSON(w, http.StatusOK, envelope{Job: resp})
+		return nil
+	}
+	annotateCache(w, "miss")
+	l.cacheMisses.Inc()
+	// Server-side concurrency default. Applied strictly AFTER keying:
+	// parallelism is an execution knob the canonical key excludes, so
+	// a request compiled serially elsewhere still hits this entry.
+	params := c.Params
+	if params.Parallelism == 0 && s.cfg.CompileParallelism > 0 {
+		params.Parallelism = s.cfg.CompileParallelism
+	}
+
+	// Every submission carries a trace: the queue records the wait span,
+	// the pipeline records its stage spans, and the completed tree is
+	// retrievable via GET /v1/debug/traces/{job_id}. Deduped submissions
+	// share the first submitter's trace. A traceparent header continues
+	// the sender's distributed trace — same trace ID, with the remote
+	// span remembered so the gateway's merge parents this shard's spans
+	// under its proxy.route span.
+	tr := obs.NewTrace("")
+	if tid, parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader)); ok {
+		tr = obs.NewTraceRemote(tid, parent)
+	}
+	job, deduped, err := s.cfg.Queue.SubmitTraced(c.Key, c.Priority, tr, func(ctx context.Context) (any, error) {
+		entry, err := l.Run(ctx, c.Key, canon.Request{}, params)
+		if err != nil {
+			return nil, err
+		}
+		return entry, nil
+	})
+	if err != nil {
+		// Overload (full or draining queue) back-pressures as
+		// ERR_OVERLOADED -> 429 + Retry-After via the standard mapping.
+		return err
+	}
+	l.track(job, c.Key)
+	if deduped {
+		l.dedupes.Inc()
+	}
+
+	handle := compileResponse{Key: c.Key, JobID: job.ID, Deduped: deduped}
+	if r.URL.Query().Get("async") != "" {
+		handle.State, handle.ElapsedMs = job.State().String(), msSince(c.Start)
+		WriteJSON(w, http.StatusAccepted, envelope{Job: handle})
+		return nil
+	}
+	waitCtx := r.Context()
+	if s.cfg.SyncWait > 0 {
+		var cancel context.CancelFunc
+		waitCtx, cancel = context.WithTimeout(waitCtx, s.cfg.SyncWait)
+		defer cancel()
+	}
+	value, jerr := job.Result(waitCtx)
+	if jerr != nil {
+		if waitCtx.Err() != nil && job.State() != jobs.StateFailed {
+			// The wait budget expired but the job lives on: hand back a
+			// handle instead of an error.
+			handle.State, handle.ElapsedMs = job.State().String(), msSince(c.Start)
+			WriteJSON(w, http.StatusAccepted, envelope{Job: handle})
+			return nil
+		}
+		return jerr
+	}
+	WriteJSON(w, http.StatusOK, envelope{Job: entryResponse(value.(*cache.Entry), job.ID, deduped, c.Start, false)})
+	return nil
+}
+
+// runCompile executes the pipeline under the job context, renders the
+// cacheable artifact set and fills both cache tiers.
+func (l *local) runCompile(ctx context.Context, key string, params compiler.Params) (*cache.Entry, error) {
+	ctx = chaos.WithContext(ctx, l.s.cfg.Chaos)
+	d, err := compiler.CompileCtx(ctx, params)
+	if err != nil {
+		return nil, err
+	}
+	js, err := d.JSON()
+	if err != nil {
+		return nil, cerr.Wrap(cerr.CodeInternal, err, "server: report rendering")
+	}
+	entry := &cache.Entry{
+		Key:       key,
+		Report:    []byte(js),
+		Artifacts: map[string][]byte{},
+		Degraded:  len(d.Degradations) > 0,
+	}
+	entry.Artifacts["datasheet.json"] = []byte(js)
+	entry.Artifacts["datasheet.txt"] = []byte(d.Datasheet())
+	var and, or strings.Builder
+	if err := d.Prog.WritePlanes(&and, &or); err == nil {
+		entry.Artifacts["trpla_and.plane"] = []byte(and.String())
+		entry.Artifacts["trpla_or.plane"] = []byte(or.String())
+	}
+	if d.Top != nil {
+		entry.Artifacts["layout.svg"] = []byte(render.SVG(d.Top, render.Options{Depth: 0}))
+		var g strings.Builder
+		if err := gds.Write(&g, d.Top, d.Top.Name); err == nil {
+			entry.Artifacts["layout.gds"] = []byte(g.String())
+		}
+	}
+	l.s.cfg.Cache.Put(entry)
+	if st := l.s.cfg.Store; st != nil {
+		// Disk persistence is best-effort: a full disk or an over-budget
+		// object must not fail the compile that produced the entry.
+		if perr := st.Put(entry); perr != nil {
+			l.putErrors.Inc()
+		}
+	}
+	return entry, nil
+}
+
+// observeCompile folds one finished compile into the telemetry: the
+// end-to-end duration histogram, every recorded span (queue wait,
+// compiler stages, bounded kernels) into the per-stage histogram vec,
+// and — when the execution exceeded the slow-compile threshold — the
+// span tree into the forensics log.
+func (l *local) observeCompile(tr *obs.Trace, dur time.Duration, key string, err error) {
+	l.compileDur.ObserveDuration(dur)
+	for _, sp := range tr.Spans() {
+		l.stageDur.With(sp.Name).ObserveDuration(sp.Dur)
+		// The compiler annotates its root span with the effective
+		// concurrency: fold the fan-out degree into a histogram and
+		// count the concurrent stage groups that actually ran.
+		if sp.Name == "compile" {
+			for _, a := range sp.Attrs {
+				switch a.Key {
+				case "parallelism":
+					if v, perr := strconv.Atoi(a.Value); perr == nil {
+						l.parDegree.Observe(float64(v))
+					}
+				case "parallel_stages":
+					if v, perr := strconv.Atoi(a.Value); perr == nil && v > 0 {
+						l.parStages.Add(uint64(v))
+					}
+				}
+			}
+		}
+	}
+	s := l.s
+	if s.cfg.SlowCompile <= 0 || dur < s.cfg.SlowCompile {
+		return
+	}
+	l.slowCompiles.Inc()
+	w := s.cfg.SlowLogWriter
+	if w == nil {
+		return
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "SLOW COMPILE key=%s dur=%s threshold=%s", key, dur.Round(time.Microsecond), s.cfg.SlowCompile)
+	if err != nil {
+		fmt.Fprintf(&b, " err=%s", cerr.CodeOf(err))
+	}
+	b.WriteByte('\n')
+	b.WriteString(tr.Tree())
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	io.WriteString(w, b.String())
+}
+
+// entryResponse builds the "job" payload for a completed entry.
+func entryResponse(e *cache.Entry, jobID string, deduped bool, startT time.Time, cached bool) compileResponse {
+	sizes := make(map[string]int, len(e.Artifacts))
+	for name, b := range e.Artifacts {
+		sizes[name] = len(b)
+	}
+	return compileResponse{
+		Key: e.Key, JobID: jobID, State: jobs.StateDone.String(),
+		Cached: cached, Deduped: deduped, Degraded: e.Degraded,
+		ElapsedMs: msSince(startT),
+		Artifacts: sizes,
+		Report:    json.RawMessage(e.Report),
+	}
+}
+
+func annotateCache(w http.ResponseWriter, state string) {
+	if rw, ok := w.(*statusWriter); ok {
+		rw.meta.cacheState = state
+	}
+}
+
+// track remembers a job (and so its trace) for the job and trace
+// reads. It is also the sweep manager's OnJob hook, so sweep jobs are
+// visible on /v1/jobs.
+func (l *local) track(j *jobs.Job, key string) {
+	l.jobs.Put(j.ID, localJob{job: j, key: key})
+}
+
+// jobStatusBody is the "job" payload of GET /v1/jobs/{id}.
+type jobStatusBody struct {
+	JobID     string  `json:"job_id"`
+	Key       string  `json:"key"`
+	State     string  `json:"state"`
+	Priority  string  `json:"priority"`
+	Attached  int64   `json:"attached"`
+	QueuedMs  float64 `json:"queued_ms"`
+	RunMs     float64 `json:"run_ms,omitempty"`
+	Error     string  `json:"error,omitempty"`
+	ErrorCode string  `json:"error_code,omitempty"`
+}
+
+// Job answers the job reads from the remembered jobs.
+func (l *local) Job(w http.ResponseWriter, r *http.Request, id, part string) bool {
+	rec, ok := l.jobs.Get(id)
+	if !ok {
+		return false
+	}
+	j := rec.job
+	if part == "" {
+		WriteJSON(w, http.StatusOK, envelope{Job: jobStatus(j, rec.key)})
+		return true
+	}
+	value, jerr, done := j.Peek()
+	switch {
+	case !done:
+		WriteJSON(w, http.StatusAccepted, envelope{Job: map[string]string{"job_id": j.ID, "state": j.State().String()}})
+	case jerr != nil:
+		l.s.writeError(w, jerr, 0)
+	case part == "result":
+		// The canonical compile report under the envelope's "data" member.
+		WriteJSON(w, http.StatusOK, envelope{Data: json.RawMessage(value.(*cache.Entry).Report)})
+	default:
+		l.writeArtifact(w, r, rec.key, value.(*cache.Entry), r.PathValue("name"))
+	}
+	return true
+}
+
+// jobStatus is the status payload of job j.
+func jobStatus(j *jobs.Job, key string) jobStatusBody {
+	submitted, started, finished := j.Times()
+	body := jobStatusBody{
+		JobID: j.ID, Key: key, State: j.State().String(),
+		Priority: j.Priority.String(), Attached: j.Attached(),
+	}
+	switch {
+	case started.IsZero() && !finished.IsZero():
+		// Cancelled before execution (drain fast-fail): the queue wait
+		// ended when the job was failed, not now.
+		body.QueuedMs = float64(finished.Sub(submitted).Microseconds()) / 1000
+	case started.IsZero():
+		body.QueuedMs = msSince(submitted)
+	default:
+		body.QueuedMs = float64(started.Sub(submitted).Microseconds()) / 1000
+	}
+	if !started.IsZero() {
+		end := finished
+		if end.IsZero() {
+			end = time.Now()
+		}
+		body.RunMs = float64(end.Sub(started).Microseconds()) / 1000
+	}
+	if _, jerr, done := j.Peek(); done && jerr != nil {
+		body.Error = jerr.Error()
+		body.ErrorCode = cerr.CodeOf(jerr).String()
+	}
+	return body
+}
+
+// writeArtifact streams a job's artifact with its per-kind content
+// type and an explicit Content-Length, so clients can size progress
+// bars and proxies never have to buffer for chunking. HEAD requests
+// get the identical headers with no body — how clients size a
+// download without paying for it.
+func (l *local) writeArtifact(w http.ResponseWriter, r *http.Request, key string, entry *cache.Entry, name string) {
+	body, ok := entry.Artifacts[name]
+	if !ok {
+		// The job's entry may also have been evicted and refetched;
+		// consult the two-tier cache as a second chance.
+		if cached, _, hit := l.lookupEntry(key); hit {
+			body, ok = cached.Artifacts[name]
+		}
+	}
+	if !ok {
+		l.s.writeError(w, cerr.New(cerr.CodeInvalidParams,
+			"server: no artifact %q (have %v)", name, entry.ArtifactNames()), http.StatusNotFound)
+		return
+	}
+	w.Header().Set("Content-Type", artifactContentType(name))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if r.Method != http.MethodHead {
+		w.Write(body)
+	}
+}
+
+// artifactContentType maps an artifact name to its media type.
+func artifactContentType(name string) string {
+	switch {
+	case strings.HasSuffix(name, ".json"):
+		return "application/json; charset=utf-8"
+	case strings.HasSuffix(name, ".svg"):
+		return "image/svg+xml"
+	case strings.HasSuffix(name, ".gds"):
+		return "application/octet-stream"
+	default:
+		return "text/plain; charset=utf-8"
+	}
+}
+
+// Object serves GET/HEAD /v1/objects/{key} and its report.
+//
+// The object is the verbatim on-disk image for a content key — the
+// shard-to-shard artifact fetch endpoint. The bytes are served
+// UNVERIFIED by design: the fetching peer runs them through its own
+// verified-read path, so a corrupt image quarantines on the fetcher
+// exactly like local disk rot, and this handler never pays a hash
+// pass.
+//
+// The report is served only when a cache tier (memory, disk, or a ring
+// peer via the store's fetch seam) already holds it — it never
+// triggers a compile. This is the gateway sweep Lookup seam: how a
+// federated sweep tells a warm point from one that needs routing, so
+// cluster sweep rows carry the same cached flags a warm single daemon
+// would report.
+func (l *local) Object(w http.ResponseWriter, r *http.Request, key string, report bool) error {
+	s := l.s
+	if report {
+		entry, _, ok := l.lookupEntry(key)
+		if !ok {
+			s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: key %s not cached", key), http.StatusNotFound)
+			return nil
+		}
+		WriteJSON(w, http.StatusOK, envelope{Data: map[string]any{
+			"key":      key,
+			"degraded": entry.Degraded,
+			"report":   json.RawMessage(entry.Report),
+		}})
+		return nil
+	}
+	var raw []byte
+	ok := false
+	if st := s.cfg.Store; st != nil {
+		raw, ok = st.ReadRaw(key)
+	}
+	if !ok {
+		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no object %s", key), http.StatusNotFound)
+		return nil
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
+	w.WriteHeader(http.StatusOK)
+	if r.Method != http.MethodHead {
+		w.Write(raw)
+	}
+	return nil
+}
+
+// localTrace is a job's own trace, its span set stamped with this
+// shard's identity.
+type localTrace struct {
+	*obs.Trace
+	node string
+}
+
+func (t localTrace) SpanSet() obs.SpanSet { return t.Trace.SpanSet(t.node) }
+
+// Trace returns the trace of a remembered job.
+func (l *local) Trace(_ context.Context, id string) (Trace, bool) {
+	rec, ok := l.jobs.Get(id)
+	if !ok || rec.job.Trace() == nil {
+		return nil, false
+	}
+	t := localTrace{Trace: rec.job.Trace()}
+	if cl := l.s.cfg.Cluster; cl != nil {
+		t.node = cl.Self()
+	}
+	return t, true
+}
+
+// Health reports the worker pool, the shard identity when federated,
+// and "draining" once the queue sheds new work.
+func (l *local) Health(doc map[string]any) string {
+	qs := l.s.cfg.Queue.Stats()
+	doc["workers"] = qs.Workers
+	if cl := l.s.cfg.Cluster; cl != nil {
+		doc["role"] = "shard"
+		doc["self"] = cl.Self()
+		if gw := cl.Gateway(); gw != "" {
+			doc["gateway"] = gw
+		}
+		doc["ring_version"] = cl.RingVersion()
+		doc["peers_up"] = cl.PeersUp()
+		doc["peers_total"] = cl.PeersTotal()
+	}
+	if qs.Draining {
+		// Shedding state: load balancers should stop routing here.
+		return "draining"
+	}
+	return ""
+}
+
+func msSince(t time.Time) float64 {
+	return float64(time.Since(t).Microseconds()) / 1000
+}

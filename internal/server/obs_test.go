@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		t.Fatalf("no job_id in response: %v", m)
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/trace/" + jobID)
+	resp, err := http.Get(ts.URL + "/v1/debug/traces/" + jobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 
 	// Tree format.
-	resp2, err := http.Get(ts.URL + "/debug/trace/" + jobID + "?format=tree")
+	resp2, err := http.Get(ts.URL + "/v1/debug/traces/" + jobID + "?format=tree")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 
 	// Unknown id.
-	resp3, err := http.Get(ts.URL + "/debug/trace/job-999999")
+	resp3, err := http.Get(ts.URL + "/v1/debug/traces/job-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +174,10 @@ func TestMetricsClusterAndPeerFetchExposition(t *testing.T) {
 		`store_peer_fetch_total{outcome="hit"} 0`,
 		`store_peer_fetch_total{outcome="miss"} 0`,
 		`store_peer_fetch_total{outcome="corrupt"} 0`,
+		"# TYPE store_hits_total counter",
+		"# TYPE store_misses_total counter",
+		"# TYPE store_evictions_total counter",
+		"# TYPE store_corrupt_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -196,7 +201,7 @@ func TestMetricsClusterAndPeerFetchExposition(t *testing.T) {
 }
 
 // TestMetricsJSONCarriesObs: the default JSON document folds in the
-// obs registry snapshot next to the legacy expvar map.
+// obs registry snapshot.
 func TestMetricsJSONCarriesObs(t *testing.T) {
 	ts, _, _, _ := testServer(t, jobs.Config{}, 1<<20)
 	postCompile(t, ts, smallReq, "")
@@ -276,11 +281,12 @@ func TestSlowCompileLog(t *testing.T) {
 	}
 }
 
-// TestTraceBudgetEviction: the trace store is FIFO-bounded.
+// TestTraceBudgetEviction: the job table is FIFO-bounded.
 func TestTraceBudgetEviction(t *testing.T) {
 	q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
 	defer q.Shutdown(nil2())
 	s := New(Config{Queue: q, Cache: cache.New(0), TraceBudget: 2})
+	l := s.backend.(*local)
 	ids := []string{}
 	for i := 0; i < 3; i++ {
 		j, _, err := q.SubmitTraced("k"+strconv.Itoa(i), jobs.Interactive, obs.NewTrace(""),
@@ -288,22 +294,45 @@ func TestTraceBudgetEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Only finished jobs are evicted.
+		if _, err := j.Result(nil2()); err != nil {
+			t.Fatal(err)
+		}
 		ids = append(ids, j.ID)
-		s.trackJob(j, j.Key)
+		l.track(j, j.Key)
 	}
-	s.jobMu.Lock()
-	n := len(s.traceByID)
-	_, oldest := s.traceByID[ids[0]]
-	_, newest := s.traceByID[ids[2]]
-	s.jobMu.Unlock()
-	if n != 2 {
-		t.Fatalf("trace store holds %d, want 2", n)
+	_, oldest := l.jobs.Get(ids[0])
+	_, newest := l.jobs.Get(ids[2])
+	if n := l.jobs.Len(); n != 2 {
+		t.Fatalf("job table holds %d, want 2", n)
 	}
 	if oldest {
-		t.Fatal("oldest trace not evicted")
+		t.Fatal("oldest job not evicted")
 	}
 	if !newest {
-		t.Fatal("newest trace missing")
+		t.Fatal("newest job missing")
+	}
+}
+
+// TestJobTableConcurrentBound: concurrent puts and gets keep the table
+// within its budget.
+func TestJobTableConcurrentBound(t *testing.T) {
+	tab := NewJobTable[int](8, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := strconv.Itoa(g*1000 + i)
+				tab.Put(id, i)
+				tab.Get(id)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := tab.Len(); n != 8 {
+		t.Fatalf("table holds %d, want 8", n)
 	}
 }
 

@@ -1,54 +1,57 @@
-// Package server implements the bisramgend HTTP/JSON API: compile
-// submission with content-addressed caching, batch sweeps, job
-// status/result/artifact retrieval, health and metrics. It glues the
-// service substrates together — internal/canon (canonical keying and
-// the shared Params loader), internal/jobs (bounded worker pool with
-// priorities, dedup and drain), internal/cache (byte-budgeted LRU
-// over rendered artifacts), internal/store (the disk tier under the
-// LRU, so restarts stay warm) and internal/sweep (cross-product batch
-// evaluation) — in front of the existing compile pipeline, whose
-// typed cerr taxonomy maps 1:1 onto HTTP statuses.
+// Package server implements the one BISRAMGEN HTTP/JSON surface that
+// both programs serve: bisramgend, the compile daemon, and bisramgate,
+// the federation gateway. It owns the route table, the response
+// envelope and its error writer, request counting and logging, the
+// sweep endpoints, the catalogs, trace rendering, /healthz and
+// /metrics. What differs between the two programs sits behind a small
+// Backend: the local backend (Config.Backend left nil) compiles on the
+// daemon's own queue over internal/cache and internal/store; the fleet
+// backend (internal/cluster) routes the same requests to the shards
+// that own their content keys. The typed cerr taxonomy maps 1:1 onto
+// HTTP statuses.
 //
 // Envelope: every /v1/* JSON response is one uniform document with
 // exactly one payload member and an explicit error slot,
 //
 //	{ "job" | "sweep" | "data": ..., "error": {code, stage, message} | null }
 //
-// (artifact bodies stream raw with their own Content-Type; /healthz,
-// /metrics and /debug/* keep their documented shapes). A request with
-// a method the route does not accept is answered 405 with an Allow
-// header and the same envelope.
+// (artifact bodies, object images, traces and the event stream carry
+// their own Content-Type; /healthz and /metrics keep their documented
+// shapes). A request with a method the route does not accept is
+// answered 405 with an Allow header and the same envelope.
 //
 // Endpoints:
 //
 //	POST /v1/compile                    submit (sync by default, ?async=1 for a job handle)
 //	GET  /v1/jobs/{id}                  job status
 //	GET  /v1/jobs/{id}/result           compile report (canonical JSON, under "data")
-//	GET  /v1/jobs/{id}/artifact/{name}  rendered artifact (datasheet, planes, SVG, GDS)
+//	GET  /v1/jobs/{id}/artifact/{name}  rendered artifact (datasheet, planes, SVG, GDS); HEAD sizes it
+//	GET  /v1/objects/{key}              raw store object image (shard-to-shard fetch); HEAD sizes it
+//	GET  /v1/objects/{key}/report       cached compile report; never compiles
 //	POST /v1/sweeps                     submit a batch sweep (base request + axes)
 //	GET  /v1/sweeps/{id}                sweep progress (aggregate + per-point)
-//	GET  /v1/sweeps/{id}/results        sweep evaluation rows (Fig. 4/5, Tables II/III)
+//	GET  /v1/sweeps/{id}/results        sweep evaluation rows (?offset=&limit= windows them)
 //	GET  /v1/sweeps/{id}/events         live sweep progress (Server-Sent Events)
 //	GET  /v1/processes                  built-in process decks
 //	GET  /v1/tests                      built-in march algorithms
-//	GET  /healthz                       liveness
-//	GET  /metrics                       counters (expvar JSON; ?format=prometheus for text exposition)
-//	GET  /debug/trace/{id}              per-job Chrome trace-event JSON (?format=tree for text,
+//	GET  /v1/debug/traces/{id}          per-job Chrome trace-event JSON (?format=tree for text,
 //	                                    ?format=spans for the wire span set the gateway merges)
+//	GET  /v1/debug/stacks               goroutine dump (only with Config.EnableStacks)
+//	GET  /healthz                       liveness
+//	GET  /metrics                       obs registry plus cache, store and queue snapshots as JSON
+//	                                    (?format=prometheus for text exposition)
 //	GET  /debug/pprof/*                 runtime profiles (only with Config.EnablePprof)
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"expvar"
-	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,10 +63,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cjson"
 	"repro/internal/compiler"
-	"repro/internal/gds"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/render"
 	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/tech"
@@ -73,12 +74,20 @@ import (
 // plane files included).
 const MaxRequestBody = 8 << 20
 
-// DefaultTraceBudget bounds how many completed job traces the server
-// retains for GET /debug/trace/{id} (FIFO eviction).
+// DefaultTraceBudget bounds how many finished jobs each backend
+// remembers for the job, trace and routing reads (FIFO eviction).
 const DefaultTraceBudget = 512
 
 // Config wires a server.
 type Config struct {
+	// Backend answers compiles, job and object reads, traces, health
+	// and the sweep seams. Nil selects the local daemon backend over
+	// Queue, Cache and Store; the fields from Cache down to
+	// CompileParallelism configure that backend and are unused with any
+	// other.
+	Backend Backend
+	// Queue runs the sweep points (and, locally, every compile); its
+	// stats appear in /metrics and feed the Retry-After hint.
 	Queue *jobs.Queue
 	Cache *cache.Cache
 	// Store is the optional disk tier under the in-memory cache.
@@ -86,19 +95,10 @@ type Config struct {
 	// to it, and daemon restarts over the same directory stay warm.
 	// Nil disables the tier.
 	Store *store.Store
-	// LogWriter receives one JSON line per request; nil disables
-	// request logging.
-	LogWriter io.Writer
 	// SyncWait bounds how long a synchronous POST /v1/compile waits
 	// before falling back to a 202 + job handle; <= 0 means wait for
 	// the job's own deadline.
 	SyncWait time.Duration
-	// Metrics is the telemetry registry exposed on /metrics. Share it
-	// with jobs.Config.Registry so the queue's histograms appear in
-	// the same exposition. Nil constructs a private registry.
-	Metrics *obs.Registry
-	// EnablePprof mounts net/http/pprof under /debug/pprof/.
-	EnablePprof bool
 	// SlowCompile is the forensics threshold: any compile whose
 	// execution exceeds it has its span tree dumped to SlowLogWriter.
 	// <= 0 disables the slow-compile log.
@@ -106,15 +106,9 @@ type Config struct {
 	// SlowLogWriter receives slow-compile span trees; nil falls back
 	// to LogWriter.
 	SlowLogWriter io.Writer
-	// TraceBudget bounds retained per-job traces; <= 0 means
-	// DefaultTraceBudget.
+	// TraceBudget bounds the finished jobs remembered for the job and
+	// trace reads; <= 0 means DefaultTraceBudget.
 	TraceBudget int
-	// SweepMaxPoints caps one sweep's expanded cross product; <= 0
-	// means sweep.DefaultMaxPoints.
-	SweepMaxPoints int
-	// SweepRetain caps remembered sweeps; <= 0 means
-	// sweep.DefaultRetain.
-	SweepRetain int
 	// CompileParallelism is the per-compile goroutine fan-out applied
 	// to requests that leave the knob at 0 (requests naming an
 	// explicit parallelism keep it). Because the compiler's output is
@@ -122,24 +116,38 @@ type Config struct {
 	// to the content-addressed cache — it only changes wall-clock
 	// time. <= 0 leaves compiles serial.
 	CompileParallelism int
-	// SweepJournal, when non-nil, checkpoints every sweep to disk so a
-	// restarted daemon resumes in-flight sweeps (see ResumeSweeps).
-	SweepJournal *sweep.Journal
-	// Chaos, when non-nil, is the scripted fault injector: the server
-	// installs it on compile contexts (stage checkpoints consult it)
-	// and exposes chaos_injections_total. Store/cache/queue injection
-	// is wired by the caller via their own configs.
-	Chaos *chaos.Injector
-	// EnableStacks mounts GET /debug/stacks: a full goroutine dump
+
+	// Cluster, when non-nil, is the federation this process belongs to:
+	// the cluster gauges join the /metrics expositions, and a daemon's
+	// /healthz reports its shard identity and fleet view. The interface
+	// keeps this package independent of internal/cluster — the caller
+	// wires the concrete view in.
+	Cluster ClusterInfo
+	// LogWriter receives one JSON line per request; nil disables
+	// request logging.
+	LogWriter io.Writer
+	// Metrics is the telemetry registry exposed on /metrics. Share it
+	// with jobs.Config.Registry so the queue's histograms appear in
+	// the same exposition. Nil constructs a private registry.
+	Metrics *obs.Registry
+	// EnablePprof mounts net/http/pprof under /debug/pprof/.
+	EnablePprof bool
+	// EnableStacks mounts GET /v1/debug/stacks: a full goroutine dump
 	// (SIGQUIT-style, without killing the process) for diagnosing
 	// stuck drains.
 	EnableStacks bool
-	// Cluster, when non-nil, identifies this daemon's place in a
-	// federation: /healthz reports the shard identity and fleet view,
-	// and the cluster gauges join the /metrics expositions. The
-	// interface keeps this package independent of internal/cluster —
-	// the command wires the concrete view in.
-	Cluster ClusterInfo
+	// SweepMaxPoints caps one sweep's expanded cross product; <= 0
+	// means sweep.DefaultMaxPoints.
+	SweepMaxPoints int
+	// SweepJournal, when non-nil, checkpoints every sweep to disk so a
+	// restarted daemon resumes in-flight sweeps (see ResumeSweeps).
+	SweepJournal *sweep.Journal
+	// Chaos, when non-nil, is the scripted fault injector: it reaches
+	// the sweep manager's Monte-Carlo estimates and, locally, compile
+	// contexts (stage checkpoints consult it), and chaos_injections_total
+	// counts it. Store/cache/queue injection is wired by the caller via
+	// their own configs.
+	Chaos *chaos.Injector
 	// SSEHeartbeat is the keep-alive cadence of the sweep event stream
 	// (GET /v1/sweeps/{id}/events); <= 0 means
 	// sweep.DefaultEventHeartbeat.
@@ -160,39 +168,118 @@ type ClusterInfo interface {
 	PeersTotal() int
 }
 
+// Backend answers the part of the /v1 surface that differs between the
+// daemon, which compiles locally, and the gateway, which routes to the
+// shard fleet. The server validates requests before calling it and
+// writes any error it returns as the error envelope.
+type Backend interface {
+	// Compile answers a POST /v1/compile whose body already parsed and
+	// keyed.
+	Compile(w http.ResponseWriter, r *http.Request, c Compile) error
+	// Job answers GET /v1/jobs/{id}: the status when part is "", else
+	// the "result" or the "artifact" named by r.PathValue("name"). It
+	// reports false when the job is unknown, which the server answers
+	// 404.
+	Job(w http.ResponseWriter, r *http.Request, id, part string) bool
+	// Object answers GET|HEAD /v1/objects/{key}, or its cached report
+	// when report is set.
+	Object(w http.ResponseWriter, r *http.Request, key string, report bool) error
+	// Trace returns the retained trace of job id.
+	Trace(ctx context.Context, id string) (Trace, bool)
+	// Health adds the backend's members to the /healthz document and
+	// returns a non-empty state when it cannot take work (503).
+	Health(doc map[string]any) string
+	// Lookup and Run are the sweep manager's seams: an already cached
+	// entry for a key, and one compile.
+	Lookup(key string) (*cache.Entry, bool)
+	Run(ctx context.Context, key string, req canon.Request, p compiler.Params) (*cache.Entry, error)
+}
+
+// Compile is one validated POST /v1/compile.
+type Compile struct {
+	Body     []byte // the request body, verbatim
+	Key      string
+	Params   compiler.Params
+	Priority jobs.Priority
+	Start    time.Time // when the server began handling the request
+}
+
+// Trace is a job's trace in the representations GET
+// /v1/debug/traces/{id} serves. *obs.Merged, the gateway's
+// cross-process view, is one.
+type Trace interface {
+	Tree() string
+	ChromeJSON() ([]byte, error)
+	SpanSet() obs.SpanSet
+}
+
+// JobTable keeps one record per job id for the job, trace and routing
+// reads, evicting the oldest first once it holds more than its budget.
+// A record live reports as still queued or running is never evicted.
+// Safe for concurrent use.
+type JobTable[R any] struct {
+	budget int
+	live   func(R) bool
+	mu     sync.Mutex
+	byID   map[string]R
+	order  []string // oldest first
+}
+
+// NewJobTable builds a table of at most budget finished records; live
+// may be nil.
+func NewJobTable[R any](budget int, live func(R) bool) *JobTable[R] {
+	return &JobTable[R]{budget: budget, live: live, byID: map[string]R{}}
+}
+
+// Put records rec under id; an id already held keeps its place in the
+// eviction order.
+func (t *JobTable[R]) Put(id string, rec R) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, held := t.byID[id]; !held {
+		t.order = append(t.order, id)
+	}
+	t.byID[id] = rec
+	for i := 0; len(t.byID) > t.budget && i < len(t.order); {
+		if t.live != nil && t.live(t.byID[t.order[i]]) {
+			i++
+			continue
+		}
+		delete(t.byID, t.order[i])
+		t.order = slices.Delete(t.order, i, i+1)
+	}
+}
+
+// Get returns the record held for id.
+func (t *JobTable[R]) Get(id string) (R, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rec, ok := t.byID[id]
+	return rec, ok
+}
+
+// Len reports how many records the table holds.
+func (t *JobTable[R]) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.byID)
+}
+
 // Server is the HTTP layer. Construct with New; serve s.Handler().
 type Server struct {
-	cfg    Config
-	mux    *http.ServeMux
-	start  time.Time
-	logMu  sync.Mutex
-	sweeps *sweep.Manager
+	cfg     Config
+	backend Backend
+	mux     *http.ServeMux
+	start   time.Time
+	logMu   sync.Mutex
+	sweeps  *sweep.Manager
 
-	jobMu      sync.Mutex
-	jobsByID   map[string]*jobs.Job
-	keyByID    map[string]string
-	traceByID  map[string]*obs.Trace
-	traceOrder []string // FIFO eviction order for traceByID
-
-	// expvar-backed counters (unpublished maps so multiple servers can
-	// coexist in one process, e.g. under test).
-	metrics  *expvar.Map
-	byStatus *expvar.Map
-	byCode   *expvar.Map
-
-	// obs registry instruments (dual exposition on /metrics).
-	obsReg       *obs.Registry
-	httpRequests *obs.Counter
+	httpRequests *obs.CounterVec // http_requests_total{status}
+	httpErrors   *obs.CounterVec // http_errors_total{code}
 	httpDur      *obs.Histogram
-	cacheHits    *obs.Counter
-	storeHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	dedupes      *obs.Counter
-	compileDur   *obs.Histogram
-	stageDur     *obs.HistogramVec
-	slowCompiles *obs.Counter
-	parStages    *obs.Counter
-	parDegree    *obs.Histogram
+	// latency is the compile-duration histogram behind the Retry-After
+	// hint; nil (no data) over a fleet backend.
+	latency *obs.Histogram
 }
 
 // New builds the server and its routing table.
@@ -206,63 +293,44 @@ func New(cfg Config) *Server {
 	if cfg.TraceBudget <= 0 {
 		cfg.TraceBudget = DefaultTraceBudget
 	}
-	s := &Server{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		start:     time.Now(),
-		jobsByID:  map[string]*jobs.Job{},
-		keyByID:   map[string]string{},
-		traceByID: map[string]*obs.Trace{},
-		metrics:   new(expvar.Map).Init(),
-		byStatus:  new(expvar.Map).Init(),
-		byCode:    new(expvar.Map).Init(),
-		obsReg:    cfg.Metrics,
-	}
-	s.metrics.Set("responses_by_status", s.byStatus)
-	s.metrics.Set("errors_by_code", s.byCode)
+	s := &Server{cfg: cfg, backend: cfg.Backend, mux: http.NewServeMux(), start: time.Now()}
 	s.registerMetrics()
-
-	// The sweep manager shares the server's queue, two-tier lookup and
-	// compile pipeline, so sweep points dedup against interactive
-	// traffic and fill the same caches.
+	var onJob func(*jobs.Job, string)
+	if s.backend == nil {
+		l := newLocal(s)
+		s.backend, onJob = l, l.track
+	}
+	// The sweep manager shares the backend's lookup and compile seams,
+	// so sweep points dedup against interactive traffic and fill the
+	// same caches.
 	s.sweeps = sweep.NewManager(sweep.Config{
-		Queue: cfg.Queue,
-		Lookup: func(key string) (*cache.Entry, bool) {
-			e, _, ok := s.lookupEntry(key)
-			return e, ok
-		},
-		Run: func(ctx context.Context, key string, _ canon.Request, p compiler.Params) (*cache.Entry, error) {
-			runStart := time.Now()
-			entry, err := s.runCompile(ctx, key, p)
-			s.observeCompile(obs.FromContext(ctx), time.Since(runStart), key, err)
-			return entry, err
-		},
-		OnJob:     s.trackJob,
+		Queue:     cfg.Queue,
+		Lookup:    s.backend.Lookup,
+		Run:       s.backend.Run,
+		OnJob:     onJob,
 		Registry:  cfg.Metrics,
 		MaxPoints: cfg.SweepMaxPoints,
-		Retain:    cfg.SweepRetain,
 		Journal:   cfg.SweepJournal,
 		Chaos:     cfg.Chaos,
 	})
 
 	s.route("POST", "/v1/compile", s.handleCompile)
-	s.route("GET", "/v1/jobs/{id}", s.handleJobStatus)
-	s.route("GET", "/v1/jobs/{id}/result", s.handleJobResult)
-	s.route("GET, HEAD", "/v1/jobs/{id}/artifact/{name}", s.handleJobArtifact)
-	s.route("GET, HEAD", "/v1/objects/{key}", s.handleObject)
-	s.route("GET", "/v1/objects/{key}/report", s.handleObjectReport)
+	s.route("GET", "/v1/jobs/{id}", s.handleJob(""))
+	s.route("GET", "/v1/jobs/{id}/result", s.handleJob("result"))
+	// GET patterns also serve HEAD (Go 1.22 mux), hence the wider
+	// Allow lists.
+	s.route("GET, HEAD", "/v1/jobs/{id}/artifact/{name}", s.handleJob("artifact"))
+	s.route("GET, HEAD", "/v1/objects/{key}", s.handleObject(false))
+	s.route("GET", "/v1/objects/{key}/report", s.handleObject(true))
 	s.route("POST", "/v1/sweeps", s.handleSweepCreate)
 	s.route("GET", "/v1/sweeps/{id}", s.handleSweepStatus)
 	s.route("GET", "/v1/sweeps/{id}/results", s.handleSweepResults)
 	s.route("GET", "/v1/sweeps/{id}/events", s.handleSweepEvents)
 	s.route("GET", "/v1/processes", s.handleProcesses)
 	s.route("GET", "/v1/tests", s.handleTests)
-	s.route("GET", "/v1/debug/traces/{id}", s.handleTraceV1)
+	s.route("GET", "/v1/debug/traces/{id}", s.handleTrace)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Deprecated alias of /v1/debug/traces/{id}; gateways in the field
-	// still fetch span sets from it, so it stays.
-	s.mux.HandleFunc("GET /debug/trace/{id}", s.handleTrace)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -272,8 +340,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.EnableStacks {
 		s.route("GET", "/v1/debug/stacks", handleStacks)
-		// Deprecated alias of /v1/debug/stacks.
-		s.mux.HandleFunc("GET /debug/stacks", handleStacks)
 	}
 	return s
 }
@@ -287,7 +353,7 @@ func (s *Server) ResumeSweeps() (int, error) {
 	return s.sweeps.Resume()
 }
 
-// handleStacks is GET /debug/stacks: the stack of every live
+// handleStacks is GET /v1/debug/stacks: the stack of every live
 // goroutine, the in-process equivalent of SIGQUIT for diagnosing
 // stuck drains or wedged workers.
 func handleStacks(w http.ResponseWriter, r *http.Request) {
@@ -328,66 +394,19 @@ func (s *Server) route(allow, pattern string, h http.HandlerFunc) {
 	})
 }
 
-// registerMetrics wires the server's instruments plus the runtime
-// gauges (uptime, goroutines, build info) and the cache/store gauges
-// into the obs registry.
+// registerMetrics wires the HTTP instruments plus the runtime and
+// cluster gauges (uptime, goroutines, build info, ring view) into the
+// obs registry.
 func (s *Server) registerMetrics() {
-	r := s.obsReg
-	s.httpRequests = r.Counter("http_requests_total", "HTTP requests served.")
+	r := s.cfg.Metrics
+	s.httpRequests = r.CounterVec("http_requests_total", "HTTP requests served, by response status.", "status")
+	s.httpErrors = r.CounterVec("http_errors_total", "Error envelopes written, by error code.", "code")
 	s.httpDur = r.Histogram("http_request_duration_seconds", "HTTP request handling latency.", nil)
-	s.cacheHits = r.Counter("compile_cache_hits_total", "Compile submissions served from the artifact cache (either tier).")
-	s.storeHits = r.Counter("compile_store_hits_total", "Compile submissions served from the disk store tier (memory miss, disk hit).")
-	s.cacheMisses = r.Counter("compile_cache_misses_total", "Compile submissions that missed both cache tiers.")
-	s.dedupes = r.Counter("compile_deduped_total", "Compile submissions coalesced onto an identical in-flight job.")
-	s.compileDur = r.Histogram("compile_duration_seconds", "End-to-end compile execution time on a worker.", nil)
-	s.stageDur = r.HistogramVec("compile_stage_duration_seconds",
-		"Per-span pipeline stage latency (queue wait, compiler stages, bounded kernels).", "stage", nil)
-	s.slowCompiles = r.Counter("compile_slow_total", "Compiles that exceeded the slow-compile threshold.")
-	s.parStages = r.Counter("compile_parallel_stages_total",
-		"Concurrent stage fan-outs executed across all compiles (leafcells∥microcode, multi-start floorplan, analysis transients).")
-	s.parDegree = r.Histogram("compile_parallelism",
-		"Per-compile goroutine fan-out bound (the parallelism knob after server defaulting).",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
-
 	r.GaugeFunc("uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	r.GaugeFunc("go_goroutines", "Live goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	r.Info("build_info", "Build metadata from debug.ReadBuildInfo.", buildInfoLabels())
-	if c := s.cfg.Cache; c != nil {
-		r.GaugeFunc("cache_bytes", "Resident artifact cache size in bytes.",
-			func() float64 { return float64(c.Stats().Bytes) })
-		r.GaugeFunc("cache_entries", "Resident artifact cache entry count.",
-			func() float64 { return float64(c.Stats().Entries) })
-	}
-	if st := s.cfg.Store; st != nil {
-		r.GaugeFunc("store_bytes", "Resident disk store size in bytes.",
-			func() float64 { return float64(st.Stats().Bytes) })
-		r.GaugeFunc("store_entries", "Disk store object count.",
-			func() float64 { return float64(st.Stats().Entries) })
-		r.GaugeFunc("store_hits", "Disk store read hits (verified objects served).",
-			func() float64 { return float64(st.Stats().Hits) })
-		r.GaugeFunc("store_misses", "Disk store read misses.",
-			func() float64 { return float64(st.Stats().Misses) })
-		r.GaugeFunc("store_evictions", "Disk store objects removed by the byte-budget GC.",
-			func() float64 { return float64(st.Stats().Evictions) })
-		r.GaugeFunc("store_corrupt", "Disk store objects that failed verification and were quarantined.",
-			func() float64 { return float64(st.Stats().Corrupt) })
-		r.GaugeFunc("store_scanned_at_startup", "Objects the opening index scan found (restart warmness).",
-			func() float64 { return float64(st.Stats().ScannedAtStartup) })
-		r.GaugeFunc("store_quarantine_objects", "Files currently held in the bounded quarantine directory.",
-			func() float64 { return float64(st.Stats().QuarantineObjects) })
-		const peerFetchHelp = "Ring-peer artifact fetches on local store miss, by outcome."
-		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
-			map[string]string{"outcome": "hit"},
-			func() float64 { return float64(st.Stats().PeerHits) })
-		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
-			map[string]string{"outcome": "miss"},
-			func() float64 { return float64(st.Stats().PeerMisses) })
-		r.CounterFuncLabeled("store_peer_fetch_total", peerFetchHelp,
-			map[string]string{"outcome": "corrupt"},
-			func() float64 { return float64(st.Stats().PeerCorrupt) })
-	}
 	if cl := s.cfg.Cluster; cl != nil {
 		r.GaugeFunc("cluster_ring_version", "Monotonic ring version; bumps on every member up/down transition.",
 			func() float64 { return float64(cl.RingVersion()) })
@@ -399,12 +418,6 @@ func (s *Server) registerMetrics() {
 	if in := s.cfg.Chaos; in != nil {
 		r.CounterFunc("chaos_injections_total", "Scripted faults the chaos injector has fired.",
 			func() float64 { return float64(in.Fired()) })
-	}
-	if q := s.cfg.Queue; q != nil {
-		r.GaugeFunc("compiles_inflight", "Compiles currently executing on workers.",
-			func() float64 { return float64(q.Stats().Running) })
-		r.GaugeFunc("queue_depth", "Compile jobs queued and not yet running.",
-			func() float64 { return float64(q.Stats().Queued) })
 	}
 }
 
@@ -436,9 +449,7 @@ func (s *Server) Handler() http.Handler {
 		rw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		s.mux.ServeHTTP(rw, r)
 		dur := time.Since(startT)
-		s.metrics.Add("requests_total", 1)
-		s.byStatus.Add(fmt.Sprintf("%d", rw.status), 1)
-		s.httpRequests.Inc()
+		s.httpRequests.With(strconv.Itoa(rw.status)).Inc()
 		s.httpDur.ObserveDuration(dur)
 		s.logRequest(r, rw, dur)
 	})
@@ -507,7 +518,7 @@ func (s *Server) logRequest(r *http.Request, rw *statusWriter, dur time.Duration
 	s.cfg.LogWriter.Write(append(b, '\n'))
 }
 
-// HTTPStatus maps the cerr taxonomy onto HTTP statuses. The mapping
+// httpStatus maps the cerr taxonomy onto HTTP statuses. The mapping
 // is part of the service contract and documented in the README:
 //
 //	ERR_BAD_REQUEST, ERR_INVALID_PARAMS,
@@ -519,7 +530,7 @@ func (s *Server) logRequest(r *http.Request, rw *statusWriter, dur time.Duration
 //	ERR_BUDGET_EXCEEDED                    -> 504 Gateway Timeout
 //	ERR_OVERLOADED                         -> 429 Too Many Requests (+ Retry-After)
 //	ERR_INTERNAL, ERR_UNKNOWN              -> 500 Internal Server Error
-func HTTPStatus(err error) int {
+func httpStatus(err error) int {
 	switch cerr.CodeOf(err) {
 	case cerr.CodeBadRequest, cerr.CodeInvalidParams, cerr.CodeDeckParse, cerr.CodeMarchParse, cerr.CodePlaneParse:
 		return http.StatusBadRequest
@@ -538,10 +549,11 @@ func HTTPStatus(err error) int {
 // retryAfterSeconds computes the Retry-After hint for shed load: the
 // observed p50 compile latency scaled by how many queue drains stand
 // between the client and a free worker, clamped to [1s, 120s]. With
-// no latency data yet (cold process) the floor applies — 1s is long
-// enough to matter, short enough to keep a burst's tail latency sane.
+// no latency data yet (a cold process, or a gateway, which compiles
+// nothing itself) the floor applies — 1s is long enough to matter,
+// short enough to keep a burst's tail latency sane.
 func (s *Server) retryAfterSeconds() int {
-	p50 := s.compileDur.Snapshot().Quantile(0.5)
+	p50 := s.latency.Snapshot().Quantile(0.5)
 	var backlog float64
 	if q := s.cfg.Queue; q != nil {
 		qs := q.Stats()
@@ -559,23 +571,16 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// wireError is the envelope's error member.
-type wireError struct {
-	Code    string `json:"code"`
-	Stage   string `json:"stage,omitempty"`
-	Message string `json:"message"`
-}
-
 // envelope is the uniform /v1 response document: exactly one payload
 // member (job, sweep or data) plus an explicit error slot that is
 // null on success. Paged collection responses additionally carry the
 // page metadata beside the payload.
 type envelope struct {
-	Job   any         `json:"job,omitempty"`
-	Sweep any         `json:"sweep,omitempty"`
-	Data  any         `json:"data,omitempty"`
-	Page  *sweep.Page `json:"page,omitempty"`
-	Error *wireError  `json:"error"`
+	Job   any              `json:"job,omitempty"`
+	Sweep any              `json:"sweep,omitempty"`
+	Data  any              `json:"data,omitempty"`
+	Page  *sweep.Page      `json:"page,omitempty"`
+	Error *sweep.WireError `json:"error"`
 }
 
 // writeError renders err in the envelope with its mapped (or
@@ -583,7 +588,7 @@ type envelope struct {
 func (s *Server) writeError(w http.ResponseWriter, err error, statusOverride int) {
 	status := statusOverride
 	if status == 0 {
-		status = HTTPStatus(err)
+		status = httpStatus(err)
 	}
 	if status == http.StatusTooManyRequests {
 		// Shed load carries a concrete hint: the observed p50 compile
@@ -591,35 +596,22 @@ func (s *Server) writeError(w http.ResponseWriter, err error, statusOverride int
 		// retry contract.
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	}
-	we := &wireError{
+	we := &sweep.WireError{
 		Code:    cerr.CodeOf(err).String(),
 		Stage:   cerr.StageOf(err),
 		Message: err.Error(),
 	}
-	s.byCode.Add(we.Code, 1)
+	s.httpErrors.With(we.Code).Inc()
 	if rw, ok := w.(*statusWriter); ok {
 		rw.meta.errCode = we.Code
 	}
-	s.writeJSON(w, status, envelope{Error: we})
+	WriteJSON(w, status, envelope{Error: we})
 }
 
-// writeJob / writeSweep / writeData render a success envelope with
-// the given payload member.
-func (s *Server) writeJob(w http.ResponseWriter, status int, v any) {
-	s.writeJSON(w, status, envelope{Job: v})
-}
-
-func (s *Server) writeSweep(w http.ResponseWriter, status int, v any) {
-	s.writeJSON(w, status, envelope{Sweep: v})
-}
-
-func (s *Server) writeData(w http.ResponseWriter, status int, v any) {
-	s.writeJSON(w, status, envelope{Data: v})
-}
-
-// writeJSON renders v as canonical JSON. A value that cannot be
-// encoded (a non-finite float) is answered with a JSON 500 envelope.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON renders v as canonical JSON; every JSON document either
+// program serves goes through it. A value that cannot be encoded (a
+// non-finite float) is answered with a JSON 500 envelope.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	b, err := cjson.MarshalIndent(v)
 	if err != nil {
 		status = http.StatusInternalServerError
@@ -630,495 +622,54 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(b)
 }
 
-// compileResponse is the "job" payload of submit/result responses.
-type compileResponse struct {
-	Key      string `json:"key"`
-	JobID    string `json:"job_id,omitempty"`
-	State    string `json:"state"`
-	Cached   bool   `json:"cached"`
-	Deduped  bool   `json:"deduped,omitempty"`
-	Degraded bool   `json:"degraded,omitempty"`
-	// CacheTier names the tier a cached response was served from:
-	// "hit" (memory) or "hit-disk" (store, promoted to memory).
-	CacheTier string `json:"cache_tier,omitempty"`
-	// ElapsedMs is the server-side handling time for this request —
-	// on a cache hit it collapses to lookup cost.
-	ElapsedMs float64         `json:"elapsed_ms"`
-	Artifacts map[string]int  `json:"artifacts,omitempty"` // name -> byte size
-	Report    json.RawMessage `json:"report,omitempty"`
-}
-
-// lookupEntry probes the two-tier artifact cache: the in-memory LRU
-// first, then the disk store, promoting disk hits into memory. The
-// returned tier is "hit", "hit-disk" or "miss".
-func (s *Server) lookupEntry(key string) (*cache.Entry, string, bool) {
-	if e, ok := s.cfg.Cache.Get(key); ok {
-		return e, "hit", true
-	}
-	if st := s.cfg.Store; st != nil {
-		if e, ok := st.Get(key); ok {
-			s.cfg.Cache.Put(e)
-			return e, "hit-disk", true
-		}
-	}
-	return nil, "miss", false
-}
-
-// handleCompile is POST /v1/compile.
+// handleCompile is POST /v1/compile: the strict parse and content key
+// are the same on every backend, so a gateway rejects exactly what a
+// shard would.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	startT := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBody))
+	c := Compile{Start: time.Now()}
+	var err error
+	c.Body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBody))
 	if err != nil {
 		s.writeError(w, cerr.Wrap(cerr.CodeInvalidParams, err, "server: request body"), http.StatusRequestEntityTooLarge)
 		return
 	}
-	req, err := canon.ParseRequest(body)
+	req, err := canon.ParseRequest(c.Body)
+	if err == nil {
+		c.Params, err = req.Params()
+	}
+	if err == nil {
+		c.Key, err = canon.KeyOfParams(c.Params)
+	}
+	if err == nil {
+		if rw, ok := w.(*statusWriter); ok {
+			rw.meta.key = c.Key
+		}
+		c.Priority, err = jobs.ParsePriority(r.URL.Query().Get("priority"))
+	}
+	if err == nil {
+		err = s.backend.Compile(w, r, c)
+	}
 	if err != nil {
 		s.writeError(w, err, 0)
-		return
 	}
-	params, err := req.Params()
-	if err != nil {
-		s.writeError(w, err, 0)
-		return
-	}
-	key, err := canon.KeyOfParams(params)
-	if err != nil {
-		s.writeError(w, err, 0)
-		return
-	}
-	// Server-side concurrency default. Applied strictly AFTER keying:
-	// parallelism is an execution knob the canonical key excludes, so
-	// a request compiled serially elsewhere still hits this entry.
-	if params.Parallelism == 0 && s.cfg.CompileParallelism > 0 {
-		params.Parallelism = s.cfg.CompileParallelism
-	}
-	if rw, ok := w.(*statusWriter); ok {
-		rw.meta.key = key
-	}
-	pri, err := jobs.ParsePriority(r.URL.Query().Get("priority"))
-	if err != nil {
-		s.writeError(w, err, 0)
-		return
-	}
-
-	// Content-addressed fast path: an identical fully-validated input
-	// has already been compiled, in this process (memory tier) or a
-	// previous one (disk tier).
-	if entry, tier, ok := s.lookupEntry(key); ok {
-		s.metrics.Add("compile_cache_hits", 1)
-		s.cacheHits.Inc()
-		if tier == "hit-disk" {
-			s.metrics.Add("compile_store_hits", 1)
-			s.storeHits.Inc()
-		}
-		s.annotateCache(w, tier)
-		resp := s.entryResponse(entry, "", false, startT, true)
-		resp.CacheTier = tier
-		s.writeJob(w, http.StatusOK, resp)
-		return
-	}
-	s.annotateCache(w, "miss")
-	s.metrics.Add("compile_cache_misses", 1)
-	s.cacheMisses.Inc()
-
-	// Every submission carries a trace: the queue records the wait span,
-	// the pipeline records its stage spans, and the completed tree is
-	// retrievable via GET /debug/trace/{job_id}. Deduped submissions
-	// share the first submitter's trace. A traceparent header continues
-	// the sender's distributed trace — same trace ID, with the remote
-	// span remembered so the gateway's merge parents this shard's spans
-	// under its proxy.route span.
-	tr := obs.NewTrace("")
-	if tid, parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader)); ok {
-		tr = obs.NewTraceRemote(tid, parent)
-	}
-	job, deduped, err := s.cfg.Queue.SubmitTraced(key, pri, tr, func(ctx context.Context) (any, error) {
-		runStart := time.Now()
-		entry, cmpErr := s.runCompile(ctx, key, params)
-		s.observeCompile(obs.FromContext(ctx), time.Since(runStart), key, cmpErr)
-		if cmpErr != nil {
-			return nil, cmpErr
-		}
-		return entry, nil
-	})
-	if err != nil {
-		// Overload (full or draining queue) back-pressures as
-		// ERR_OVERLOADED -> 429 + Retry-After via the standard mapping.
-		s.writeError(w, err, 0)
-		return
-	}
-	s.trackJob(job, key)
-	if deduped {
-		s.metrics.Add("compile_deduped", 1)
-		s.dedupes.Inc()
-	}
-
-	if r.URL.Query().Get("async") != "" {
-		s.writeJob(w, http.StatusAccepted, compileResponse{
-			Key: key, JobID: job.ID, State: job.State().String(),
-			Deduped: deduped, ElapsedMs: msSince(startT),
-		})
-		return
-	}
-
-	waitCtx := r.Context()
-	if s.cfg.SyncWait > 0 {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithTimeout(waitCtx, s.cfg.SyncWait)
-		defer cancel()
-	}
-	value, jerr := job.Result(waitCtx)
-	if jerr != nil {
-		if waitCtx.Err() != nil && job.State() != jobs.StateFailed {
-			// The wait budget expired but the job lives on: hand back a
-			// handle instead of an error.
-			s.writeJob(w, http.StatusAccepted, compileResponse{
-				Key: key, JobID: job.ID, State: job.State().String(),
-				Deduped: deduped, ElapsedMs: msSince(startT),
-			})
-			return
-		}
-		s.writeError(w, jerr, 0)
-		return
-	}
-	entry := value.(*cache.Entry)
-	resp := s.entryResponse(entry, job.ID, deduped, startT, false)
-	s.writeJob(w, http.StatusOK, resp)
 }
 
-// runCompile executes the pipeline under the job context, renders the
-// cacheable artifact set and fills both cache tiers.
-func (s *Server) runCompile(ctx context.Context, key string, params compiler.Params) (*cache.Entry, error) {
-	ctx = chaos.WithContext(ctx, s.cfg.Chaos)
-	d, err := compiler.CompileCtx(ctx, params)
-	if err != nil {
-		return nil, err
-	}
-	js, err := d.JSON()
-	if err != nil {
-		return nil, cerr.Wrap(cerr.CodeInternal, err, "server: report rendering")
-	}
-	entry := &cache.Entry{
-		Key:       key,
-		Report:    []byte(js),
-		Artifacts: map[string][]byte{},
-		Degraded:  len(d.Degradations) > 0,
-	}
-	entry.Artifacts["datasheet.json"] = []byte(js)
-	entry.Artifacts["datasheet.txt"] = []byte(d.Datasheet())
-	var and, or strings.Builder
-	if err := d.Prog.WritePlanes(&and, &or); err == nil {
-		entry.Artifacts["trpla_and.plane"] = []byte(and.String())
-		entry.Artifacts["trpla_or.plane"] = []byte(or.String())
-	}
-	if d.Top != nil {
-		entry.Artifacts["layout.svg"] = []byte(render.SVG(d.Top, render.Options{Depth: 0}))
-		var g strings.Builder
-		if err := gds.Write(&g, d.Top, d.Top.Name); err == nil {
-			entry.Artifacts["layout.gds"] = []byte(g.String())
+// handleJob serves one part of GET /v1/jobs/{id}.
+func (s *Server) handleJob(part string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if !s.backend.Job(w, r, id, part) {
+			s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown job %q", id), http.StatusNotFound)
 		}
 	}
-	s.cfg.Cache.Put(entry)
-	if st := s.cfg.Store; st != nil {
-		// Disk persistence is best-effort: a full disk or an over-budget
-		// object must not fail the compile that produced the entry.
-		if perr := st.Put(entry); perr != nil {
-			s.metrics.Add("store_put_errors", 1)
+}
+
+// handleObject serves GET|HEAD /v1/objects/{key} or its report.
+func (s *Server) handleObject(report bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := s.backend.Object(w, r, r.PathValue("key"), report); err != nil {
+			s.writeError(w, err, 0)
 		}
-	}
-	s.metrics.Add("compiles_total", 1)
-	return entry, nil
-}
-
-// observeCompile folds one finished compile into the telemetry: the
-// end-to-end duration histogram, every recorded span (queue wait,
-// compiler stages, bounded kernels) into the per-stage histogram vec,
-// and — when the execution exceeded the slow-compile threshold — the
-// span tree into the forensics log.
-func (s *Server) observeCompile(tr *obs.Trace, dur time.Duration, key string, err error) {
-	s.compileDur.ObserveDuration(dur)
-	for _, sp := range tr.Spans() {
-		s.stageDur.With(sp.Name).ObserveDuration(sp.Dur)
-		// The compiler annotates its root span with the effective
-		// concurrency: fold the fan-out degree into a histogram and
-		// count the concurrent stage groups that actually ran.
-		if sp.Name == "compile" {
-			for _, a := range sp.Attrs {
-				switch a.Key {
-				case "parallelism":
-					if v, perr := strconv.Atoi(a.Value); perr == nil {
-						s.parDegree.Observe(float64(v))
-					}
-				case "parallel_stages":
-					if v, perr := strconv.Atoi(a.Value); perr == nil && v > 0 {
-						s.parStages.Add(uint64(v))
-					}
-				}
-			}
-		}
-	}
-	if s.cfg.SlowCompile <= 0 || dur < s.cfg.SlowCompile {
-		return
-	}
-	s.slowCompiles.Inc()
-	w := s.cfg.SlowLogWriter
-	if w == nil {
-		return
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "SLOW COMPILE key=%s dur=%s threshold=%s", key, dur.Round(time.Microsecond), s.cfg.SlowCompile)
-	if err != nil {
-		fmt.Fprintf(&b, " err=%s", cerr.CodeOf(err))
-	}
-	b.WriteByte('\n')
-	b.WriteString(tr.Tree())
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	io.WriteString(w, b.String())
-}
-
-// entryResponse builds the "job" payload for a completed entry.
-func (s *Server) entryResponse(e *cache.Entry, jobID string, deduped bool, startT time.Time, cached bool) compileResponse {
-	sizes := make(map[string]int, len(e.Artifacts))
-	for name, b := range e.Artifacts {
-		sizes[name] = len(b)
-	}
-	return compileResponse{
-		Key: e.Key, JobID: jobID, State: jobs.StateDone.String(),
-		Cached: cached, Deduped: deduped, Degraded: e.Degraded,
-		ElapsedMs: msSince(startT),
-		Artifacts: sizes,
-		Report:    json.RawMessage(e.Report),
-	}
-}
-
-func (s *Server) annotateCache(w http.ResponseWriter, state string) {
-	if rw, ok := w.(*statusWriter); ok {
-		rw.meta.cacheState = state
-	}
-}
-
-// trackJob registers a job for the status endpoints and retains its
-// trace for GET /debug/trace/{id}, evicting the oldest trace beyond
-// the configured budget (FIFO — forensics favour recent jobs).
-func (s *Server) trackJob(j *jobs.Job, key string) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	s.jobsByID[j.ID] = j
-	s.keyByID[j.ID] = key
-	tr := j.Trace()
-	if tr == nil {
-		return
-	}
-	if _, seen := s.traceByID[j.ID]; seen {
-		return
-	}
-	s.traceByID[j.ID] = tr
-	s.traceOrder = append(s.traceOrder, j.ID)
-	for len(s.traceOrder) > s.cfg.TraceBudget {
-		delete(s.traceByID, s.traceOrder[0])
-		s.traceOrder = s.traceOrder[1:]
-	}
-}
-
-// lookupTrace resolves a retained trace by job id.
-func (s *Server) lookupTrace(id string) (*obs.Trace, bool) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	tr, ok := s.traceByID[id]
-	return tr, ok
-}
-
-// lookupJob resolves a tracked job by id.
-func (s *Server) lookupJob(id string) (*jobs.Job, string, bool) {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	j, ok := s.jobsByID[id]
-	return j, s.keyByID[id], ok
-}
-
-// jobStatusBody is the "job" payload of GET /v1/jobs/{id}.
-type jobStatusBody struct {
-	JobID     string  `json:"job_id"`
-	Key       string  `json:"key"`
-	State     string  `json:"state"`
-	Priority  string  `json:"priority"`
-	Attached  int64   `json:"attached"`
-	QueuedMs  float64 `json:"queued_ms"`
-	RunMs     float64 `json:"run_ms,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	ErrorCode string  `json:"error_code,omitempty"`
-}
-
-// handleJobStatus is GET /v1/jobs/{id}.
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j, key, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown job %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	submitted, started, finished := j.Times()
-	body := jobStatusBody{
-		JobID: j.ID, Key: key, State: j.State().String(),
-		Priority: j.Priority.String(), Attached: j.Attached(),
-	}
-	switch {
-	case started.IsZero() && !finished.IsZero():
-		// Cancelled before execution (drain fast-fail): the queue wait
-		// ended when the job was failed, not now.
-		body.QueuedMs = float64(finished.Sub(submitted).Microseconds()) / 1000
-	case started.IsZero():
-		body.QueuedMs = msSince(submitted)
-	default:
-		body.QueuedMs = float64(started.Sub(submitted).Microseconds()) / 1000
-	}
-	if !started.IsZero() {
-		end := finished
-		if end.IsZero() {
-			end = time.Now()
-		}
-		body.RunMs = float64(end.Sub(started).Microseconds()) / 1000
-	}
-	if _, jerr, done := j.Peek(); done && jerr != nil {
-		body.Error = jerr.Error()
-		body.ErrorCode = cerr.CodeOf(jerr).String()
-	}
-	s.writeJob(w, http.StatusOK, body)
-}
-
-// handleJobResult is GET /v1/jobs/{id}/result: the canonical compile
-// report under the envelope's "data" member.
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j, _, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown job %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	value, jerr, done := j.Peek()
-	if !done {
-		s.writeJob(w, http.StatusAccepted, map[string]string{
-			"job_id": j.ID, "state": j.State().String(),
-		})
-		return
-	}
-	if jerr != nil {
-		s.writeError(w, jerr, 0)
-		return
-	}
-	entry := value.(*cache.Entry)
-	s.writeData(w, http.StatusOK, json.RawMessage(entry.Report))
-}
-
-// handleJobArtifact is GET /v1/jobs/{id}/artifact/{name}: a raw
-// artifact stream (no envelope) with Content-Length and a per-kind
-// Content-Type.
-func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
-	j, key, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown job %q", r.PathValue("id")), http.StatusNotFound)
-		return
-	}
-	name := r.PathValue("name")
-	value, jerr, done := j.Peek()
-	if !done {
-		s.writeJob(w, http.StatusAccepted, map[string]string{"job_id": j.ID, "state": j.State().String()})
-		return
-	}
-	if jerr != nil {
-		s.writeError(w, jerr, 0)
-		return
-	}
-	entry := value.(*cache.Entry)
-	body, ok := entry.Artifacts[name]
-	if !ok {
-		// The job's entry may also have been evicted and refetched;
-		// consult the two-tier cache as a second chance.
-		if cached, _, hit := s.lookupEntry(key); hit {
-			if b, ok2 := cached.Artifacts[name]; ok2 {
-				writeArtifact(w, r, name, b)
-				return
-			}
-		}
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams,
-			"server: no artifact %q (have %v)", name, entry.ArtifactNames()), http.StatusNotFound)
-		return
-	}
-	writeArtifact(w, r, name, body)
-}
-
-// handleObject is GET/HEAD /v1/objects/{key}: the verbatim on-disk
-// object image for a content key — the shard-to-shard artifact fetch
-// endpoint. The bytes are served UNVERIFIED by design: the fetching
-// peer runs them through its own verified-read path, so a corrupt
-// image quarantines on the fetcher exactly like local disk rot, and
-// this handler never pays a hash pass.
-func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
-	st := s.cfg.Store
-	if st == nil {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no object store configured"), http.StatusNotFound)
-		return
-	}
-	key := r.PathValue("key")
-	raw, ok := st.ReadRaw(key)
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no object %s", key), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		w.Write(raw)
-	}
-}
-
-// handleObjectReport is GET /v1/objects/{key}/report: the cached
-// compile report for a content key, served only when a cache tier
-// (memory, disk, or a ring peer via the store's fetch seam) already
-// holds it — it never triggers a compile. This is the gateway sweep
-// Lookup seam: how a federated sweep tells a warm point from one that
-// needs routing, so cluster sweep rows carry the same cached flags a
-// warm single daemon would report.
-func (s *Server) handleObjectReport(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	entry, _, ok := s.lookupEntry(key)
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: key %s not cached", key), http.StatusNotFound)
-		return
-	}
-	s.writeData(w, http.StatusOK, map[string]any{
-		"key":      key,
-		"degraded": entry.Degraded,
-		"report":   json.RawMessage(entry.Report),
-	})
-}
-
-// writeArtifact streams an artifact with its per-kind content type
-// and an explicit Content-Length, so clients can size progress bars
-// and proxies never have to buffer for chunking. HEAD requests get
-// the identical headers with no body — how clients size a download
-// without paying for it.
-func writeArtifact(w http.ResponseWriter, r *http.Request, name string, body []byte) {
-	w.Header().Set("Content-Type", artifactContentType(name))
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		w.Write(body)
-	}
-}
-
-// artifactContentType maps an artifact name to its media type.
-func artifactContentType(name string) string {
-	switch {
-	case strings.HasSuffix(name, ".json"):
-		return "application/json; charset=utf-8"
-	case strings.HasSuffix(name, ".svg"):
-		return "image/svg+xml"
-	case strings.HasSuffix(name, ".gds"):
-		return "application/octet-stream"
-	default:
-		return "text/plain; charset=utf-8"
 	}
 }
 
@@ -1139,18 +690,23 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err, 0)
 		return
 	}
-	s.metrics.Add("sweeps_total", 1)
-	s.writeSweep(w, http.StatusAccepted, sw.Status())
+	WriteJSON(w, http.StatusAccepted, envelope{Sweep: sw.Status()})
+}
+
+// lookupSweep resolves {id}, answering the 404 itself when unknown.
+func (s *Server) lookupSweep(w http.ResponseWriter, r *http.Request) (*sweep.Sweep, bool) {
+	sw, ok := s.sweeps.Get(r.PathValue("id"))
+	if !ok {
+		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
+	}
+	return sw, ok
 }
 
 // handleSweepStatus is GET /v1/sweeps/{id}.
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweeps.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
-		return
+	if sw, ok := s.lookupSweep(w, r); ok {
+		WriteJSON(w, http.StatusOK, envelope{Sweep: sw.Status()})
 	}
-	s.writeSweep(w, http.StatusOK, sw.Status())
 }
 
 // handleSweepResults is GET /v1/sweeps/{id}/results. Without query
@@ -1159,30 +715,27 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 // the page metadata (total, next_offset) beside the payload in the
 // envelope.
 func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweeps.Get(r.PathValue("id"))
+	sw, ok := s.lookupSweep(w, r)
 	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
 		return
 	}
 	res := sw.Results()
-	offset, limit, paged, err := PageParams(r)
+	offset, limit, paged, err := pageParams(r)
 	if err != nil {
 		s.writeError(w, err, 0)
 		return
 	}
 	if !paged {
-		s.writeData(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, envelope{Data: res})
 		return
 	}
 	win, pg := res.Paginate(offset, limit)
-	s.writeJSON(w, http.StatusOK, envelope{Data: win, Page: &pg})
+	WriteJSON(w, http.StatusOK, envelope{Data: win, Page: &pg})
 }
 
-// PageParams parses ?offset=&limit= from a collection request. paged
-// is false when neither is present (the full-document default). The
-// gateway shares it so both serving layers reject malformed windows
-// with the same enveloped error.
-func PageParams(r *http.Request) (offset, limit int, paged bool, err error) {
+// pageParams parses ?offset=&limit= from a collection request. paged
+// is false when neither is present (the full-document default).
+func pageParams(r *http.Request) (offset, limit int, paged bool, err error) {
 	q := r.URL.Query()
 	offStr, limStr := q.Get("offset"), q.Get("limit")
 	if offStr == "" && limStr == "" {
@@ -1209,121 +762,95 @@ func PageParams(r *http.Request) (offset, limit int, paged bool, err error) {
 // stream (SSE) — every point transition exactly once by cursor, plus
 // heartbeats and a terminal summary.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweeps.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown sweep %q", r.PathValue("id")), http.StatusNotFound)
-		return
+	if sw, ok := s.lookupSweep(w, r); ok {
+		sweep.ServeEvents(w, r, sw, s.cfg.SSEHeartbeat)
 	}
-	sweep.ServeEvents(w, r, sw, s.cfg.SSEHeartbeat)
 }
 
-// handleProcesses is GET /v1/processes.
+// handleProcesses is GET /v1/processes. Nothing registers decks at
+// runtime, so every process of one build answers the same list.
 func (s *Server) handleProcesses(w http.ResponseWriter, r *http.Request) {
-	s.writeData(w, http.StatusOK, map[string]any{"processes": tech.Names()})
+	WriteJSON(w, http.StatusOK, envelope{Data: map[string]any{"processes": tech.Names()}})
 }
 
 // handleTests is GET /v1/tests.
 func (s *Server) handleTests(w http.ResponseWriter, r *http.Request) {
-	s.writeData(w, http.StatusOK, map[string]any{"tests": canon.TestNames()})
+	WriteJSON(w, http.StatusOK, envelope{Data: map[string]any{"tests": canon.TestNames()}})
 }
 
 // handleHealthz is GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	qs := s.cfg.Queue.Stats()
-	status := http.StatusOK
-	state := "ok"
-	if qs.Draining {
-		// Shedding state: load balancers should stop routing here.
-		status = http.StatusServiceUnavailable
-		state = "draining"
-	}
-	body := map[string]any{
-		"status":   state,
+	doc := map[string]any{
+		"status":   "ok",
 		"uptime_s": time.Since(s.start).Seconds(),
-		"workers":  qs.Workers,
 		// Resume debt: what a restart right now would owe (in-flight
 		// sweeps and points, and how many of those points would be lost
 		// outright without a journal).
 		"sweeps": s.sweeps.Backlog(),
 	}
-	if cl := s.cfg.Cluster; cl != nil {
-		body["role"] = "shard"
-		body["self"] = cl.Self()
-		if gw := cl.Gateway(); gw != "" {
-			body["gateway"] = gw
-		}
-		body["ring_version"] = cl.RingVersion()
-		body["peers_up"] = cl.PeersUp()
-		body["peers_total"] = cl.PeersTotal()
+	status := http.StatusOK
+	if state := s.backend.Health(doc); state != "" {
+		doc["status"] = state
+		status = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, status, body)
+	WriteJSON(w, status, doc)
 }
 
 // metricsBody is the /metrics document.
 type metricsBody struct {
-	Server  json.RawMessage `json:"server"`
-	Cache   cache.Stats     `json:"cache"`
-	Store   *store.Stats    `json:"store,omitempty"`
-	Queue   jobs.Stats      `json:"queue"`
-	Obs     map[string]any  `json:"obs"`
-	UptimeS float64         `json:"uptime_s"`
+	Cache   *cache.Stats   `json:"cache,omitempty"`
+	Store   *store.Stats   `json:"store,omitempty"`
+	Queue   jobs.Stats     `json:"queue"`
+	Obs     map[string]any `json:"obs"`
+	UptimeS float64        `json:"uptime_s"`
 }
 
 // handleMetrics is GET /metrics: dual exposition. The default is the
-// expvar-backed counter map plus cache, store, queue and obs-registry
-// snapshots in one JSON document; ?format=prometheus renders the obs
-// registry as text exposition format 0.0.4 for scrapers.
+// obs registry snapshot plus cache, store and queue snapshots in one
+// JSON document; ?format=prometheus renders the obs registry as text
+// exposition format 0.0.4 for scrapers.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		s.obsReg.WritePrometheus(w)
+		s.cfg.Metrics.WritePrometheus(w)
 		return
 	}
 	body := metricsBody{
-		Server:  json.RawMessage(s.metrics.String()),
-		Cache:   s.cfg.Cache.Stats(),
 		Queue:   s.cfg.Queue.Stats(),
-		Obs:     s.obsReg.Snapshot(),
+		Obs:     s.cfg.Metrics.Snapshot(),
 		UptimeS: time.Since(s.start).Seconds(),
+	}
+	if c := s.cfg.Cache; c != nil {
+		stats := c.Stats()
+		body.Cache = &stats
 	}
 	if st := s.cfg.Store; st != nil {
 		stats := st.Stats()
 		body.Store = &stats
 	}
-	s.writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
-// handleTrace is GET /debug/trace/{id}, the deprecated pre-/v1 alias
-// of /v1/debug/traces/{id}: the retained span set of a completed (or
-// in-flight) job, as Chrome trace-event JSON by default — load it in
-// chrome://tracing or Perfetto — or as an indented text tree with
-// ?format=tree or a raw span set with ?format=spans.
+// handleTrace is GET /v1/debug/traces/{id}: the retained span set of
+// a completed (or in-flight) job. The representation is negotiated:
+// ?format=tree|spans|chrome wins when present, otherwise an Accept
+// header of text/plain selects the indented text tree and anything
+// else the Chrome trace-event JSON (load it in chrome://tracing or
+// Perfetto).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	s.renderTrace(w, r, r.URL.Query().Get("format"))
-}
-
-// handleTraceV1 is GET /v1/debug/traces/{id}. The representation is
-// negotiated: ?format=tree|spans|chrome wins when present, otherwise
-// an Accept header of text/plain selects the tree and anything else
-// the Chrome trace-event JSON.
-func (s *Server) handleTraceV1(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if format == "" && strings.HasPrefix(r.Header.Get("Accept"), "text/plain") {
 		format = "tree"
 	}
-	s.renderTrace(w, r, format)
-}
-
-// renderTrace renders the trace of job {id} in the given format
-// ("tree", "spans", or anything else for Chrome trace-event JSON).
-func (s *Server) renderTrace(w http.ResponseWriter, r *http.Request, format string) {
 	id := r.PathValue("id")
-	tr, ok := s.lookupTrace(id)
+	tr, ok := s.backend.Trace(r.Context(), id)
 	if !ok {
 		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no trace for job %q", id), http.StatusNotFound)
 		return
 	}
+	var b []byte
+	var err error
 	switch format {
 	case "tree":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -1331,23 +858,12 @@ func (s *Server) renderTrace(w http.ResponseWriter, r *http.Request, format stri
 		io.WriteString(w, tr.Tree())
 		return
 	case "spans":
-		// The wire span set a gateway fetches to merge this shard's
+		// The wire span set a gateway fetches to merge this process's
 		// slice of a distributed trace into the end-to-end view.
-		node := ""
-		if cl := s.cfg.Cluster; cl != nil {
-			node = cl.Self()
-		}
-		b, err := tr.SpanSet(node).JSON()
-		if err != nil {
-			s.writeError(w, cerr.Wrap(cerr.CodeInternal, err, "server: span set rendering"), 0)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
-		return
+		b, err = tr.SpanSet().JSON()
+	default:
+		b, err = tr.ChromeJSON()
 	}
-	b, err := tr.ChromeJSON()
 	if err != nil {
 		s.writeError(w, cerr.Wrap(cerr.CodeInternal, err, "server: trace rendering"), 0)
 		return
@@ -1355,11 +871,4 @@ func (s *Server) renderTrace(w http.ResponseWriter, r *http.Request, format stri
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
-}
-
-// Log is a convenience constructor for the structured request logger.
-func Log(w io.Writer) *log.Logger { return log.New(w, "", 0) }
-
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1000
 }

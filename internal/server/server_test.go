@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cerr"
+	"repro/internal/chaos"
 	"repro/internal/jobs"
 )
 
@@ -143,9 +144,9 @@ func TestCompileSyncAndCacheHit(t *testing.T) {
 	if cacheStats["hits"].(float64) < 1 {
 		t.Fatalf("cache hits not counted: %v", cacheStats)
 	}
-	srv := metrics["server"].(map[string]any)
-	if srv["compile_cache_hits"].(float64) < 1 {
-		t.Fatalf("expvar hit counter missing: %v", srv)
+	hits := metrics["obs"].(map[string]any)["compile_cache_hits_total"]
+	if hits.(float64) < 1 {
+		t.Fatalf("compile_cache_hits_total = %v, want >= 1", hits)
 	}
 }
 
@@ -383,13 +384,12 @@ func TestMetricsDocumentShape(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("metrics %d", code)
 	}
-	for _, k := range []string{"server", "cache", "queue", "uptime_s"} {
+	for _, k := range []string{"cache", "queue", "obs", "uptime_s"} {
 		if _, ok := m[k]; !ok {
 			t.Fatalf("metrics missing %q: %v", k, m)
 		}
 	}
-	srv := m["server"].(map[string]any)
-	byCode := srv["errors_by_code"].(map[string]any)
+	byCode := m["obs"].(map[string]any)["http_errors_total"].(map[string]any)
 	if byCode["ERR_INVALID_PARAMS"].(float64) < 1 {
 		t.Fatalf("error counter missing: %v", byCode)
 	}
@@ -438,9 +438,9 @@ func TestHTTPStatusTableTotal(t *testing.T) {
 		"ERR_INTERNAL":        500,
 		"ERR_UNKNOWN":         500,
 	}
-	got := map[string]int{"ERR_UNKNOWN": HTTPStatus(fmt.Errorf("untyped"))}
+	got := map[string]int{"ERR_UNKNOWN": httpStatus(fmt.Errorf("untyped"))}
 	for _, code := range cerr.Codes() {
-		got[code.String()] = HTTPStatus(cerr.New(code, "sample"))
+		got[code.String()] = httpStatus(cerr.New(code, "sample"))
 	}
 	for name, status := range want {
 		if got[name] != status {
@@ -455,9 +455,8 @@ func TestHTTPStatusTableTotal(t *testing.T) {
 // TestWriteJSONUnencodable checks that a payload the canonical encoder
 // refuses (NaN) is answered as a JSON 500 envelope, not as text/plain.
 func TestWriteJSONUnencodable(t *testing.T) {
-	var s Server
 	rec := httptest.NewRecorder()
-	s.writeJSON(rec, http.StatusOK, envelope{Data: map[string]float64{"sigma": math.NaN()}})
+	WriteJSON(rec, http.StatusOK, envelope{Data: map[string]float64{"sigma": math.NaN()}})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
@@ -471,5 +470,59 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "ERR_INTERNAL" {
 		t.Fatalf("body %q is not an ERR_INTERNAL envelope (%v)", rec.Body.String(), err)
+	}
+}
+
+// TestJobTableBoundsFinishedJobs: the daemon remembers at most
+// TraceBudget finished jobs — once budget + k newer compiles finish,
+// the oldest answers 404 — while a job still running is never evicted.
+func TestJobTableBoundsFinishedJobs(t *testing.T) {
+	inj, err := chaos.Parse([]byte(`{"rules":[{"point":"compile.stage.floorplan","mode":"delay","delay_ms":3000,"max":1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := jobs.New(jobs.Config{Workers: 2, Deadline: time.Minute})
+	const budget, k = 3, 2
+	s := New(Config{Queue: q, Cache: cache.New(64 << 20), TraceBudget: budget, Chaos: inj})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		q.Shutdown(ctx)
+	})
+
+	// The held job sleeps in its floorplan stage while the rest finish.
+	status, held := postCompile(t, ts, `{"words":1024,"bpw":8,"bpc":4,"spares":4}`, "?async=1")
+	if status != http.StatusAccepted {
+		t.Fatalf("held submit: %d %v", status, held)
+	}
+	for deadline := time.Now().Add(10 * time.Second); inj.Fired() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("held job never reached its floorplan stage")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var ids []string
+	for _, words := range []int{64, 128, 256, 512, 2048}[:budget+k] {
+		status, m := postCompile(t, ts, fmt.Sprintf(`{"words":%d,"bpw":8,"bpc":4,"spares":4}`, words), "")
+		if status != http.StatusOK {
+			t.Fatalf("compile words=%d: %d %v", words, status, m)
+		}
+		ids = append(ids, m["job_id"].(string))
+	}
+
+	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+ids[0]); code != http.StatusNotFound {
+		t.Fatalf("oldest finished job %s: %d, want 404", ids[0], code)
+	}
+	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+ids[len(ids)-1]); code != http.StatusOK {
+		t.Fatalf("newest job %s: %d, want 200", ids[len(ids)-1], code)
+	}
+	code, m := getJSON(t, ts.URL+"/v1/jobs/"+held["job_id"].(string))
+	if code != http.StatusOK || m["state"] != "running" {
+		t.Fatalf("running job evicted: %d %v", code, m)
+	}
+	if n := s.backend.(*local).jobs.Len(); n > budget {
+		t.Fatalf("job table holds %d, budget %d", n, budget)
 	}
 }
