@@ -1,10 +1,11 @@
 # BISRAMGEN build/test entry points.
 #
 #   make check — the default pre-merge gate: vet (gofmt included),
-#                build, race-enabled tests, the serve-smoke +
-#                sweep-smoke + chaos-smoke + cluster-smoke +
-#                obs-fleet-smoke + mc-smoke end-to-end daemon checks,
-#                and the bench-delta soft benchmark-regression gate.
+#                build, race-enabled tests, the benchmark module's vet
+#                and tests, the serve-smoke + obs-smoke + sweep-smoke +
+#                chaos-smoke + cluster-smoke + obs-fleet-smoke +
+#                mc-smoke end-to-end daemon checks, and the bench-delta
+#                soft benchmark-regression gate.
 #   make ci    — everything the tree must pass before merging: check
 #                plus a short fuzz smoke pass on each parser and the
 #                adversarial-input fault campaign.
@@ -30,11 +31,11 @@ BENCH_CPU_PATTERN = 'BenchmarkCompileParallel|BenchmarkCompileRefine|BenchmarkMC
 # which case the -baseline flag is simply omitted.
 BENCH_BASELINE ?= $(shell ls results/BENCH_*.json 2>/dev/null | grep -vx '$(BENCH_OUT)' | sort -V | tail -1)
 
-.PHONY: all check build vet test race serve-smoke obs-smoke sweep-smoke chaos-smoke cluster-smoke obs-fleet-smoke mc-smoke fuzz-smoke campaign serve ci bench bench-smoke bench-delta
+.PHONY: all check build vet test race bisrbench-check serve-smoke obs-smoke sweep-smoke chaos-smoke cluster-smoke obs-fleet-smoke mc-smoke fuzz-smoke campaign serve ci bench bench-smoke bench-delta
 
 all: check
 
-check: vet build race serve-smoke sweep-smoke chaos-smoke cluster-smoke obs-fleet-smoke mc-smoke bench-smoke bench-delta
+check: vet build race bisrbench-check serve-smoke obs-smoke sweep-smoke chaos-smoke cluster-smoke obs-fleet-smoke mc-smoke bench-smoke bench-delta
 
 build:
 	$(GO) build ./...
@@ -53,6 +54,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# cmd/bisrbench is its own Go module, so the root build, vet and test
+# skip it; this compiles it against the current server and cluster
+# packages and runs its tests.
+bisrbench-check:
+	cd cmd/bisrbench && $(GO) vet ./... && $(GO) test ./...
+
 # End-to-end daemon check: builds the bisramgend binary, starts it on
 # a free port, POSTs the same compile twice and asserts the second is
 # a cache hit (visible in /metrics and >= 10x faster), then SIGTERMs
@@ -64,7 +71,7 @@ serve-smoke:
 # 1ns slow-compile threshold, POSTs one compile, asserts the
 # Prometheus exposition parses with nonzero
 # compile_stage_duration_seconds buckets, fetches the job's Chrome
-# trace JSON from /debug/trace/{id}, and requires the slow-compile
+# trace JSON from /v1/debug/traces/{id}, and requires the slow-compile
 # span tree on stderr.
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -count=1 -v ./cmd/bisramgend/
