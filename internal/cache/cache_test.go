@@ -6,11 +6,43 @@ import (
 	"testing"
 )
 
+// entry builds a report-only entry, so its size is the same whole and
+// resident and the budget arithmetic below is exact.
 func entry(key string, bodyBytes int) *Entry {
-	return &Entry{
-		Key:       key,
-		Report:    make([]byte, bodyBytes/2),
-		Artifacts: map[string][]byte{"a": make([]byte, bodyBytes-bodyBytes/2)},
+	return &Entry{Key: key, Report: make([]byte, bodyBytes)}
+}
+
+// TestPutKeepsReportAndSizes: the tier keeps a whole entry's report,
+// Degraded flag and artifact sizes, drops the bodies, charges only
+// what it keeps, and leaves the caller's entry whole.
+func TestPutKeepsReportAndSizes(t *testing.T) {
+	c := New(1 << 20)
+	whole := &Entry{
+		Key:       "k",
+		Report:    []byte(`{"r":1}`),
+		Artifacts: map[string][]byte{"layout.gds": make([]byte, 50_000), "datasheet.txt": []byte("ds")},
+		Degraded:  true,
+	}
+	c.Put(whole)
+	got, ok := c.Get("k")
+	if !ok {
+		t.Fatal("expected hit")
+	}
+	if got.Artifacts != nil {
+		t.Fatalf("memory tier kept artifact bodies: %v", got.ArtifactNames())
+	}
+	if string(got.Report) != string(whole.Report) || !got.Degraded {
+		t.Fatalf("resident entry %+v lost the report or the Degraded flag", got)
+	}
+	want := map[string]int{"layout.gds": 50_000, "datasheet.txt": 2}
+	if sizes := got.ArtifactSizes(); len(sizes) != len(want) || sizes["layout.gds"] != want["layout.gds"] || sizes["datasheet.txt"] != want["datasheet.txt"] {
+		t.Fatalf("artifact sizes %v, want %v", sizes, want)
+	}
+	if b := c.Bytes(); b != got.Size() || b >= 1000 {
+		t.Fatalf("resident bytes %d, want the resident entry's %d (< 1000)", b, got.Size())
+	}
+	if len(whole.Artifacts["layout.gds"]) != 50_000 {
+		t.Fatal("Put stripped the caller's entry")
 	}
 }
 

@@ -3,11 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -383,6 +385,73 @@ func TestStoreTierRestartWarm(t *testing.T) {
 	}
 	if !st3.Contains(key) {
 		t.Fatal("recompiled object not re-persisted")
+	}
+}
+
+// TestMemoryTierHoldsReports pins the report-resident memory tier: a
+// 1 MiB tier over a store keeps all of 16 distinct compiles — whole
+// entries of 128–180 KB each would overflow it after about seven — so
+// every re-POST is a memory hit, the tier stays under 8 KiB per key,
+// and each hit, from memory or from disk after a restart, reports the
+// same artifact sizes as its cold compile.
+func TestMemoryTierHoldsReports(t *testing.T) {
+	dir := t.TempDir()
+	serve := func() (*httptest.Server, func()) {
+		st, err := store.Open(store.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := jobs.New(jobs.Config{Workers: 2, Deadline: time.Minute})
+		hs := httptest.NewServer(New(Config{Queue: q, Cache: cache.New(1 << 20), Store: st}).Handler())
+		return hs, func() {
+			hs.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			q.Shutdown(ctx)
+		}
+	}
+	var reqs []string
+	for _, words := range []int{256, 512, 1024, 2048} {
+		for _, bpw := range []int{8, 16} {
+			for _, spares := range []int{4, 8} {
+				reqs = append(reqs, fmt.Sprintf(`{"words":%d,"bpw":%d,"bpc":4,"spares":%d}`, words, bpw, spares))
+			}
+		}
+	}
+	sameArtifacts := func(tier string, got, want map[string]any) {
+		t.Helper()
+		if got["cache_tier"] != tier {
+			t.Fatalf("%s: cache_tier %v, want %q", got["key"], got["cache_tier"], tier)
+		}
+		if !reflect.DeepEqual(got["artifacts"], want["artifacts"]) {
+			t.Fatalf("%s: %s artifacts %v, cold compile had %v", got["key"], tier, got["artifacts"], want["artifacts"])
+		}
+	}
+
+	hs, stop := serve()
+	cold := make([]map[string]any, len(reqs))
+	for i, body := range reqs {
+		status, m := postCompile(t, hs, body, "")
+		if status != 200 || m["cached"].(bool) || len(m["artifacts"].(map[string]any)) == 0 {
+			t.Fatalf("cold compile %s: %d %v", body, status, m)
+		}
+		cold[i] = m
+	}
+	for i, body := range reqs {
+		_, m := postCompile(t, hs, body, "")
+		sameArtifacts("hit", m, cold[i])
+	}
+	_, metrics := getJSON(t, hs.URL+"/metrics")
+	if b := metrics["obs"].(map[string]any)["cache_bytes"].(float64); b >= 16*8<<10 {
+		t.Fatalf("cache_bytes %v for 16 keys, want < %d", b, 16*8<<10)
+	}
+	stop()
+
+	hs, stop = serve()
+	defer stop()
+	for i, body := range reqs {
+		_, m := postCompile(t, hs, body, "")
+		sameArtifacts("hit-disk", m, cold[i])
 	}
 }
 

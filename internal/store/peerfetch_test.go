@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,9 +31,14 @@ func TestPeerFetchPromotesOnLocalMiss(t *testing.T) {
 	if !ok {
 		t.Fatal("peer-backed get missed")
 	}
-	if string(got.Report) != string(e.Report) ||
-		string(got.Artifacts["datasheet.txt"]) != string(e.Artifacts["datasheet.txt"]) {
-		t.Fatal("entry bytes drifted through the peer fetch")
+	if string(got.Report) != string(e.Report) || got.Artifacts != nil ||
+		got.Sizes["datasheet.txt"] != len(e.Artifacts["datasheet.txt"]) {
+		t.Fatal("report-resident entry drifted through the peer fetch")
+	}
+	// The promoted image is the peer's, byte for byte.
+	want, _ := src.ReadRaw(e.Key)
+	if got, _ := dst.ReadRaw(e.Key); !bytes.Equal(got, want) {
+		t.Fatal("promoted image differs from the peer's")
 	}
 	st := dst.Stats()
 	if st.PeerHits != 1 || st.Hits != 1 || st.Misses != 0 {
@@ -104,6 +110,37 @@ func TestPeerFetchCorruptQuarantines(t *testing.T) {
 	qents, _ := os.ReadDir(filepath.Join(dst.Dir(), quarantineDir))
 	if len(qents) != 1 || !strings.HasPrefix(qents[0].Name(), e.Key+".") {
 		t.Fatalf("quarantine contents %v", qents)
+	}
+}
+
+// TestPeerFetchRejectsArtifactFlip: an image whose only damage is a
+// byte inside an artifact section — which the owner's own hit never
+// reads (TestArtifactFlipServesVerifiedReport) — fails the fetcher's
+// whole-image verification: rejected, counted peer_corrupt,
+// quarantined on the fetcher and never promoted.
+func TestPeerFetchRejectsArtifactFlip(t *testing.T) {
+	src, dst := peerPair(t)
+	e := testEntry("x", 64)
+	if err := src.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	path := src.objectPath(e.Key)
+	raw, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, flip(raw, len(raw)-3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dst.Get(e.Key); ok {
+		t.Fatal("peer image with a flipped artifact byte served")
+	}
+	st := dst.Stats()
+	if st.PeerCorrupt != 1 || st.PeerHits != 0 || st.Corrupt != 1 || st.Misses != 1 {
+		t.Fatalf("stats after artifact-flipped fetch: %+v", st)
+	}
+	if dst.Contains(e.Key) {
+		t.Fatal("corrupt image promoted")
+	}
+	if dst.QuarantinedCount() != 1 {
+		t.Fatal("corrupt image not quarantined on the fetcher")
 	}
 }
 

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,8 +53,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if string(got.Report) != string(e.Report) {
 		t.Fatalf("report %q != %q", got.Report, e.Report)
 	}
-	if string(got.Artifacts["datasheet.txt"]) != string(e.Artifacts["datasheet.txt"]) {
-		t.Fatal("artifact bytes drifted through the disk round trip")
+	// A hit is report-resident: the report and the artifact sizes, no
+	// bodies.
+	if got.Artifacts != nil || got.Sizes["datasheet.txt"] != len(e.Artifacts["datasheet.txt"]) {
+		t.Fatalf("hit carries artifacts %v and sizes %v, want sizes only", got.ArtifactNames(), got.Sizes)
 	}
 	st := s.Stats()
 	if st.Hits != 1 || st.Puts != 1 || st.Entries != 1 {
@@ -145,21 +149,88 @@ func TestCorruptionQuarantinedNotServed(t *testing.T) {
 	}
 }
 
+// layout returns where an object image's manifest line and first
+// section start.
+func layout(t *testing.T, raw []byte) (manifest, body int) {
+	t.Helper()
+	manifest = bytes.IndexByte(raw, '\n') + 1
+	nl := bytes.IndexByte(raw[manifest:], '\n')
+	if manifest == 0 || nl < 0 {
+		t.Fatalf("image has no header and manifest lines: %q", raw)
+	}
+	return manifest, manifest + nl + 1
+}
+
+// flip returns a copy of raw with the byte at i inverted.
+func flip(raw []byte, i int) []byte {
+	out := bytes.Clone(raw)
+	out[i] ^= 0xff
+	return out
+}
+
+// v2Image renders e in the previous object format, bisramstore2: a
+// SHA-256 over the whole payload, sections without offsets or digests.
+func v2Image(e *cache.Entry) []byte {
+	type sec struct {
+		Name string `json:"name"`
+		Size int    `json:"size"`
+	}
+	m := struct {
+		Key      string `json:"key"`
+		Sections []sec  `json:"sections"`
+	}{Key: e.Key, Sections: []sec{{"report", len(e.Report)}}}
+	body := bytes.Clone(e.Report)
+	for _, name := range e.ArtifactNames() {
+		m.Sections = append(m.Sections, sec{"artifact:" + name, len(e.Artifacts[name])})
+		body = append(body, e.Artifacts[name]...)
+	}
+	line, _ := json.Marshal(m)
+	payload := append(append(line, '\n'), body...)
+	sum := sha256.Sum256(payload)
+	return append([]byte("bisramstore2 "+hex.EncodeToString(sum[:])+"\n"), payload...)
+}
+
+// TestCorruptionVariants: every damage a hit can see — a flip in the
+// header, the manifest or the report, truncation or growth anywhere,
+// foreign or previous-version images — quarantines the object.
 func TestCorruptionVariants(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(raw []byte) []byte
+		mutate func(t *testing.T, raw []byte) []byte
 	}{
-		{"flipped-byte", func(raw []byte) []byte {
-			out := append([]byte(nil), raw...)
-			out[len(out)-3] ^= 0xff
-			return out
+		{"flipped-header", func(t *testing.T, raw []byte) []byte {
+			return flip(raw, len(headerMagic)+5)
 		}},
-		{"bad-magic", func(raw []byte) []byte {
+		{"flipped-manifest", func(t *testing.T, raw []byte) []byte {
+			m, body := layout(t, raw)
+			return flip(raw, (m+body)/2)
+		}},
+		{"flipped-manifest-newline", func(t *testing.T, raw []byte) []byte {
+			_, body := layout(t, raw)
+			return flip(raw, body-1)
+		}},
+		{"flipped-report", func(t *testing.T, raw []byte) []byte {
+			_, body := layout(t, raw)
+			return flip(raw, body+1)
+		}},
+		{"truncated-artifacts", func(t *testing.T, raw []byte) []byte {
+			return raw[:len(raw)-10]
+		}},
+		{"truncated-manifest", func(t *testing.T, raw []byte) []byte {
+			m, body := layout(t, raw)
+			return raw[:(m+body)/2]
+		}},
+		{"grown", func(t *testing.T, raw []byte) []byte {
+			return append(bytes.Clone(raw), 'x')
+		}},
+		{"v2-object", func(*testing.T, []byte) []byte {
+			return v2Image(testEntry("x", 64))
+		}},
+		{"bad-magic", func(t *testing.T, raw []byte) []byte {
 			return append([]byte("wrongmagic deadbeef\n"), raw...)
 		}},
-		{"empty", func([]byte) []byte { return nil }},
-		{"no-newline", func([]byte) []byte { return []byte("bisramstore1 abc") }},
+		{"empty", func(*testing.T, []byte) []byte { return nil }},
+		{"no-newline", func(*testing.T, []byte) []byte { return []byte("bisramstore1 abc") }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,16 +242,46 @@ func TestCorruptionVariants(t *testing.T) {
 			}
 			path := filepath.Join(dir, "objects", e.Key+".entry")
 			raw, _ := os.ReadFile(path)
-			if err := os.WriteFile(path, tc.mutate(raw), 0o644); err != nil {
+			if err := os.WriteFile(path, tc.mutate(t, raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := s.Get(e.Key); ok {
 				t.Fatal("corrupt variant served")
 			}
-			if s.Stats().Corrupt != 1 {
-				t.Fatalf("corrupt counter %d", s.Stats().Corrupt)
+			if s.Stats().Corrupt != 1 || s.QuarantinedCount() != 1 {
+				t.Fatalf("corrupt counter %d, quarantined %d", s.Stats().Corrupt, s.QuarantinedCount())
 			}
 		})
+	}
+}
+
+// TestArtifactFlipServesVerifiedReport: a hit reads and verifies only
+// the header, the manifest and the report, so a flipped byte inside an
+// artifact section leaves the hit serving that verified report — never
+// a byte of the damaged section. The same image fetched by a peer is
+// rejected (TestPeerFetchRejectsArtifactFlip).
+func TestArtifactFlipServesVerifiedReport(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	e := testEntry("x", 64)
+	if err := s.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "objects", e.Key+".entry")
+	raw, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, flip(raw, len(raw)-3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(e.Key)
+	if !ok {
+		t.Fatal("hit refused although header, manifest and report verify")
+	}
+	if string(got.Report) != string(e.Report) || got.Artifacts != nil ||
+		got.Sizes["datasheet.txt"] != len(e.Artifacts["datasheet.txt"]) {
+		t.Fatalf("hit served %q, artifacts %v, sizes %v", got.Report, got.ArtifactNames(), got.Sizes)
+	}
+	if st := s.Stats(); st.Corrupt != 0 || s.QuarantinedCount() != 0 {
+		t.Fatalf("report-verified hit quarantined: %+v", st)
 	}
 }
 
@@ -210,9 +311,14 @@ func TestWrongKeyObjectQuarantined(t *testing.T) {
 
 func TestByteBudgetGCEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
-	// Budget sized for roughly two of the three objects.
 	e1, e2, e3 := testEntry("1", 400), testEntry("2", 400), testEntry("3", 400)
-	s := open(t, dir, 1600)
+	// Budget sized for two and a half of the three objects.
+	probe := open(t, t.TempDir(), 0)
+	if err := probe.Put(e1); err != nil {
+		t.Fatal(err)
+	}
+	one := probe.Stats().Bytes
+	s := open(t, dir, 2*one+one/2)
 	if err := s.Put(e1); err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +493,8 @@ func TestQuarantineByteCapAndRestartScan(t *testing.T) {
 			oneSize = info.Size()
 		}
 		raw, _ := os.ReadFile(path)
-		raw[len(raw)-1] ^= 0xff
-		os.WriteFile(path, raw, 0o644)
+		_, body := layout(t, raw)
+		os.WriteFile(path, flip(raw, body), 0o644)
 		if _, ok := s.Get(e.Key); ok {
 			t.Fatal("corrupt object served")
 		}
