@@ -48,7 +48,7 @@ func main() {
 		addr         = flag.String("addr", ":8047", "listen address")
 		workers      = flag.Int("workers", runtime.NumCPU(), "compile worker pool size")
 		queueDepth   = flag.Int("queue", 256, "max queued (not yet running) jobs; overload returns 429")
-		cacheMB      = flag.Int64("cache-mb", 256, "artifact cache budget in MiB (0 disables caching)")
+		cacheMB      = flag.Int64("cache-mb", 256, "memory cache budget in MiB; it holds reports and artifact sizes (0 disables caching)")
 		deadline     = flag.Duration("deadline", 2*time.Minute, "per-job compile deadline")
 		syncWait     = flag.Duration("sync-wait", 0, "max synchronous POST wait before returning a job handle (0 = wait for the job deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM/SIGINT")
