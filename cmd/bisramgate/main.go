@@ -45,13 +45,10 @@ func main() {
 		shards       = flag.String("shards", "", "comma-separated base URLs of the shard fleet (required)")
 		routeWorkers = flag.Int("route-workers", 4*runtime.NumCPU(), "sweep fan-out concurrency (router jobs proxying point compiles)")
 		queueDepth   = flag.Int("queue", 1024, "max queued router jobs; overload returns 429")
-		deadline     = flag.Duration("deadline", 5*time.Minute, "per-point routing deadline (shard compile + polling)")
+		deadline     = flag.Duration("deadline", 5*time.Minute, "per-point routing deadline")
 		probeEvery   = flag.Duration("probe-interval", 2*time.Second, "shard health probe interval")
-		sweepMax     = flag.Int("sweep-max-points", 0, "max points in one sweep's cross product (0 = sweep default)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM/SIGINT")
 		chaosSpec    = flag.String("chaos-spec", "", "TESTING ONLY: fault-injection spec, inline JSON or a file path; enables deterministic chaos drills")
-		sseHeartbeat = flag.Duration("sse-heartbeat", 0, "keep-alive cadence of GET /v1/sweeps/{id}/events (0 = built-in default)")
-		scrapeWait   = flag.Duration("fleet-scrape-timeout", 0, "per-peer timeout of a GET /metrics?scope=fleet scrape (0 = built-in 2s)")
 	)
 	flag.Parse()
 
@@ -92,13 +89,10 @@ func main() {
 		Registry: reg,
 	})
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Table:              tab,
-		Queue:              q,
-		Registry:           reg,
-		Chaos:              inj,
-		SweepMaxPoints:     *sweepMax,
-		SSEHeartbeat:       *sseHeartbeat,
-		FleetScrapeTimeout: *scrapeWait,
+		Table:    tab,
+		Queue:    q,
+		Registry: reg,
+		Chaos:    inj,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bisramgate: %v\n", err)

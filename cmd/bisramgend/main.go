@@ -50,7 +50,6 @@ func main() {
 		queueDepth   = flag.Int("queue", 256, "max queued (not yet running) jobs; overload returns 429")
 		cacheMB      = flag.Int64("cache-mb", 256, "memory cache budget in MiB; it holds reports and artifact sizes (0 disables caching)")
 		deadline     = flag.Duration("deadline", 2*time.Minute, "per-job compile deadline")
-		syncWait     = flag.Duration("sync-wait", 0, "max synchronous POST wait before returning a job handle (0 = wait for the job deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM/SIGINT")
 		quiet        = flag.Bool("quiet", false, "suppress per-request log lines")
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -65,7 +64,6 @@ func main() {
 		selfURL      = flag.String("self", "", "this daemon's own base URL as it appears in -peers (required with -peers)")
 		gatewayURL   = flag.String("gateway", "", "advertised gateway base URL, reported in /healthz (informational)")
 		probeEvery   = flag.Duration("probe-interval", 2*time.Second, "peer health probe interval when -peers is set")
-		sseHeartbeat = flag.Duration("sse-heartbeat", 0, "keep-alive cadence of GET /v1/sweeps/{id}/events (0 = built-in default)")
 	)
 	flag.Parse()
 
@@ -165,7 +163,6 @@ func main() {
 		Cache:         c,
 		Store:         st,
 		LogWriter:     logW,
-		SyncWait:      *syncWait,
 		Metrics:       reg,
 		EnablePprof:   *enablePprof,
 		EnableStacks:  *debugStacks || *enablePprof,
@@ -174,7 +171,6 @@ func main() {
 		SweepJournal:  journal,
 		Chaos:         inj,
 		Cluster:       clusterView,
-		SSEHeartbeat:  *sseHeartbeat,
 
 		CompileParallelism: *compilePar,
 	})

@@ -23,17 +23,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// RouteRetry is the gateway's per-peer exchange policy: two quick
-// attempts, then move to the ring successor. Failover is the retry
-// mechanism at this layer, so per-peer persistence must be short.
-var RouteRetry = sweep.RetryPolicy{
-	MaxAttempts:      2,
-	BaseDelay:        50 * time.Millisecond,
-	MaxDelay:         500 * time.Millisecond,
-	BreakerThreshold: 3,
-	BreakerCooldown:  3 * time.Second,
-}
-
 // GatewayConfig wires a Gateway.
 type GatewayConfig struct {
 	// Table is the fleet view (ring + health); required.
@@ -49,20 +38,14 @@ type GatewayConfig struct {
 	// trace.fetch and fleet.scrape points and into the sweep manager's
 	// mc.sample statistical-yield estimates.
 	Chaos *chaos.Injector
-	// SweepMaxPoints caps one sweep's cross product; <= 0 takes the
-	// sweep default.
-	SweepMaxPoints int
-	// FleetScrapeTimeout bounds each per-peer exchange of a
-	// GET /metrics?scope=fleet scrape; <= 0 means 2s.
-	FleetScrapeTimeout time.Duration
-	// SSEHeartbeat is the keep-alive cadence of the sweep event stream;
-	// <= 0 means sweep.DefaultEventHeartbeat.
-	SSEHeartbeat time.Duration
 }
 
 // fleetScrapeFanout bounds how many peers one fleet scrape queries
-// concurrently.
-const fleetScrapeFanout = 8
+// concurrently, and fleetScrapeTimeout bounds each per-peer exchange.
+const (
+	fleetScrapeFanout  = 8
+	fleetScrapeTimeout = 2 * time.Second
+)
 
 // Gateway is the federation front door: the daemon's own /v1 surface
 // (server.New) over a fleet backend. Compile submissions and
@@ -89,26 +72,20 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	if cfg.FleetScrapeTimeout <= 0 {
-		cfg.FleetScrapeTimeout = 2 * time.Second
-	}
 	f := &fleet{
 		table:  cfg.Table,
 		chaos:  cfg.Chaos,
-		client: sweep.NewClient(""),
+		client: &sweep.Client{Retry: PeerRetry},
 		jobs:   server.NewJobTable[route](server.DefaultTraceBudget, nil),
 		start:  time.Now(),
 	}
-	f.client.Retry = RouteRetry
 	f.registerMetrics(cfg.Registry)
 	srv := server.New(server.Config{
-		Backend:        f,
-		Cluster:        View{Table: cfg.Table},
-		Queue:          cfg.Queue,
-		Metrics:        cfg.Registry,
-		Chaos:          cfg.Chaos,
-		SweepMaxPoints: cfg.SweepMaxPoints,
-		SSEHeartbeat:   cfg.SSEHeartbeat,
+		Backend: f,
+		Cluster: View{Table: cfg.Table},
+		Queue:   cfg.Queue,
+		Metrics: cfg.Registry,
+		Chaos:   cfg.Chaos,
 	})
 	return &Gateway{cfg: cfg, srv: srv, fleet: f}, nil
 }
@@ -128,7 +105,10 @@ func (g *Gateway) Handler() http.Handler {
 
 // fleet is the gateway's server.Backend: ring routing with failover,
 // verbatim relay of shard answers, a job-to-shard memory, proxied
-// sweep compiles and cross-process trace merging.
+// sweep compiles and cross-process trace merging. The member table is
+// its only memory of dead shards: a transport failure marks the shard
+// down, and no path dials a shard the table marks down while another
+// is up.
 type fleet struct {
 	table  *Table
 	chaos  *chaos.Injector
@@ -155,10 +135,10 @@ type route struct {
 
 func (f *fleet) registerMetrics(r *obs.Registry) {
 	f.requests = r.CounterVec("proxy_requests_total", "Exchanges routed to each peer.", "peer")
-	f.failures = r.CounterVec("proxy_failures_total", "Failed exchanges per peer (transport errors, open breakers, injected faults).", "peer")
+	f.failures = r.CounterVec("proxy_failures_total", "Failed exchanges per peer (transport errors, injected faults).", "peer")
 	f.fallback = r.Counter("proxy_failovers_total", "Requests that fell over to a ring successor after the preferred shard failed.")
 	f.scrapeErrors = r.Counter("fleet_scrape_errors_total",
-		"Per-peer failures (transport, bad status, unparseable exposition, injected faults) during fleet metric scrapes.")
+		"Members a fleet metric scrape got no exposition from (marked down, transport failure, bad status, unparseable text, injected fault).")
 	f.scrapeDur = r.Histogram("fleet_scrape_duration_seconds",
 		"Wall-clock time of one whole GET /metrics?scope=fleet scrape across the fleet.", nil)
 	// Pre-seed the per-peer children so the exposition is complete and
@@ -202,6 +182,8 @@ func relay(w http.ResponseWriter, resp *sweep.RawResponse) {
 // injected route fault) marks the peer down and moves on; any HTTP
 // response is a terminal answer. accept, when non-nil, can veto a
 // response (e.g. a 404 during key-addressed reads) to keep searching.
+// When no shard answers at all the fleet sheds the request with
+// ERR_OVERLOADED, which the server answers 429 + Retry-After.
 func (f *fleet) exchange(ctx context.Context, key, method, path string, body []byte,
 	accept func(status int) bool) (*sweep.RawResponse, string, error) {
 	candidates := f.table.Route(key)
@@ -255,10 +237,7 @@ func (f *fleet) exchange(ctx context.Context, key, method, path string, body []b
 		// object): the last real answer beats a synthetic error.
 		return lastResp, "", nil
 	}
-	if lastErr == nil {
-		lastErr = cerr.New(cerr.CodeOverloaded, "cluster: no shard reachable for key %s", key)
-	}
-	return nil, "", lastErr
+	return nil, "", cerr.New(cerr.CodeOverloaded, "cluster: no shard answered for key %s (last failure: %v)", key, lastErr)
 }
 
 // upMembers lists the routable fleet: up members in ring-member order,
@@ -278,14 +257,14 @@ func (f *fleet) upMembers() []string {
 }
 
 // findJob sends a bodiless method+path to the shard remembered for job
-// id, whose answer is final; when none is remembered, or it cannot be
-// reached, it asks each up shard in turn until one answers with a
-// status found accepts, and remembers that shard. It returns the
+// id, whose answer is final; when none is remembered, or it is down or
+// cannot be reached, it asks each up shard in turn until one answers
+// with a status found accepts, and remembers that shard. It returns the
 // accepted answer, else the last one received, with the shard that
 // gave it; nil when no shard answered.
 func (f *fleet) findJob(ctx context.Context, id, method, path string, found func(status int) bool) (*sweep.RawResponse, string) {
 	rec, remembered := f.jobs.Get(id)
-	if remembered {
+	if remembered && f.table.Up(rec.peer) {
 		if resp, err := f.send(ctx, rec.peer, method, path, nil); err == nil {
 			return resp, rec.peer
 		}
@@ -456,45 +435,28 @@ func (f *fleet) Lookup(key string) (*cache.Entry, bool) {
 	return &cache.Entry{Key: key, Report: env.Data.Report, Degraded: env.Data.Degraded}, true
 }
 
-// errPeerLost marks a proxied compile that was accepted by a shard
-// which then became unreachable — the one error class worth a full
-// re-route (the work is idempotent; a successor recompiles or serves
-// its cache).
-var errPeerLost = cerr.New(cerr.CodeInternal, "cluster: shard lost after accepting the job")
-
 // Run is the sweep manager's Run seam: POST the point's normalized
 // wire request to the owning shard and build the entry from the
-// response. One full re-route is allowed when a shard dies between
-// accepting and finishing a compile.
+// synchronous answer. A shard lost mid-compile fails the POST at the
+// transport, so exchange has already failed over to a successor.
 func (f *fleet) Run(ctx context.Context, key string, req canon.Request, _ compiler.Params) (*cache.Entry, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, cerr.Wrap(cerr.CodeInternal, err, "cluster: encoding request for %s", key)
 	}
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		resp, peer, xerr := f.exchange(ctx, key, http.MethodPost, "/v1/compile", body, nil)
-		if xerr != nil {
-			return nil, xerr
-		}
-		entry, eerr := f.entryFromCompileResponse(ctx, peer, key, resp)
-		if eerr == errPeerLost && ctx.Err() == nil {
-			lastErr = eerr
-			continue // the dead peer is marked down; re-route to a successor
-		}
-		return entry, eerr
+	resp, peer, err := f.exchange(ctx, key, http.MethodPost, "/v1/compile", body, nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	return entryFromCompileResponse(peer, key, resp)
 }
 
-// entryFromCompileResponse turns a shard's compile response into a
-// cache entry: a synchronous 200 carries the report inline; a 202 job
-// handle (the shard's sync-wait expired) is polled to completion.
-func (f *fleet) entryFromCompileResponse(ctx context.Context, peer, key string, resp *sweep.RawResponse) (*cache.Entry, error) {
+// entryFromCompileResponse turns a shard's synchronous compile answer
+// into a cache entry: the report travels inline.
+func entryFromCompileResponse(peer, key string, resp *sweep.RawResponse) (*cache.Entry, error) {
 	var env struct {
 		Job struct {
 			Key      string          `json:"key"`
-			JobID    string          `json:"job_id"`
 			Degraded bool            `json:"degraded"`
 			Report   json.RawMessage `json:"report"`
 		} `json:"job"`
@@ -506,11 +468,11 @@ func (f *fleet) entryFromCompileResponse(ctx context.Context, peer, key string, 
 	if env.Error != nil {
 		return nil, wireToErr(env.Error)
 	}
-	if resp.Status == http.StatusAccepted || len(env.Job.Report) == 0 {
-		return f.pollJobResult(ctx, peer, env.Job.JobID, key)
-	}
 	if env.Job.Key != key {
 		return nil, cerr.New(cerr.CodeInternal, "cluster: shard %s answered key %s for %s", peer, env.Job.Key, key)
+	}
+	if len(env.Job.Report) == 0 {
+		return nil, cerr.New(cerr.CodeInternal, "cluster: shard %s answered status %d without a report for %s", peer, resp.Status, key)
 	}
 	return &cache.Entry{Key: key, Report: env.Job.Report, Degraded: env.Job.Degraded}, nil
 }
@@ -532,51 +494,12 @@ func wireToErr(we *sweep.WireError) error {
 	return err
 }
 
-// pollJobResult follows a 202 job handle on the issuing shard until
-// the job finishes. A transport failure here reports errPeerLost so
-// the caller can re-route the whole compile.
-func (f *fleet) pollJobResult(ctx context.Context, peer, jobID, key string) (*cache.Entry, error) {
-	if jobID == "" {
-		return nil, cerr.New(cerr.CodeInternal, "cluster: shard %s answered without report or job id", peer)
-	}
-	for {
-		resp, err := f.send(ctx, peer, http.MethodGet, "/v1/jobs/"+jobID+"/result", nil)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, cerr.Wrap(cerr.CodeBudgetExceeded, ctx.Err(), "cluster: waiting on %s", jobID)
-			}
-			return nil, errPeerLost
-		}
-		if resp.Status == http.StatusAccepted {
-			select {
-			case <-ctx.Done():
-				return nil, cerr.Wrap(cerr.CodeBudgetExceeded, ctx.Err(), "cluster: waiting on %s", jobID)
-			case <-time.After(100 * time.Millisecond):
-			}
-			continue
-		}
-		var env struct {
-			Data  json.RawMessage  `json:"data"`
-			Error *sweep.WireError `json:"error"`
-		}
-		if err := json.Unmarshal(resp.Body, &env); err != nil {
-			return nil, cerr.Wrap(cerr.CodeInternal, err, "cluster: job result from %s", peer)
-		}
-		if env.Error != nil {
-			return nil, wireToErr(env.Error)
-		}
-		if len(env.Data) == 0 {
-			return nil, cerr.New(cerr.CodeInternal, "cluster: empty job result from %s", peer)
-		}
-		return &cache.Entry{Key: key, Report: env.Data}, nil
-	}
-}
-
-// scrapeFleet fetches every ring member's Prometheus exposition with
-// bounded fan-out and a per-peer timeout. A peer that fails —
-// transport error, bad status, unparseable text, injected fault — is
-// skipped (stale-peer tolerance) and counted in
-// fleet_scrape_errors_total; the merge proceeds with the rest.
+// scrapeFleet fetches every up ring member's Prometheus exposition
+// with bounded fan-out and a per-peer timeout. A member the table
+// marks down is not dialled, and one that fails — transport error, bad
+// status, unparseable text, injected fault — is skipped; either way it
+// counts in fleet_scrape_errors_total and the merge proceeds with the
+// rest.
 func (g *Gateway) scrapeFleet(ctx context.Context) (scrapes []obs.FleetScrape, errs int) {
 	f := g.fleet
 	members := f.table.Ring().Members()
@@ -585,6 +508,10 @@ func (g *Gateway) scrapeFleet(ctx context.Context) (scrapes []obs.FleetScrape, e
 	var wg sync.WaitGroup
 	var errCount atomic.Int64
 	for i, m := range members {
+		if !f.table.Up(m) {
+			errCount.Add(1)
+			continue
+		}
 		wg.Add(1)
 		go func(i int, m string) {
 			defer wg.Done()
@@ -595,7 +522,7 @@ func (g *Gateway) scrapeFleet(ctx context.Context) (scrapes []obs.FleetScrape, e
 				errCount.Add(1)
 				return
 			}
-			pctx, cancel := context.WithTimeout(ctx, g.cfg.FleetScrapeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, fleetScrapeTimeout)
 			defer cancel()
 			resp, err := f.client.DoRaw(pctx, http.MethodGet, m+"/metrics?format=prometheus", nil)
 			if err != nil || resp.Status != http.StatusOK {

@@ -462,40 +462,46 @@ func TestGatewayMethodTable(t *testing.T) {
 	}
 }
 
-// TestGatewayShedsWithRetryAfter: a gateway whose only shard is dead
-// sheds compiles with its own 429 ERR_OVERLOADED once the shard's
-// breaker opens, carrying the Retry-After hint the error contract
-// promises, and counts its requests like a daemon.
+// TestGatewayShedsWithRetryAfter: a gateway that reaches no shard —
+// its only shard dead, or both shards of a dead two-shard fleet — sheds
+// every compile with its own 429 ERR_OVERLOADED carrying the
+// Retry-After hint the error contract promises, the first compile
+// included, and counts its requests like a daemon.
 func TestGatewayShedsWithRetryAfter(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	r, err := NewRing([]string{dead.URL}, DefaultVNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
-	defer q.Shutdown(context.Background())
-	g, err := NewGateway(GatewayConfig{Table: NewTable(r), Queue: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(g.Handler())
-	defer ts.Close()
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-dead", shards), func(t *testing.T) {
+			urls := make([]string, shards)
+			for i := range urls {
+				dead := httptest.NewServer(http.NotFoundHandler())
+				dead.Close()
+				urls[i] = dead.URL
+			}
+			r, err := NewRing(urls, DefaultVNodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
+			defer q.Shutdown(context.Background())
+			g, err := NewGateway(GatewayConfig{Table: NewTable(r), Queue: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(g.Handler())
+			defer ts.Close()
 
-	var st int
-	var hdr http.Header
-	var raw []byte
-	for i := 0; i < 3; i++ {
-		st, hdr, raw = httpDo(t, http.MethodPost, ts.URL+"/v1/compile", gwReq)
-	}
-	if st != http.StatusTooManyRequests || !strings.Contains(string(raw), "ERR_OVERLOADED") {
-		t.Fatalf("compile through a dead fleet: %d %s", st, raw)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("gateway 429 carries no Retry-After")
-	}
-	if _, ok := g.cfg.Registry.Snapshot()["http_requests_total"]; !ok {
-		t.Fatal("gateway registry has no http_requests_total")
+			for i := 1; i <= 3; i++ {
+				st, hdr, raw := httpDo(t, http.MethodPost, ts.URL+"/v1/compile", gwReq)
+				if st != http.StatusTooManyRequests || !strings.Contains(string(raw), "ERR_OVERLOADED") {
+					t.Fatalf("compile %d through a dead fleet: %d %s", i, st, raw)
+				}
+				if hdr.Get("Retry-After") == "" {
+					t.Fatalf("compile %d: gateway 429 carries no Retry-After", i)
+				}
+			}
+			if _, ok := g.cfg.Registry.Snapshot()["http_requests_total"]; !ok {
+				t.Fatal("gateway registry has no http_requests_total")
+			}
+		})
 	}
 }
 

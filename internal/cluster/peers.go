@@ -8,38 +8,39 @@ import (
 	"repro/internal/sweep"
 )
 
-// FetchRetry is the peer-fetch client policy: two quick attempts per
-// peer. A peer fetch is an optimization (the fallback is recompiling
-// locally), so it must fail fast rather than ride out a peer restart.
-var FetchRetry = sweep.RetryPolicy{
-	MaxAttempts:      2,
-	BaseDelay:        50 * time.Millisecond,
-	MaxDelay:         250 * time.Millisecond,
-	BreakerThreshold: 3,
-	BreakerCooldown:  5 * time.Second,
+// PeerRetry is the policy of every fleet exchange, the gateway's
+// routing and a shard's peer fetch alike: two quick attempts per peer,
+// then the caller moves on to the next ring member (or, for a peer
+// fetch, recompiles locally). The second attempt covers a keep-alive
+// connection the peer closed just as a POST went out, which net/http
+// does not replay; without it one stale connection would mark a
+// healthy peer down.
+var PeerRetry = sweep.RetryPolicy{
+	MaxAttempts: 2,
+	BaseDelay:   50 * time.Millisecond,
+	MaxDelay:    500 * time.Millisecond,
 }
 
+// peerFetchTimeout bounds one whole FetchObject call.
+const peerFetchTimeout = 10 * time.Second
+
 // Peers is the shard-to-shard client: it resolves local store misses
-// against the key's ring neighbours. One sweep.Client carries all peer
-// traffic, so breaker state is per peer host (a dead peer fails fast
-// without blocking fetches from the rest).
+// against the key's ring neighbours. The member table is its only
+// memory of dead peers: a transport failure marks the peer down, and
+// fetches route around it until the prober brings it back.
 type Peers struct {
 	Table *Table
 	// Self is this shard's own base URL; it is skipped during fetch so
 	// a shard never asks itself.
 	Self string
 	// Client performs the exchanges; NewPeers installs one with
-	// FetchRetry.
+	// PeerRetry.
 	Client *sweep.Client
-	// Timeout bounds one whole FetchObject call; 0 means 10 s.
-	Timeout time.Duration
 }
 
 // NewPeers builds the peer client for a table.
 func NewPeers(table *Table, self string) *Peers {
-	c := sweep.NewClient("")
-	c.Retry = FetchRetry
-	return &Peers{Table: table, Self: self, Client: c}
+	return &Peers{Table: table, Self: self, Client: &sweep.Client{Retry: PeerRetry}}
 }
 
 // FetchObject asks the key's ring neighbours (owner first, up members
@@ -49,11 +50,7 @@ func NewPeers(table *Table, self string) *Peers {
 // store's verified-read path decides whether to trust them. The
 // signature matches store.PeerFetchFunc.
 func (p *Peers) FetchObject(key string) ([]byte, bool) {
-	timeout := p.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), peerFetchTimeout)
 	defer cancel()
 	for _, peer := range p.Table.Route(key) {
 		if peer == p.Self {
@@ -61,8 +58,8 @@ func (p *Peers) FetchObject(key string) ([]byte, bool) {
 		}
 		resp, err := p.Client.DoRaw(ctx, http.MethodGet, peer+"/v1/objects/"+key, nil)
 		if err != nil {
-			// Transport-level failure (or open breaker): route around the
-			// peer at request speed; the prober brings it back.
+			// Transport-level failure: route around the peer at request
+			// speed; the prober brings it back.
 			p.Table.MarkDown(peer)
 			if ctx.Err() != nil {
 				return nil, false

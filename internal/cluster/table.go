@@ -13,8 +13,6 @@ import (
 // convergence without comparing member lists. Safe for concurrent use.
 type Table struct {
 	ring *Ring
-	// HTTP probes members' /healthz; nil means a 2 s-timeout default.
-	HTTP *http.Client
 
 	mu      sync.Mutex
 	down    map[string]bool
@@ -71,9 +69,9 @@ func (t *Table) setState(member string, up bool) bool {
 	return true
 }
 
-// MarkDown records a routing-observed failure (transport error, opened
-// breaker) without waiting for the next probe tick, so failover
-// converges at request speed. The prober brings the member back.
+// MarkDown records a routing-observed transport failure without
+// waiting for the next probe tick, so failover converges at request
+// speed. The prober brings the member back.
 func (t *Table) MarkDown(member string) bool { return t.setState(member, false) }
 
 // MarkUp records a member as healthy.
@@ -95,12 +93,9 @@ func (t *Table) Route(key string) []string {
 	return out
 }
 
-func (t *Table) http() *http.Client {
-	if t.HTTP != nil {
-		return t.HTTP
-	}
-	return &http.Client{Timeout: 2 * time.Second}
-}
+// probeClient health-checks members: a member that does not answer
+// within its timeout counts as down.
+var probeClient = &http.Client{Timeout: 2 * time.Second}
 
 // ProbeOnce health-checks every member synchronously (GET /healthz;
 // only a 200 counts as up — a draining daemon answers 503 and must
@@ -109,7 +104,7 @@ func (t *Table) ProbeOnce() int {
 	changed := 0
 	for _, m := range t.ring.members {
 		up := false
-		if resp, err := t.http().Get(m + "/healthz"); err == nil {
+		if resp, err := probeClient.Get(m + "/healthz"); err == nil {
 			up = resp.StatusCode == http.StatusOK
 			resp.Body.Close()
 		}

@@ -165,7 +165,7 @@ func (l *local) Run(ctx context.Context, key string, _ canon.Request, p compiler
 
 // Compile serves a cache hit from either tier, and otherwise submits
 // the compile to the queue and waits for it (or hands back a job
-// handle with ?async=1 or once SyncWait expires).
+// handle with ?async=1).
 func (l *local) Compile(w http.ResponseWriter, r *http.Request, c Compile) error {
 	s := l.s
 	// Content-addressed fast path: an identical fully-validated input
@@ -226,21 +226,8 @@ func (l *local) Compile(w http.ResponseWriter, r *http.Request, c Compile) error
 		WriteJSON(w, http.StatusAccepted, envelope{Job: handle})
 		return nil
 	}
-	waitCtx := r.Context()
-	if s.cfg.SyncWait > 0 {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithTimeout(waitCtx, s.cfg.SyncWait)
-		defer cancel()
-	}
-	value, jerr := job.Result(waitCtx)
+	value, jerr := job.Result(r.Context())
 	if jerr != nil {
-		if waitCtx.Err() != nil && job.State() != jobs.StateFailed {
-			// The wait budget expired but the job lives on: hand back a
-			// handle instead of an error.
-			handle.State, handle.ElapsedMs = job.State().String(), msSince(c.Start)
-			WriteJSON(w, http.StatusAccepted, envelope{Job: handle})
-			return nil
-		}
 		return jerr
 	}
 	WriteJSON(w, http.StatusOK, envelope{Job: entryResponse(value.(*cache.Entry), job.ID, deduped, c.Start, false)})

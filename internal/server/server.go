@@ -95,10 +95,6 @@ type Config struct {
 	// to it, and daemon restarts over the same directory stay warm.
 	// Nil disables the tier.
 	Store *store.Store
-	// SyncWait bounds how long a synchronous POST /v1/compile waits
-	// before falling back to a 202 + job handle; <= 0 means wait for
-	// the job's own deadline.
-	SyncWait time.Duration
 	// SlowCompile is the forensics threshold: any compile whose
 	// execution exceeds it has its span tree dumped to SlowLogWriter.
 	// <= 0 disables the slow-compile log.
@@ -136,9 +132,6 @@ type Config struct {
 	// (SIGQUIT-style, without killing the process) for diagnosing
 	// stuck drains.
 	EnableStacks bool
-	// SweepMaxPoints caps one sweep's expanded cross product; <= 0
-	// means sweep.DefaultMaxPoints.
-	SweepMaxPoints int
 	// SweepJournal, when non-nil, checkpoints every sweep to disk so a
 	// restarted daemon resumes in-flight sweeps (see ResumeSweeps).
 	SweepJournal *sweep.Journal
@@ -148,10 +141,6 @@ type Config struct {
 	// counts it. Store/cache/queue injection is wired by the caller via
 	// their own configs.
 	Chaos *chaos.Injector
-	// SSEHeartbeat is the keep-alive cadence of the sweep event stream
-	// (GET /v1/sweeps/{id}/events); <= 0 means
-	// sweep.DefaultEventHeartbeat.
-	SSEHeartbeat time.Duration
 }
 
 // ClusterInfo is the server's read-only window onto the federation
@@ -304,14 +293,13 @@ func New(cfg Config) *Server {
 	// so sweep points dedup against interactive traffic and fill the
 	// same caches.
 	s.sweeps = sweep.NewManager(sweep.Config{
-		Queue:     cfg.Queue,
-		Lookup:    s.backend.Lookup,
-		Run:       s.backend.Run,
-		OnJob:     onJob,
-		Registry:  cfg.Metrics,
-		MaxPoints: cfg.SweepMaxPoints,
-		Journal:   cfg.SweepJournal,
-		Chaos:     cfg.Chaos,
+		Queue:    cfg.Queue,
+		Lookup:   s.backend.Lookup,
+		Run:      s.backend.Run,
+		OnJob:    onJob,
+		Registry: cfg.Metrics,
+		Journal:  cfg.SweepJournal,
+		Chaos:    cfg.Chaos,
 	})
 
 	s.route("POST", "/v1/compile", s.handleCompile)
@@ -763,7 +751,7 @@ func pageParams(r *http.Request) (offset, limit int, paged bool, err error) {
 // heartbeats and a terminal summary.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	if sw, ok := s.lookupSweep(w, r); ok {
-		sweep.ServeEvents(w, r, sw, s.cfg.SSEHeartbeat)
+		sweep.ServeEvents(w, r, sw, sweep.DefaultEventHeartbeat)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Client-side bindings for the sweep API. cmd/experiments uses them
 // to run the paper's evaluation as a service client; the end-to-end
-// smoke tests use them to drive a real daemon.
+// smoke tests use them to drive a real daemon; internal/cluster routes
+// one shared Client across a whole fleet via DoRaw.
 //
 // Resilience: every exchange retries transient failures (network
 // errors, 429/502/503/504, ERR_OVERLOADED) with capped exponential
@@ -8,13 +9,9 @@
 // when present. Retrying POST /v1/compile and POST /v1/sweeps is safe
 // because both are idempotent by construction — the request body is
 // content-addressed, so a retry lands on the cache entry (or dedups
-// onto the in-flight job) the lost response already paid for. A
-// consecutive-failure circuit breaker stops hammering a down service:
-// after BreakerThreshold transport-level failures in a row the client
-// fails fast for BreakerCooldown, then probes again. Breaker state is
-// kept PER ENDPOINT (URL host), so a client shared across a fleet —
-// the cluster peer client routes one Client at many shards via DoRaw
-// — cannot let one dead shard open the breaker for healthy ones.
+// onto the in-flight job) the lost response already paid for. The
+// client remembers nothing across exchanges: which fleet member is
+// down is the cluster member table's record, not the client's.
 package sweep
 
 import (
@@ -23,12 +20,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cerr"
@@ -75,73 +70,48 @@ type RetryPolicy struct {
 	// MaxDelay caps one backoff sleep. A server Retry-After hint
 	// overrides the computed delay (still capped at MaxDelay).
 	MaxDelay time.Duration
-	// BreakerThreshold opens the circuit after this many consecutive
-	// transient failures across exchanges; <= 0 disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit fails fast before
-	// probing the service again.
-	BreakerCooldown time.Duration
 }
 
 // DefaultRetry is the policy NewClient installs: 6 attempts, 100 ms
-// base, 5 s cap, breaker at 5 consecutive failures with a 10 s
-// cooldown. Six attempts put the expected cumulative backoff around
-// 1.5 s — enough to ride out a daemon restart, not enough to mask a
-// real outage.
+// base, 5 s cap. Six attempts put the expected cumulative backoff
+// around 1.5 s — enough to ride out a daemon restart, not enough to
+// mask a real outage.
 var DefaultRetry = RetryPolicy{
-	MaxAttempts:      6,
-	BaseDelay:        100 * time.Millisecond,
-	MaxDelay:         5 * time.Second,
-	BreakerThreshold: 5,
-	BreakerCooldown:  10 * time.Second,
+	MaxAttempts: 6,
+	BaseDelay:   100 * time.Millisecond,
+	MaxDelay:    5 * time.Second,
 }
 
 // Client talks to a bisramgend instance (the enveloped /v1 methods
-// address Base) or, via DoRaw, to any endpoint of a fleet — breaker
-// state is tracked per endpoint host either way.
+// address Base) or, via DoRaw, to any endpoint of a fleet. It keeps
+// no state between exchanges, so one Client is safe to share across
+// goroutines.
 type Client struct {
 	// Base is the service root, e.g. "http://127.0.0.1:8047".
 	Base string
-	// HTTP is the underlying client; nil means a 30 s-timeout default.
-	HTTP *http.Client
 	// Retry shapes transient-failure handling; the zero value is
 	// single-shot. NewClient installs DefaultRetry.
 	Retry RetryPolicy
-	// PageSize, when positive, makes SweepResults fetch rows in
-	// windows of this many via ?offset=&limit= instead of one
-	// full-document GET — bounding any single response body while the
-	// caller still sees a complete Results. NewClient installs
-	// DefaultPageSize; set 0 to force full-document fetches.
+	// PageSize is how many rows SweepResults fetches per
+	// ?offset=&limit= window — bounding any single response body while
+	// the caller still sees a complete Results; <= 0 means
+	// DefaultPageSize.
 	PageSize int
-
-	mu       sync.Mutex
-	breakers map[string]*breakerState // per endpoint host
-	rng      *rand.Rand
 }
 
-// breakerState is one endpoint's circuit: consecutive transient
-// failures and the open-until instant.
-type breakerState struct {
-	consecFail int
-	openUntil  time.Time
-}
-
-// NewClient builds a client for the given base URL with DefaultRetry.
 // DefaultPageSize is the results window NewClient installs: large
 // enough that small sweeps finish in one round trip, small enough to
 // bound the response body of a many-thousand-point sweep.
 const DefaultPageSize = 500
 
+// NewClient builds a client for the given base URL with DefaultRetry.
 func NewClient(base string) *Client {
 	return &Client{Base: strings.TrimRight(base, "/"), Retry: DefaultRetry, PageSize: DefaultPageSize}
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Timeout: 30 * time.Second}
-}
+// httpClient carries every enveloped and raw exchange; its timeout
+// bounds one attempt.
+var httpClient = &http.Client{Timeout: 30 * time.Second}
 
 // transientStatus reports whether an HTTP status indicates a condition
 // a retry can clear.
@@ -154,68 +124,6 @@ func transientStatus(status int) bool {
 	return false
 }
 
-// endpointOf reduces a URL to its breaker key: the host (authority).
-// Unparseable URLs key by the raw string so they still isolate.
-func endpointOf(rawURL string) string {
-	if u, err := url.Parse(rawURL); err == nil && u.Host != "" {
-		return u.Host
-	}
-	return rawURL
-}
-
-// breakerFor returns (creating on first use) the endpoint's circuit
-// state. Caller holds c.mu.
-func (c *Client) breakerFor(endpoint string) *breakerState {
-	if c.breakers == nil {
-		c.breakers = map[string]*breakerState{}
-	}
-	b, ok := c.breakers[endpoint]
-	if !ok {
-		b = &breakerState{}
-		c.breakers[endpoint] = b
-	}
-	return b
-}
-
-// breakerAllows consults the endpoint's circuit breaker: an open
-// circuit fails fast until the cooldown elapses, then lets one probe
-// through. Each endpoint opens and closes independently, so one dead
-// shard never blocks exchanges with the rest of a fleet.
-func (c *Client) breakerAllows(endpoint string) error {
-	if c.Retry.BreakerThreshold <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.breakerFor(endpoint)
-	if until := b.openUntil; time.Now().Before(until) {
-		return cerr.New(cerr.CodeOverloaded,
-			"sweep client: circuit open for %s after %d consecutive failures (retrying at %s)",
-			endpoint, b.consecFail, until.Format(time.RFC3339))
-	}
-	return nil
-}
-
-// recordOutcome feeds the endpoint's breaker: a transient failure
-// increments the consecutive count (opening the circuit at the
-// threshold), anything else resets it.
-func (c *Client) recordOutcome(endpoint string, transientFail bool) {
-	if c.Retry.BreakerThreshold <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.breakerFor(endpoint)
-	if !transientFail {
-		b.consecFail = 0
-		return
-	}
-	b.consecFail++
-	if b.consecFail >= c.Retry.BreakerThreshold {
-		b.openUntil = time.Now().Add(c.Retry.BreakerCooldown)
-	}
-}
-
 // backoff computes the sleep before retry ordinal n: the server's
 // Retry-After hint when given, otherwise full-jitter exponential
 // backoff — both capped at MaxDelay.
@@ -225,86 +133,45 @@ func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
 		max = 5 * time.Second
 	}
 	if retryAfter > 0 {
-		if retryAfter > max {
-			return max
-		}
-		return retryAfter
+		return min(retryAfter, max)
 	}
 	d := c.Retry.BaseDelay << uint(n)
 	if d <= 0 || d > max {
 		d = max
 	}
-	c.mu.Lock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	d = time.Duration(c.rng.Int63n(int64(d) + 1))
-	c.mu.Unlock()
-	return d
+	return rand.N(d + 1)
 }
 
 // do runs one exchange with retries and decodes the envelope,
 // converting wire errors into typed errors. Exchanges are idempotent
 // (content-addressed bodies), so POSTs retry as safely as GETs.
 func (c *Client) do(method, path string, body []byte) (*envelope, error) {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	endpoint := endpointOf(c.Base)
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := c.breakerAllows(endpoint); err != nil {
-			return nil, err
-		}
+	attempts := max(c.Retry.MaxAttempts, 1)
+	for attempt := 0; ; attempt++ {
 		env, retryAfter, transient, err := c.doOnce(method, path, body)
-		c.recordOutcome(endpoint, err != nil && transient)
-		if err == nil {
-			return env, nil
-		}
-		lastErr = err
-		if !transient || attempt == attempts-1 {
-			return nil, err
+		if err == nil || !transient || attempt == attempts-1 {
+			return env, err
 		}
 		time.Sleep(c.backoff(attempt, retryAfter))
 	}
-	return nil, lastErr
 }
 
-// doOnce runs a single exchange. transient reports whether the
-// failure class is retryable; retryAfter carries the server's
-// Retry-After hint (0 when absent).
+// doOnce runs a single exchange and decodes its envelope. transient
+// reports whether the failure class is retryable; retryAfter carries
+// the server's Retry-After hint (0 when absent).
 func (c *Client) doOnce(method, path string, body []byte) (env *envelope, retryAfter time.Duration, transient bool, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.Base+path, rd)
+	resp, err := c.doRawOnce(context.Background(), method, c.Base+path, body)
 	if err != nil {
-		return nil, 0, false, cerr.Wrap(cerr.CodeInvalidParams, err, "sweep client: bad request")
+		return nil, 0, retryable(err), err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		// Transport failure: connection refused, reset, timeout — all
-		// worth a retry (the daemon may be restarting).
-		return nil, 0, true, cerr.Wrap(cerr.CodeInternal, err, "sweep client: %s %s", method, path)
-	}
-	defer resp.Body.Close()
 	if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
 		retryAfter = time.Duration(secs) * time.Second
 	}
-	transient = transientStatus(resp.StatusCode)
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, retryAfter, true, cerr.Wrap(cerr.CodeInternal, err, "sweep client: reading %s", path)
-	}
+	transient = transientStatus(resp.Status)
 	var decoded envelope
-	if err := json.Unmarshal(raw, &decoded); err != nil {
+	if err := json.Unmarshal(resp.Body, &decoded); err != nil {
 		return nil, retryAfter, transient, cerr.Wrap(cerr.CodeInternal, err,
-			"sweep client: %s %s returned non-envelope JSON (status %d)", method, path, resp.StatusCode)
+			"sweep client: %s %s returned non-envelope JSON (status %d)", method, path, resp.Status)
 	}
 	if decoded.Error != nil {
 		if decoded.Error.Code == cerr.CodeOverloaded.String() {
@@ -312,12 +179,16 @@ func (c *Client) doOnce(method, path string, body []byte) (env *envelope, retryA
 		}
 		return nil, retryAfter, transient, decoded.Error
 	}
-	if resp.StatusCode >= 400 {
+	if resp.Status >= 400 {
 		return nil, retryAfter, transient, cerr.New(cerr.CodeInternal,
-			"sweep client: %s %s: status %d with null error", method, path, resp.StatusCode)
+			"sweep client: %s %s: status %d with null error", method, path, resp.Status)
 	}
 	return &decoded, retryAfter, false, nil
 }
+
+// retryable reports whether a doRawOnce error is worth another
+// attempt: every transport failure is, a malformed request never is.
+func retryable(err error) bool { return cerr.CodeOf(err) != cerr.CodeInvalidParams }
 
 // RawResponse is one verbatim HTTP exchange result from DoRaw: the
 // status, headers and body exactly as the endpoint sent them.
@@ -333,48 +204,33 @@ type RawResponse struct {
 // transport-level failures (refused, reset, timeout) are retried; an
 // HTTP response of any status is a terminal answer here, because
 // callers proxying for someone else must pass 4xx/5xx envelopes
-// through untouched. The per-endpoint breaker still applies, fed by
-// transport failures alone.
+// through untouched.
 func (c *Client) DoRaw(ctx context.Context, method, absURL string, body []byte) (*RawResponse, error) {
-	attempts := c.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	endpoint := endpointOf(absURL)
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := c.breakerAllows(endpoint); err != nil {
-			return nil, err
-		}
+	attempts := max(c.Retry.MaxAttempts, 1)
+	for attempt := 0; ; attempt++ {
 		resp, err := c.doRawOnce(ctx, method, absURL, body)
-		c.recordOutcome(endpoint, err != nil)
-		if err == nil {
-			return resp, nil
+		if err == nil || !retryable(err) || ctx.Err() != nil || attempt == attempts-1 {
+			return resp, err
 		}
-		lastErr = err
-		if ctx != nil && ctx.Err() != nil {
-			return nil, lastErr
-		}
-		if attempt < attempts-1 {
-			time.Sleep(c.backoff(attempt, 0))
-		}
+		time.Sleep(c.backoff(attempt, 0))
 	}
-	return nil, lastErr
 }
 
-// doRawOnce runs a single raw exchange; every returned error is
-// transport-level (and therefore retryable).
+// doRawOnce runs a single exchange: it builds the request, propagates
+// the caller's trace, sends it and reads the (64 MiB-capped) body.
+// Connection refused, reset, timeout and read failures come back as
+// ERR_INTERNAL; a request that cannot be built as ERR_INVALID_PARAMS.
 func (c *Client) doRawOnce(ctx context.Context, method, absURL string, body []byte) (*RawResponse, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	req, err := http.NewRequestWithContext(ctx, method, absURL, rd)
 	if err != nil {
-		return nil, cerr.Wrap(cerr.CodeInvalidParams, err, "sweep client: bad raw request")
+		return nil, cerr.Wrap(cerr.CodeInvalidParams, err, "sweep client: bad request")
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -385,7 +241,7 @@ func (c *Client) doRawOnce(ctx context.Context, method, absURL string, body []by
 	if hv, ok := obs.Inject(ctx); ok {
 		req.Header.Set(obs.TraceHeader, hv)
 	}
-	resp, err := c.http().Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return nil, cerr.Wrap(cerr.CodeInternal, err, "sweep client: %s %s", method, absURL)
 	}
@@ -440,24 +296,17 @@ func (c *Client) SweepStatus(id string) (*Status, error) {
 	return env.Sweep, nil
 }
 
-// SweepResults fetches the evaluation rows. When PageSize is set the
-// fetch pages through ?offset=&limit= windows and reassembles the
-// full document transparently; otherwise it is one full-document GET.
+// SweepResults fetches the evaluation rows, paging through
+// ?offset=&limit= windows of PageSize rows and reassembling the full
+// document transparently.
 func (c *Client) SweepResults(id string) (*Results, error) {
-	if c.PageSize <= 0 {
-		env, err := c.do(http.MethodGet, "/v1/sweeps/"+id+"/results", nil)
-		if err != nil {
-			return nil, err
-		}
-		var res Results
-		if err := json.Unmarshal(env.Data, &res); err != nil {
-			return nil, cerr.Wrap(cerr.CodeInternal, err, "sweep client: results decode")
-		}
-		return &res, nil
+	limit := c.PageSize
+	if limit <= 0 {
+		limit = DefaultPageSize
 	}
 	var out *Results
 	for offset := 0; ; {
-		path := fmt.Sprintf("/v1/sweeps/%s/results?offset=%d&limit=%d", id, offset, c.PageSize)
+		path := fmt.Sprintf("/v1/sweeps/%s/results?offset=%d&limit=%d", id, offset, limit)
 		env, err := c.do(http.MethodGet, path, nil)
 		if err != nil {
 			return nil, err

@@ -14,11 +14,9 @@ import (
 // fastRetry keeps test wall-clock down while exercising the full
 // retry path.
 var fastRetry = RetryPolicy{
-	MaxAttempts:      4,
-	BaseDelay:        time.Millisecond,
-	MaxDelay:         5 * time.Millisecond,
-	BreakerThreshold: 3,
-	BreakerCooldown:  50 * time.Millisecond,
+	MaxAttempts: 4,
+	BaseDelay:   time.Millisecond,
+	MaxDelay:    5 * time.Millisecond,
 }
 
 func TestClientRetriesOverloadThenSucceeds(t *testing.T) {
@@ -101,43 +99,6 @@ func TestClientRetriesTransportFailures(t *testing.T) {
 	}
 }
 
-func TestClientBreakerOpensAndFailsFast(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"error":{"code":"ERR_OVERLOADED","message":"down"}}`)
-	}))
-	defer srv.Close()
-
-	c := NewClient(srv.URL)
-	c.Retry = fastRetry
-	if _, err := c.Compile([]byte(`{}`)); err == nil {
-		t.Fatal("expected failure")
-	}
-	// fastRetry: 4 attempts, breaker threshold 3 — the breaker opened
-	// mid-exchange, so the exchange stopped early.
-	after := calls.Load()
-	if after > 3 {
-		t.Fatalf("breaker did not bound attempts: %d calls", after)
-	}
-	// While open, no request reaches the wire.
-	if _, err := c.Compile([]byte(`{}`)); err == nil {
-		t.Fatal("expected fail-fast while breaker open")
-	} else if !strings.Contains(err.Error(), "circuit open") {
-		t.Fatalf("fail-fast error %v", err)
-	}
-	if calls.Load() != after {
-		t.Fatalf("open breaker leaked a request: %d -> %d", after, calls.Load())
-	}
-	// After the cooldown the probe goes through again.
-	time.Sleep(fastRetry.BreakerCooldown + 10*time.Millisecond)
-	c.Compile([]byte(`{}`))
-	if calls.Load() == after {
-		t.Fatal("breaker never half-opened after cooldown")
-	}
-}
-
 func TestClientZeroPolicyIsSingleShot(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -147,52 +108,12 @@ func TestClientZeroPolicyIsSingleShot(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Client{Base: srv.URL} // zero policy: no retries, no breaker
+	c := &Client{Base: srv.URL} // zero policy: no retries
 	if _, err := c.Compile([]byte(`{}`)); err == nil {
 		t.Fatal("expected overload error")
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("zero policy sent %d requests, want 1", n)
-	}
-}
-
-// TestClientBreakerIsPerEndpoint: tripping the breaker for one host
-// must not open it for another — a multi-host fleet client keeps
-// routing to healthy shards while one is dead.
-func TestClientBreakerIsPerEndpoint(t *testing.T) {
-	var healthyCalls atomic.Int64
-	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		healthyCalls.Add(1)
-		fmt.Fprint(w, `{"job":{"key":"ok"}}`)
-	}))
-	defer healthy.Close()
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"error":{"code":"ERR_OVERLOADED","message":"down"}}`)
-	}))
-	defer dead.Close()
-
-	c := NewClient(dead.URL)
-	c.Retry = fastRetry
-	if _, err := c.Compile([]byte(`{}`)); err == nil {
-		t.Fatal("dead endpoint should fail")
-	}
-	// The dead endpoint's circuit is open...
-	if err := c.breakerAllows(endpointOf(dead.URL)); err == nil {
-		t.Fatal("dead endpoint breaker not open")
-	}
-	// ...but the same client still reaches the healthy endpoint raw.
-	resp, err := c.DoRaw(nil, http.MethodGet, healthy.URL+"/v1/jobs/x", nil)
-	if err != nil {
-		t.Fatalf("healthy endpoint blocked by dead endpoint's breaker: %v", err)
-	}
-	if resp.Status != 200 || healthyCalls.Load() != 1 {
-		t.Fatalf("healthy exchange status %d, calls %d", resp.Status, healthyCalls.Load())
-	}
-	// And enveloped exchanges against the healthy base stay open too.
-	c.Base = healthy.URL
-	if _, err := c.Compile([]byte(`{}`)); err != nil {
-		t.Fatalf("healthy base blocked: %v", err)
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 	"repro/internal/cerr"
 )
 
-// DefaultEventHeartbeat is the SSE keep-alive cadence when the server
-// configuration leaves it zero.
+// DefaultEventHeartbeat is the SSE keep-alive cadence the daemon and
+// the gateway stream sweep events with.
 const DefaultEventHeartbeat = 10 * time.Second
 
 // Event is one frame on a sweep's event stream. Numbered events
@@ -185,17 +185,14 @@ func (sw *Sweep) summaryLocked() SummaryEvent {
 // ServeEvents streams the sweep's feed as Server-Sent Events:
 // numbered point/summary frames (replayed from the `?from=` or
 // Last-Event-ID cursor), a live unnumbered summary plus a comment
-// keep-alive every heartbeat, and termination right after the
-// numbered terminal summary. Both the shard server and the gateway
+// keep-alive every heartbeat (which must be positive), and
+// termination right after the numbered terminal summary. Both the shard server and the gateway
 // mount this on GET /v1/sweeps/{id}/events.
 func ServeEvents(w http.ResponseWriter, r *http.Request, sw *Sweep, heartbeat time.Duration) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported by this connection", http.StatusInternalServerError)
 		return
-	}
-	if heartbeat <= 0 {
-		heartbeat = DefaultEventHeartbeat
 	}
 	cursor := 0
 	if v := r.URL.Query().Get("from"); v != "" {
@@ -274,22 +271,6 @@ func writeEvent(w http.ResponseWriter, ev Event) error {
 	return err
 }
 
-// watchClient returns the HTTP client for streaming exchanges. The
-// default enveloped-API client carries a whole-request timeout that
-// would sever a long-lived stream, so Watch only reuses c.HTTP when
-// it has none, and otherwise borrows its transport under a fresh
-// timeout-free client.
-func (c *Client) watchClient() *http.Client {
-	if c.HTTP != nil && c.HTTP.Timeout == 0 {
-		return c.HTTP
-	}
-	cl := &http.Client{}
-	if c.HTTP != nil {
-		cl.Transport = c.HTTP.Transport
-	}
-	return cl
-}
-
 // Watch consumes GET /v1/sweeps/{id}/events until the terminal
 // summary arrives, invoking onEvent (when non-nil) for every frame.
 // Dropped connections resume from the last numbered event via
@@ -339,7 +320,9 @@ func (c *Client) watchOnce(ctx context.Context, id string, lastSeq *int, onEvent
 		return Event{}, false, cerr.Wrap(cerr.CodeInvalidParams, err, "sweep client: bad watch request")
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.watchClient().Do(req)
+	// A stream outlives any whole-request timeout, so it goes out on
+	// the timeout-free default client; ctx ends it.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return Event{}, false, cerr.Wrap(cerr.CodeInternal, err, "sweep client: watch %s", id)
 	}

@@ -431,11 +431,6 @@ type Config struct {
 	OnJob func(j *jobs.Job, key string)
 	// Registry receives the sweep counters; nil disables telemetry.
 	Registry *obs.Registry
-	// MaxPoints caps one sweep's cross product; <= 0 means
-	// DefaultMaxPoints.
-	MaxPoints int
-	// Retain caps remembered sweeps; <= 0 means DefaultRetain.
-	Retain int
 	// Journal, when non-nil, checkpoints sweeps to disk: the spec is
 	// written before any group launches, each completed group leaves a
 	// done marker, and a cleanly-finished sweep removes its record. A
@@ -479,12 +474,6 @@ const mcMemoCap = 512
 
 // NewManager builds a manager.
 func NewManager(cfg Config) *Manager {
-	if cfg.MaxPoints <= 0 {
-		cfg.MaxPoints = DefaultMaxPoints
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = DefaultRetain
-	}
 	m := &Manager{cfg: cfg, sweeps: map[string]*Sweep{}, mcMemo: map[string]mcyield.Result{}}
 	r := cfg.Registry
 	m.mcStats = mcyield.NewStats(r)
@@ -548,7 +537,7 @@ func (m *Manager) create(spec Spec, forcedID string) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := spec.Expand(m.cfg.MaxPoints)
+	raw, err := spec.Expand(DefaultMaxPoints)
 	if err != nil {
 		return nil, err
 	}
@@ -832,7 +821,7 @@ func transientFailure(err error) bool {
 // retainLocked forgets the oldest finished sweeps beyond the
 // retention cap. Caller holds m.mu.
 func (m *Manager) retainLocked() {
-	for len(m.order) > m.cfg.Retain {
+	for len(m.order) > DefaultRetain {
 		evicted := false
 		for i, id := range m.order {
 			sw := m.sweeps[id]

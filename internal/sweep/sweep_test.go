@@ -437,10 +437,9 @@ func TestManagerRetention(t *testing.T) {
 		Run: func(ctx context.Context, key string, _ canon.Request, p compiler.Params) (*cache.Entry, error) {
 			return fakeEntry(key, p.Rows(), p.BPW*p.BPC, 1.0), nil
 		},
-		Retain: 2,
 	})
 	var last *Sweep
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultRetain+3; i++ {
 		sw, err := m.Create(Spec{Base: baseReq()})
 		if err != nil {
 			t.Fatal(err)
@@ -448,8 +447,8 @@ func TestManagerRetention(t *testing.T) {
 		wait(t, sw)
 		last = sw
 	}
-	if m.Count() > 2 {
-		t.Fatalf("retained %d sweeps, cap 2", m.Count())
+	if m.Count() > DefaultRetain {
+		t.Fatalf("retained %d sweeps, cap %d", m.Count(), DefaultRetain)
 	}
 	if _, ok := m.Get(last.ID); !ok {
 		t.Fatal("most recent sweep evicted")
