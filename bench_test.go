@@ -159,6 +159,12 @@ func BenchmarkMonteCarloYield(b *testing.B) {
 
 // --- substrate micro-benchmarks -------------------------------------
 
+// The BenchmarkCompile* family measures warm-memo compiles: after the
+// first iteration the leaf-cell library and both analysis transients
+// come from the process-wide memos (internal/memo), as they do for a
+// daemon compile that repeats a circuit. BenchmarkAnalysisCold in
+// internal/compiler times the transients themselves.
+
 func BenchmarkCompile64kbyte(b *testing.B) {
 	p := compiler.Params{
 		Words: 4096, BPW: 128, BPC: 8, Spares: 4,
@@ -178,7 +184,8 @@ func BenchmarkCompile64kbyte(b *testing.B) {
 // two in results/BENCH_*.json for the parallel-speedup evidence; on a
 // single-core host the two converge (the DAG cannot beat one CPU),
 // while the memoized leaf-cell library and bucketed extraction show
-// up in both.
+// up in both. With the analysis transients served from the memo, the
+// fan-out left to measure is leafcells ∥ microcode.
 func BenchmarkCompileParallel(b *testing.B) {
 	p := compiler.Params{
 		Words: 4096, BPW: 128, BPC: 8, Spares: 4,
@@ -220,7 +227,8 @@ func BenchmarkCompileRefine(b *testing.B) {
 // live *obs.Trace and must stay within ~2% of the untraced baseline
 // (the untraced path costs one context lookup per instrumentation
 // site; the traced path a few time reads and one short append per
-// span, against a compile that runs whole SPICE transients).
+// span, against a warm-memo compile whose time is the macro
+// generators and the floorplan).
 func BenchmarkCompileUntraced(b *testing.B) {
 	p := smallBenchParams()
 	b.ReportAllocs()

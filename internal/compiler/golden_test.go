@@ -78,6 +78,10 @@ func TestRefinedCompileGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 4} {
+				// Both compiles simulate their transients: the
+				// parallel one must not be served from the memo the
+				// serial one filled.
+				resetAnalysisMemo()
 				d, err := Compile(Params{
 					Words: c.words, BPW: c.bpw, BPC: c.bpc, Spares: c.spares,
 					BufSize: c.buf, StrapCells: 32, Process: proc,

@@ -24,10 +24,15 @@ func TestCompileParallelDeterminism(t *testing.T) {
 	parallel := base
 	parallel.Parallelism = 8
 
+	// Each compile starts from an empty analysis memo; otherwise the
+	// second would be served from it and the concurrent transients
+	// would never run under -race.
+	resetAnalysisMemo()
 	ds, err := Compile(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
+	resetAnalysisMemo()
 	dp, err := Compile(parallel)
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +70,7 @@ func TestCompileNoSparesParallel(t *testing.T) {
 		Words: 256, BPW: 8, BPC: 4, Spares: 0, BufSize: 1,
 		StrapCells: 32, Process: tech.CDA07, Parallelism: 4,
 	}
+	resetAnalysisMemo()
 	d, err := Compile(p)
 	if err != nil {
 		t.Fatal(err)

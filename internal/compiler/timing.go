@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/bist"
 	"repro/internal/cerr"
+	"repro/internal/leafcell"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/spice"
 	"repro/internal/tech"
@@ -46,6 +48,52 @@ type TimingReport struct {
 	TLBMaskable bool
 }
 
+// The analysis memo. The two SPICE transients of computeTiming read
+// nothing but the deck, the buffer size and a few geometry counts, so
+// a process-wide memo serves every compile that repeats a circuit: a
+// sweep over words or defect density repeats both, and bisrbench's
+// whole request space holds at most 324 decode and 972 TLB circuits.
+// The keys are lossless — the library Fingerprint (the deck's
+// canonical digest plus the buffer size) and the integer counts each
+// circuit reads — and hold every input of the circuit, so a hit is
+// bit-identical to a fresh simulation (TestAnalysisMemoLossless). A
+// transient cut short by a deadline or failed by a chaos rule returns
+// an error, and the memo stores successes only.
+const analysisMemoCap = 4096
+
+// decodeKey holds every input of the decode inverter transient: the
+// deck and buffer size (via the library) and the row count, which
+// fixes the predecode fan-out and the decoder load.
+type decodeKey struct {
+	lib  leafcell.Fingerprint
+	rows int
+}
+
+// tlbKey holds every input of the TLB match-line transient: the deck,
+// the buffer size and the CAM cell (via the library), the match-line
+// width and the spare count that loads the issue bus.
+type tlbKey struct {
+	lib          leafcell.Fingerprint
+	bits, spares int
+}
+
+// inverterEdges is the decode transient's measurement (seconds).
+type inverterEdges struct{ rise, fall float64 }
+
+var (
+	decodeMemo = memo.New[decodeKey, inverterEdges]("timing.access", analysisMemoCap)
+	tlbMemo    = memo.New[tlbKey, float64]("timing.tlb", analysisMemoCap)
+)
+
+// memoAttr marks an analysis span with how its transient was served.
+// A hit records no spice.transient span beneath it.
+func memoAttr(hit bool) obs.Attr {
+	if hit {
+		return obs.String("memo", "hit")
+	}
+	return obs.String("memo", "miss")
+}
+
 // computeTiming extracts the critical paths with the built-in SPICE
 // utility plus Elmore wire models (wordline and bitline are strapped
 // in metal2 per the array template). The context threads the caller's
@@ -65,20 +113,23 @@ func (d *Design) computeTiming(ctx context.Context) error {
 	p := d.Params
 	runTLB := p.Spares > 0
 
-	accessPath := func() error {
+	accessPath := func() (err error) {
 		actx, end := obs.Start(ctx, "timing.access")
-		defer end()
-		return d.accessTiming(actx)
+		var hit bool
+		defer func() { end(memoAttr(hit)) }()
+		hit, err = d.accessTiming(actx)
+		return err
 	}
 	var tlbNs float64
 	tlbPath := func() (err error) {
 		tctx, end := obs.Start(ctx, "timing.tlb")
-		defer end()
-		ns, terr := d.tlbMatchDelay(tctx)
-		if terr != nil {
-			return fmt.Errorf("tlb timing: %w", terr)
+		var hit bool
+		defer func() { end(memoAttr(hit)) }()
+		key := tlbKey{lib: d.Lib.Fingerprint(), bits: p.RowAddrBits(), spares: p.Spares}
+		tlbNs, hit, err = tlbMemo.Do(key, func() (float64, error) { return d.tlbMatchDelay(tctx) })
+		if err != nil {
+			return fmt.Errorf("tlb timing: %w", err)
 		}
-		tlbNs = ns
 		return nil
 	}
 
@@ -120,10 +171,11 @@ func (d *Design) computeTiming(ctx context.Context) error {
 }
 
 // accessTiming evaluates the read access path (decode -> wordline ->
-// bitline -> sense) and the power report. It touches only the access
-// and power fields, never the TLB fields, so it may run concurrently
-// with tlbMatchDelay.
-func (d *Design) accessTiming(ctx context.Context) error {
+// bitline -> sense) and the power report, reporting whether the decode
+// transient came from the memo. It touches only the access and power
+// fields, never the TLB fields, so it may run concurrently with
+// tlbMatchDelay.
+func (d *Design) accessTiming(ctx context.Context) (hit bool, err error) {
 	p := d.Params
 	proc := p.Process
 	lm := float64(proc.Feature) * 1e-9
@@ -140,11 +192,15 @@ func (d *Design) accessTiming(ctx context.Context) error {
 	decLoad := float64(p.Rows()) * cg(4) / float64(predecode)
 	wn := float64(proc.L(3*p.BufSize)) * 1e-9
 	wp := wn * proc.BetaRatio()
-	rise, fall, err := spice.InverterDelaysCtx(ctx, proc, wn, wp, lm, decLoad+20e-15)
+	edges, hit, err := decodeMemo.Do(decodeKey{lib: d.Lib.Fingerprint(), rows: p.Rows()},
+		func() (inverterEdges, error) {
+			rise, fall, err := spice.InverterDelaysCtx(ctx, proc, wn, wp, lm, decLoad+20e-15)
+			return inverterEdges{rise: rise, fall: fall}, err
+		})
 	if err != nil {
-		return fmt.Errorf("decode timing: %w", err)
+		return hit, fmt.Errorf("decode timing: %w", err)
 	}
-	stageNs := math.Max(rise, fall) * 1e9
+	stageNs := math.Max(edges.rise, edges.fall) * 1e9
 	// NAND + two buffer stages.
 	d.Timing.DecodeNs = 3 * stageNs
 
@@ -207,7 +263,7 @@ func (d *Design) accessTiming(ctx context.Context) error {
 		d.Power.PLAStaticMw = 0.5 * lines * ipu * proc.VDD * 1e3
 	}
 
-	return nil
+	return hit, nil
 }
 
 // tlbMatchDelay builds the match-line circuit from the CAM leaf cell

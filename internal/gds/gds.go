@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -40,58 +41,126 @@ const (
 	recANGLE    = 0x1C05
 )
 
-type writer struct {
-	w   io.Writer
-	err error
+// scratch pools the buffers streams are assembled in: a layout's
+// stream is one append pass into a buffer that a previous stream
+// already grew, so writing allocates nothing per record.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// Write emits the cell hierarchy rooted at top as a GDSII library.
+// Units: 1 dbu = 1 nm (the geometry kernel's convention).
+func Write(w io.Writer, top *geom.Cell, libName string) error {
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
+	*buf = appendLibrary((*buf)[:0], top, libName)
+	_, err := w.Write(*buf)
+	return err
 }
 
-func (w *writer) record(rectype uint16, data []byte) {
-	if w.err != nil {
-		return
-	}
-	length := uint16(4 + len(data))
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[0:2], length)
-	binary.BigEndian.PutUint16(hdr[2:4], rectype)
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		w.err = err
-		return
-	}
-	if len(data) > 0 {
-		if _, err := w.w.Write(data); err != nil {
-			w.err = err
+// Bytes returns the stream Write emits, in a slice of exactly its
+// length, so a caller that retains it (the daemon's job table keeps
+// finished artifacts) holds no slack capacity.
+func Bytes(top *geom.Cell, libName string) []byte {
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
+	*buf = appendLibrary((*buf)[:0], top, libName)
+	out := make([]byte, len(*buf))
+	copy(out, *buf)
+	return out
+}
+
+// appendLibrary appends the whole stream to b.
+func appendLibrary(b []byte, top *geom.Cell, libName string) []byte {
+	b = appendInt16s(b, recHEADER, 600) // GDSII v6
+	b = appendInt16s(b, recBGNLIB, nowStamp[:]...)
+	b = appendString(b, recLIBNAME, sanitize(libName))
+	// UNITS: user unit = 1e-3 (µm per dbu), database unit = 1e-9 m.
+	b = appendHeader(b, recUNITS, 16)
+	b = appendReal8(appendReal8(b, 1e-3), 1e-9)
+
+	// Collect unique cells bottom-up; names must be unique.
+	order, names := collect(top)
+	for _, c := range order {
+		b = appendInt16s(b, recBGNSTR, nowStamp[:]...)
+		b = appendString(b, recSTRNAME, names[c])
+		for _, s := range c.Shapes {
+			b = appendHeader(b, recBOUNDARY, 0)
+			b = appendInt16s(b, recLAYER, int16(s.Layer))
+			b = appendInt16s(b, recDATATYPE, 0)
+			r := s.Rect
+			b = appendInt32s(b, recXY,
+				int32(r.X0), int32(r.Y0),
+				int32(r.X1), int32(r.Y0),
+				int32(r.X1), int32(r.Y1),
+				int32(r.X0), int32(r.Y1),
+				int32(r.X0), int32(r.Y0))
+			b = appendHeader(b, recENDEL, 0)
 		}
+		for i := range c.Instances {
+			in := &c.Instances[i]
+			b = appendHeader(b, recSREF, 0)
+			b = appendString(b, recSNAME, names[in.Cell])
+			mirror, angle := strans(in.Orient)
+			if mirror || angle != 0 {
+				var flags int16
+				if mirror {
+					flags = int16(-32768) // bit 0 (MSB): reflection about x
+				}
+				b = appendInt16s(b, recSTRANS, flags)
+				if angle != 0 {
+					b = appendHeader(b, recANGLE, 8)
+					b = appendReal8(b, angle)
+				}
+			}
+			b = appendInt32s(b, recXY, int32(in.At.X), int32(in.At.Y))
+			b = appendHeader(b, recENDEL, 0)
+		}
+		b = appendHeader(b, recENDSTR, 0)
 	}
+	return appendHeader(b, recENDLIB, 0)
 }
 
-func (w *writer) recordString(rectype uint16, s string) {
-	b := []byte(s)
-	if len(b)%2 == 1 {
-		b = append(b, 0) // GDSII pads strings to even length
-	}
-	w.record(rectype, b)
+// appendHeader appends a record header for n data bytes.
+func appendHeader(b []byte, rectype uint16, n int) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(4+n))
+	return binary.BigEndian.AppendUint16(b, rectype)
 }
 
-func (w *writer) recordInt16(rectype uint16, vals ...int16) {
-	b := make([]byte, 2*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint16(b[2*i:], uint16(v))
+func appendString(b []byte, rectype uint16, s string) []byte {
+	pad := len(s) % 2 // GDSII pads strings to even length
+	b = appendHeader(b, rectype, len(s)+pad)
+	b = append(b, s...)
+	if pad == 1 {
+		b = append(b, 0)
 	}
-	w.record(rectype, b)
+	return b
 }
 
-func (w *writer) recordInt32(rectype uint16, vals ...int32) {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint32(b[4*i:], uint32(v))
+func appendInt16s(b []byte, rectype uint16, vals ...int16) []byte {
+	b = appendHeader(b, rectype, 2*len(vals))
+	for _, v := range vals {
+		b = binary.BigEndian.AppendUint16(b, uint16(v))
 	}
-	w.record(rectype, b)
+	return b
+}
+
+func appendInt32s(b []byte, rectype uint16, vals ...int32) []byte {
+	b = appendHeader(b, rectype, 4*len(vals))
+	for _, v := range vals {
+		b = binary.BigEndian.AppendUint32(b, uint32(v))
+	}
+	return b
+}
+
+// appendReal8 appends f in GDSII's excess-64 base-16 8-byte real
+// format.
+func appendReal8(b []byte, f float64) []byte {
+	r := real8(f)
+	return append(b, r[:]...)
 }
 
 // real8 encodes an IEEE float into GDSII's excess-64 base-16 8-byte
 // real format.
-func real8(f float64) []byte {
-	out := make([]byte, 8)
+func real8(f float64) (out [8]byte) {
 	if f == 0 {
 		return out
 	}
@@ -117,70 +186,10 @@ func real8(f float64) []byte {
 	return out
 }
 
-func (w *writer) recordReal8(rectype uint16, vals ...float64) {
-	var b []byte
-	for _, v := range vals {
-		b = append(b, real8(v)...)
-	}
-	w.record(rectype, b)
-}
-
 // nowStamp is the fixed timestamp written into BGNLIB/BGNSTR (GDSII
 // wants 12 int16s: modification + access time). A fixed stamp keeps
 // output deterministic.
-var nowStamp = []int16{1999, 3, 9, 12, 0, 0, 1999, 3, 9, 12, 0, 0}
-
-// Write emits the cell hierarchy rooted at top as a GDSII library.
-// Units: 1 dbu = 1 nm (the geometry kernel's convention).
-func Write(w io.Writer, top *geom.Cell, libName string) error {
-	gw := &writer{w: w}
-	gw.recordInt16(recHEADER, 600) // GDSII v6
-	gw.recordInt16(recBGNLIB, nowStamp...)
-	gw.recordString(recLIBNAME, sanitize(libName))
-	// UNITS: user unit = 1e-3 (µm per dbu), database unit = 1e-9 m.
-	gw.recordReal8(recUNITS, 1e-3, 1e-9)
-
-	// Collect unique cells bottom-up; names must be unique.
-	order, names := collect(top)
-	for _, c := range order {
-		gw.recordInt16(recBGNSTR, nowStamp...)
-		gw.recordString(recSTRNAME, names[c])
-		for _, s := range c.Shapes {
-			gw.record(recBOUNDARY, nil)
-			gw.recordInt16(recLAYER, int16(s.Layer))
-			gw.recordInt16(recDATATYPE, 0)
-			r := s.Rect
-			gw.recordInt32(recXY,
-				int32(r.X0), int32(r.Y0),
-				int32(r.X1), int32(r.Y0),
-				int32(r.X1), int32(r.Y1),
-				int32(r.X0), int32(r.Y1),
-				int32(r.X0), int32(r.Y0))
-			gw.record(recENDEL, nil)
-		}
-		for i := range c.Instances {
-			in := &c.Instances[i]
-			gw.record(recSREF, nil)
-			gw.recordString(recSNAME, names[in.Cell])
-			mirror, angle := strans(in.Orient)
-			if mirror || angle != 0 {
-				var flags int16
-				if mirror {
-					flags = int16(-32768) // bit 0 (MSB): reflection about x
-				}
-				gw.recordInt16(recSTRANS, flags)
-				if angle != 0 {
-					gw.recordReal8(recANGLE, angle)
-				}
-			}
-			gw.recordInt32(recXY, int32(in.At.X), int32(in.At.Y))
-			gw.record(recENDEL, nil)
-		}
-		gw.record(recENDSTR, nil)
-	}
-	gw.record(recENDLIB, nil)
-	return gw.err
-}
+var nowStamp = [12]int16{1999, 3, 9, 12, 0, 0, 1999, 3, 9, 12, 0, 0}
 
 // strans converts a geom orientation to the GDSII (mirror-about-x,
 // CCW angle) pair. geom's Orient mirrors about the Y axis before

@@ -29,7 +29,8 @@ func TestReal8RoundTripValues(t *testing.T) {
 		return sign * float64(mant) / math.Pow(2, 56) * math.Pow(16, float64(exp))
 	}
 	for _, v := range []float64{0, 1e-9, 1e-3, 1, 2.5, -3.75, 90, 270} {
-		got := decode(real8(v))
+		r := real8(v)
+		got := decode(r[:])
 		if math.Abs(got-v) > math.Abs(v)*1e-12+1e-300 {
 			t.Errorf("real8(%g) decodes to %g", v, got)
 		}

@@ -192,6 +192,8 @@ type Library struct {
 	Mux2      *Cell
 	DFF       *Cell
 	Tribuf    *Cell
+
+	fp Fingerprint // stamped by Shared
 }
 
 // NewLibrary builds every leaf cell for the process.

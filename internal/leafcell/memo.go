@@ -3,9 +3,9 @@ package leafcell
 import (
 	"crypto/sha256"
 	"fmt"
-	"sync"
 
 	"repro/internal/cjson"
+	"repro/internal/memo"
 	"repro/internal/tech"
 )
 
@@ -13,8 +13,7 @@ import (
 // the technology deck and the buffer-size knob, yet the compiler used
 // to regenerate it from scratch on every compile — for small arrays
 // the rebuild dominated the whole run. Shared caches one immutable
-// library per (deck fingerprint, bufSize) for the life of the
-// process.
+// library per Fingerprint for the life of the process.
 //
 // Keying is by deck *content* (the canonical cjson serialization of
 // the Process, hashed), not by pointer: the daemon re-derives corner
@@ -25,77 +24,63 @@ import (
 // Each cached library is frozen (geom.Cell.Freeze) before
 // publication: every port index is pre-built, and any attempt to
 // mutate a shared cell panics at the mutation site instead of
-// corrupting a concurrent compile. memoCap bounds the table against
-// an adversarial stream of distinct inline decks; overflow falls back
-// to an unshared build, which is correct, merely slower.
-const memoCap = 128
+// corrupting a concurrent compile. sharedCap bounds the table against
+// an adversarial stream of distinct inline decks (memo's policy: a
+// full table clears).
+const sharedCap = 128
 
-type memoEntry struct {
-	once sync.Once
-	lib  *Library
-	err  error
-}
+var shared = memo.New[Fingerprint, *Library]("leafcell", sharedCap)
 
-var (
-	memoMu sync.Mutex
-	memo   = map[string]*memoEntry{}
-)
+// DeckDigest is the SHA-256 of a deck's canonical JSON form — the
+// same serialization the content-addressed compile cache hashes
+// (internal/cjson), so two decks that alias to one compile key also
+// alias to one digest.
+type DeckDigest [sha256.Size]byte
 
-// fingerprint returns the content key of (process, bufSize). The
-// canonical JSON form is the same serialization the content-addressed
-// compile cache hashes (internal/cjson), so two decks that alias to
-// one compile key also alias to one shared library.
-func fingerprint(p *tech.Process, bufSize int) (string, error) {
+// DigestDeck returns p's DeckDigest.
+func DigestDeck(p *tech.Process) (DeckDigest, error) {
 	doc, err := cjson.Marshal(p)
 	if err != nil {
-		return "", fmt.Errorf("leafcell: deck fingerprint: %w", err)
+		return DeckDigest{}, fmt.Errorf("leafcell: deck fingerprint: %w", err)
 	}
-	sum := sha256.Sum256(doc)
-	return fmt.Sprintf("%x:%d", sum[:8], bufSize), nil
+	return sha256.Sum256(doc), nil
+}
+
+// Fingerprint is the content key of a shared library: the deck digest
+// and the buffer size, every input NewLibrary reads.
+type Fingerprint struct {
+	Deck    DeckDigest
+	BufSize int
 }
 
 // Shared returns the process-wide memoized, frozen leaf-cell library
-// for (p, bufSize), building it at most once per process per deck
-// content. Concurrent callers for the same deck share one build (the
-// losers block on the winner's sync.Once). The returned library and
-// every cell in it are immutable; callers needing a private mutable
+// for (p, bufSize), building it at most once per deck content while it
+// stays in the table. Concurrent callers for the same deck share one
+// build. The returned library and every cell in it are immutable, and
+// it carries its Fingerprint, so the compiler's analysis memo keys on
+// it without hashing the deck again; callers needing a private mutable
 // library must use NewLibrary.
 func Shared(p *tech.Process, bufSize int) (*Library, error) {
-	key, err := fingerprint(p, bufSize)
+	deck, err := DigestDeck(p)
 	if err != nil {
 		return nil, err
 	}
-
-	memoMu.Lock()
-	e, ok := memo[key]
-	if !ok {
-		if len(memo) >= memoCap {
-			// Table full (adversarial stream of distinct inline decks):
-			// degrade to an unshared build rather than grow unboundedly.
-			memoMu.Unlock()
-			return newFrozenLibrary(p, bufSize)
+	fp := Fingerprint{Deck: deck, BufSize: bufSize}
+	lib, _, err := shared.Do(fp, func() (*Library, error) {
+		lib, err := NewLibrary(p, bufSize)
+		if err != nil {
+			return nil, err
 		}
-		e = &memoEntry{}
-		memo[key] = e
-	}
-	memoMu.Unlock()
-
-	e.once.Do(func() {
-		e.lib, e.err = newFrozenLibrary(p, bufSize)
+		lib.fp = fp
+		lib.Freeze()
+		return lib, nil
 	})
-	return e.lib, e.err
+	return lib, err
 }
 
-// newFrozenLibrary builds a library and freezes every cell, making it
-// safe to share across goroutines.
-func newFrozenLibrary(p *tech.Process, bufSize int) (*Library, error) {
-	lib, err := NewLibrary(p, bufSize)
-	if err != nil {
-		return nil, err
-	}
-	lib.Freeze()
-	return lib, nil
-}
+// Fingerprint returns the content key Shared stamped on the library;
+// it is the zero value for a private NewLibrary library.
+func (l *Library) Fingerprint() Fingerprint { return l.fp }
 
 // Freeze marks every cell of the library immutable (see
 // geom.Cell.Freeze). Derived cells built later by Library.RowDecoder
@@ -104,11 +89,4 @@ func (l *Library) Freeze() {
 	for _, c := range l.All() {
 		c.Cell.Freeze()
 	}
-}
-
-// memoSize reports the number of memoized libraries (tests).
-func memoSize() int {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	return len(memo)
 }

@@ -13,7 +13,7 @@ import (
 // aliases to the same memo entry (the daemon re-derives corner decks
 // per request, so pointer keying would miss every time).
 func TestSharedMemoizesByContent(t *testing.T) {
-	before := memoSize()
+	before := shared.Len()
 	a, err := Shared(tech.CDA07, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestSharedMemoizesByContent(t *testing.T) {
 	if c != a {
 		t.Fatal("content-identical deck under a new pointer must alias the memo entry")
 	}
-	if got := memoSize(); got > before+1 {
+	if got := shared.Len(); got > before+1 {
 		t.Fatalf("memo grew by %d entries for one deck", got-before)
 	}
 	// A different bufSize is a different library.

@@ -17,6 +17,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/gds"
 	"repro/internal/jobs"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/render"
 )
@@ -76,6 +77,16 @@ func (l *local) registerMetrics() {
 	l.parDegree = r.Histogram("compile_parallelism",
 		"Per-compile goroutine fan-out bound (the parallelism knob after server defaulting).",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
+
+	// The process-wide memo tables (leaf-cell libraries, the two
+	// analysis transients, Monte-Carlo estimates), one label each.
+	for _, t := range memo.Tables() {
+		labels := map[string]string{"table": t.Name()}
+		r.CounterFuncLabeled("memo_hits_total", "Memo lookups served from a stored or in-flight result, by table.",
+			labels, func() float64 { return float64(t.Stats().Hits) })
+		r.CounterFuncLabeled("memo_misses_total", "Memo lookups that ran the memoized computation, by table.",
+			labels, func() float64 { return float64(t.Stats().Misses) })
+	}
 
 	if c := s.cfg.Cache; c != nil {
 		r.GaugeFunc("cache_bytes", "Resident memory-tier size in bytes (reports and artifact sizes).",
@@ -281,10 +292,7 @@ func RenderEntry(key string, d *compiler.Design) (*cache.Entry, error) {
 	}
 	if d.Top != nil {
 		entry.Artifacts["layout.svg"] = []byte(render.SVG(d.Top, render.Options{Depth: 0}))
-		var g strings.Builder
-		if err := gds.Write(&g, d.Top, d.Top.Name); err == nil {
-			entry.Artifacts["layout.gds"] = []byte(g.String())
-		}
+		entry.Artifacts["layout.gds"] = gds.Bytes(d.Top, d.Top.Name)
 	}
 	return entry, nil
 }

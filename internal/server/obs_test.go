@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/jobs"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -345,4 +346,67 @@ func newHTTPServer(t *testing.T, s *Server) string {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL
+}
+
+// memoCounts scrapes memo_{hits,misses}_total per table from the
+// Prometheus exposition: table -> {hits, misses}.
+func memoCounts(t *testing.T, url string) map[string][2]int {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	out := map[string][2]int{}
+	re := regexp.MustCompile(`(?m)^memo_(hits|misses)_total\{table="([^"]+)"\} (\d+)$`)
+	for _, m := range re.FindAllStringSubmatch(string(raw), -1) {
+		n, _ := strconv.Atoi(m[3])
+		c := out[m[2]]
+		if m[1] == "hits" {
+			c[0] = n
+		} else {
+			c[1] = n
+		}
+		out[m[2]] = c
+	}
+	return out
+}
+
+// TestMemoCounters compiles two geometries that share a decode circuit
+// (same deck, buffer size and row count; different word width and
+// spare count) from empty memo tables and requires the exported
+// counters to move by exactly what each table served.
+func TestMemoCounters(t *testing.T) {
+	ts, _, _, _ := testServer(t, jobs.Config{}, 1<<20)
+	for _, tb := range memo.Tables() {
+		tb.Reset()
+	}
+	before := memoCounts(t, ts.URL)
+	for _, body := range []string{
+		`{"words":256,"bpw":8,"bpc":4,"spares":4}`,
+		`{"words":256,"bpw":16,"bpc":4,"spares":8}`,
+	} {
+		if code, m := postCompile(t, ts, body, ""); code != 200 {
+			t.Fatalf("compile %s: %d %v", body, code, m)
+		}
+	}
+	after := memoCounts(t, ts.URL)
+	want := map[string][2]int{ // table -> {hits, misses}
+		"leafcell":      {1, 1},
+		"timing.access": {1, 1},
+		"timing.tlb":    {0, 2},
+		"mcyield":       {0, 0},
+	}
+	for table, w := range want {
+		a, ok := after[table]
+		if !ok {
+			t.Errorf("exposition has no memo counters for table %q", table)
+			continue
+		}
+		b := before[table]
+		if got := [2]int{a[0] - b[0], a[1] - b[1]}; got != w {
+			t.Errorf("table %q moved {hits, misses} by %v, want %v", table, got, w)
+		}
+	}
 }

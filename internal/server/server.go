@@ -329,7 +329,32 @@ func New(cfg Config) *Server {
 	if cfg.EnableStacks {
 		s.route("GET", "/v1/debug/stacks", handleStacks)
 	}
+	warmTypeCaches()
 	return s
+}
+
+// warmRequest is the built-in compile request warmTypeCaches resolves.
+const warmRequest = `{"words":256,"bpw":8,"bpc":4,"spares":4}`
+
+var warmOnce sync.Once
+
+// warmTypeCaches builds the process-wide canon and cjson type caches
+// that a restarted daemon's first request would otherwise pay for: it
+// parses and keys one built-in request and encodes one compile
+// envelope. Failures are ignored; the first real request would meet
+// them again with its own error.
+func warmTypeCaches() {
+	warmOnce.Do(func() {
+		if req, err := canon.ParseRequest([]byte(warmRequest)); err == nil {
+			if p, err := req.Params(); err == nil {
+				canon.KeyOfParams(p)
+			}
+		}
+		cjson.MarshalIndent(envelope{Job: compileResponse{
+			Artifacts: map[string]int{"layout.gds": 1},
+			Report:    json.RawMessage(`{"name":"warm"}`),
+		}})
+	})
 }
 
 // ResumeSweeps re-launches journaled in-flight sweeps from a previous

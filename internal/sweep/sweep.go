@@ -29,7 +29,9 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/compiler"
 	"repro/internal/jobs"
+	"repro/internal/leafcell"
 	"repro/internal/mcyield"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/tech"
 	"repro/internal/yield"
@@ -457,24 +459,32 @@ type Manager struct {
 	pointsCached *obs.Counter
 	pointsFailed *obs.Counter
 
-	// mcStats instruments the Monte-Carlo yield engine; mcMu/mcMemo
-	// memoize estimates across points and sweeps — the estimate is a
-	// pure function of (process, samples, sigma, seed), so every array
-	// geometry sharing a process reuses one cell-level run. Holding
-	// mcMu across the estimate also collapses concurrent identical
-	// requests from racing group-finish goroutines into one run.
+	// mcStats instruments the Monte-Carlo yield engine.
 	mcStats *mcyield.Stats
-	mcMu    sync.Mutex
-	mcMemo  map[string]mcyield.Result
 }
 
-// mcMemoCap bounds the memo map; at the cap the map resets rather
-// than evicting (estimates are cheap enough to recompute).
-const mcMemoCap = 512
+// The Monte-Carlo memo. An estimate is a pure function of (deck
+// content, samples, sigma, seed), so every array geometry sharing a
+// process reuses one cell-level run, across points, sweeps and
+// managers. The memo's single flight collapses concurrent identical
+// requests from racing group-finish goroutines into one run, while
+// estimates under different keys run side by side.
+const estimateMemoCap = 512
+
+// mcKey is the lossless key of one estimate; the shift is always
+// mcyield.DefaultShift.
+type mcKey struct {
+	deck    leafcell.DeckDigest
+	samples int
+	sigma   float64
+	seed    int64
+}
+
+var estimateMemo = memo.New[mcKey, mcyield.Result]("mcyield", estimateMemoCap)
 
 // NewManager builds a manager.
 func NewManager(cfg Config) *Manager {
-	m := &Manager{cfg: cfg, sweeps: map[string]*Sweep{}, mcMemo: map[string]mcyield.Result{}}
+	m := &Manager{cfg: cfg, sweeps: map[string]*Sweep{}}
 	r := cfg.Registry
 	m.mcStats = mcyield.NewStats(r)
 	m.created = r.Counter("sweeps_created_total", "Sweeps accepted by POST /v1/sweeps.")
@@ -743,8 +753,8 @@ func (m *Manager) finishGroup(sw *Sweep, g *group, entry *cache.Entry, err error
 
 // mcForGroup runs the Monte-Carlo yield engine for every point of g
 // that asked for it, returning per-point rows and errors. Runs
-// unlocked — estimates take real CPU time — and is idempotent, so
-// racing callers at worst recompute a memo hit.
+// unlocked — estimates take real CPU time — and racing callers with
+// one key share a single estimate through the memo.
 func (m *Manager) mcForGroup(g *group, met Metrics) (map[*point]*MCRow, map[*point]error) {
 	var rows map[*point]*MCRow
 	var errs map[*point]error
@@ -775,35 +785,28 @@ func (m *Manager) mcForGroup(g *group, met Metrics) (map[*point]*MCRow, map[*poi
 	return rows, errs
 }
 
-// mcEstimate memoizes mcyield.Estimate on (process identity, samples,
-// sigma, seed) — the full determinism contract — so every geometry
-// sharing a process reuses one cell-level run. Only successes
-// memoize: a chaos-injected abort must not poison later estimates.
+// mcEstimate memoizes mcyield.Estimate on mcKey — the full
+// determinism contract — so every geometry sharing a process reuses
+// one cell-level run. Only successes memoize: a chaos-injected abort
+// must not poison later estimates.
 func (m *Manager) mcEstimate(proc *tech.Process, req canon.Request) (mcyield.Result, error) {
-	key := fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%g\x00%d",
-		req.Deck, req.Process, req.Corner, req.MCSamples, req.MCSigma, req.MCSeed)
-	m.mcMu.Lock()
-	defer m.mcMu.Unlock()
-	if res, ok := m.mcMemo[key]; ok {
-		return res, nil
-	}
-	res, err := mcyield.Estimate(context.Background(), mcyield.Config{
-		Process: proc,
-		Samples: req.MCSamples,
-		Sigma:   req.MCSigma,
-		Shift:   mcyield.DefaultShift,
-		Seed:    req.MCSeed,
-		Chaos:   m.cfg.Chaos,
-		Stats:   m.mcStats,
-	})
+	deck, err := leafcell.DigestDeck(proc)
 	if err != nil {
-		return mcyield.Result{}, err
+		return mcyield.Result{}, cerr.Wrap(cerr.CodeInternal, err, "sweep: statistical yield key")
 	}
-	if len(m.mcMemo) >= mcMemoCap {
-		m.mcMemo = map[string]mcyield.Result{}
-	}
-	m.mcMemo[key] = res
-	return res, nil
+	key := mcKey{deck: deck, samples: req.MCSamples, sigma: req.MCSigma, seed: req.MCSeed}
+	res, _, err := estimateMemo.Do(key, func() (mcyield.Result, error) {
+		return mcyield.Estimate(context.Background(), mcyield.Config{
+			Process: proc,
+			Samples: req.MCSamples,
+			Sigma:   req.MCSigma,
+			Shift:   mcyield.DefaultShift,
+			Seed:    req.MCSeed,
+			Chaos:   m.cfg.Chaos,
+			Stats:   m.mcStats,
+		})
+	})
+	return res, err
 }
 
 // transientFailure classifies errors that a restart (or a retry)
