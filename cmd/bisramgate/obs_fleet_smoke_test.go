@@ -77,7 +77,7 @@ func TestObsFleetSmoke(t *testing.T) {
 
 	// --- 3. Fleet scrape: counters sum across shards. ---
 	fleet := parseProm(t, getRaw(t, gwBase+"/metrics?scope=fleet&format=prometheus"))
-	shardProm := make([][]obs.PromFamily, len(urls))
+	shardProm := make([][]obs.Family, len(urls))
 	for i, u := range urls {
 		shardProm[i] = parseProm(t, getRaw(t, u+"/metrics?format=prometheus"))
 	}
@@ -276,7 +276,7 @@ func watchSweepOverSSE(t *testing.T, gwBase string) {
 }
 
 // parseProm parses a Prometheus text exposition.
-func parseProm(t *testing.T, raw []byte) []obs.PromFamily {
+func parseProm(t *testing.T, raw []byte) []obs.Family {
 	t.Helper()
 	fams, err := obs.ParsePrometheus(strings.NewReader(string(raw)))
 	if err != nil {
@@ -286,14 +286,14 @@ func parseProm(t *testing.T, raw []byte) []obs.PromFamily {
 }
 
 // counterValue sums a counter family's unlabeled samples.
-func counterValue(t *testing.T, fams []obs.PromFamily, name string) float64 {
+func counterValue(t *testing.T, fams []obs.Family, name string) float64 {
 	t.Helper()
 	for _, f := range fams {
 		if f.Name != name {
 			continue
 		}
 		var v float64
-		for _, s := range f.Samples {
+		for _, s := range f.Series {
 			v += s.Value
 		}
 		return v

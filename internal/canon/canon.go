@@ -324,16 +324,6 @@ func KeyOfParams(p compiler.Params) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Canonical resolves the request and returns its canonical key
-// document.
-func (r Request) Canonical() ([]byte, error) {
-	p, err := r.Params()
-	if err != nil {
-		return nil, err
-	}
-	return CanonicalParams(p)
-}
-
 // Key resolves the request and returns its SHA-256 content address.
 func (r Request) Key() (string, error) {
 	p, err := r.Params()

@@ -564,14 +564,14 @@ func (g *Gateway) fleetMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		merged.WritePrometheus(w)
+		obs.WritePrometheus(w, merged)
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"scope":         "fleet",
 		"nodes":         nodes,
 		"scrape_errors": errs,
-		"obs":           merged.Snapshot(),
+		"obs":           obs.FleetSnapshot(merged),
 		"uptime_s":      time.Since(g.fleet.start).Seconds(),
 	})
 }

@@ -54,14 +54,13 @@ type Params struct {
 	// by (cost, seed), so the result is a pure function of the budget.
 	RefineIterations int
 	// Parallelism bounds how many goroutines the compile may use for
-	// its independent stages: leaf-cell library and microcode assembly
-	// run concurrently, the floorplan's annealing starts fan out, and
-	// the analysis-stage SPICE transients (decode inverter, TLB match)
-	// run side by side. 0 or 1 means fully serial. Parallelism is an
-	// execution knob only — the output bytes are identical for every
-	// value, which is why the canonical compile key (internal/canon)
-	// deliberately excludes it: a parallel compile must hit the cache
-	// entry a serial compile wrote, and vice versa.
+	// its independent stages: the floorplan's annealing starts fan out,
+	// and the analysis-stage SPICE transients (decode inverter, TLB
+	// match) run side by side. 0 or 1 means fully serial. Parallelism
+	// is an execution knob only — the output bytes are identical for
+	// every value, which is why the canonical compile key
+	// (internal/canon) deliberately excludes it: a parallel compile must
+	// hit the cache entry a serial compile wrote, and vice versa.
 	Parallelism int
 }
 
@@ -241,13 +240,13 @@ func Compile(p Params) (*Design, error) {
 // the stage that invoked them. An untraced context pays one context
 // lookup per stage.
 //
-// Concurrency: when p.Parallelism > 1, independent stages of the
-// pipeline DAG run concurrently — leafcells ∥ microcode (both are
-// inputs of buildMacros but not of each other), the floorplan's
-// annealing starts, and the analysis transients. Every concurrent
-// branch runs behind its own cerr.Recover guard (panics cannot cross
-// goroutines), errors are surfaced in fixed pipeline order (leafcells
-// before microcode, access path before TLB) regardless of which
+// Concurrency: when p.Parallelism > 1, two stage groups fan out — the
+// floorplan's annealing starts and the analysis transients (decode
+// path ∥ TLB match). Leaf cells and microcode run one after the other:
+// together they cost tens of microseconds, too little for a goroutine
+// to pay for. Every concurrent branch runs behind its own cerr.Recover
+// guard (panics cannot cross goroutines), errors are surfaced in fixed
+// pipeline order (access path before TLB) regardless of which
 // goroutine finished first, and the output is byte-identical to a
 // serial compile — see TestCompileParallelDeterminism. The compile
 // span records parallelism and parallel_stages attrs so the serving
@@ -289,52 +288,30 @@ func CompileCtx(ctx context.Context, p Params) (*Design, error) {
 		return nil, err
 	}
 
-	// Stage DAG, level 1: the leaf-cell library and the TRPLA
-	// microcode have no data dependency on each other (both feed
-	// buildMacros), so with Parallelism > 1 they run concurrently.
-	// Each branch carries its own Recover guard; the error check below
-	// is in fixed pipeline order, so a microcode failure never
-	// pre-empts a leafcells failure just because its goroutine lost
-	// the race.
 	var lib *leafcell.Library
-	prog := p.Program
-	buildLib := func() (err error) {
+	err := func() (err error) {
 		defer cerr.Recover("leafcells", &err)
 		_, end := obs.Start(ctx, "compile.leafcells")
 		defer end()
 		lib, err = leafcell.Shared(p.Process, p.BufSize)
 		return cerr.WithStage("leafcells", err)
+	}()
+	if err != nil {
+		return nil, err
 	}
-	buildProg := func() (err error) {
-		if prog != nil {
-			return nil
-		}
-		defer cerr.Recover("microcode", &err)
-		_, end := obs.Start(ctx, "compile.microcode")
-		defer end()
-		var aerr error
-		prog, aerr = bist.Assemble(p.Test)
-		return cerr.WithStage("microcode", aerr)
-	}
-	var libErr, progErr error
-	if par > 1 {
-		parallelStages++
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			progErr = buildProg()
+	prog := p.Program
+	if prog == nil {
+		err = func() (err error) {
+			defer cerr.Recover("microcode", &err)
+			_, end := obs.Start(ctx, "compile.microcode")
+			defer end()
+			var aerr error
+			prog, aerr = bist.Assemble(p.Test)
+			return cerr.WithStage("microcode", aerr)
 		}()
-		libErr = buildLib()
-		<-done
-	} else {
-		libErr = buildLib()
-		progErr = buildProg()
-	}
-	if libErr != nil {
-		return nil, libErr
-	}
-	if progErr != nil {
-		return nil, progErr
+		if err != nil {
+			return nil, err
+		}
 	}
 	d := &Design{
 		Params: p, Lib: lib, Prog: prog,
@@ -347,7 +324,7 @@ func CompileCtx(ctx context.Context, p Params) (*Design, error) {
 	}
 	var macros []floorplan.Macro
 	var nets []floorplan.Net
-	err := func() (err error) {
+	err = func() (err error) {
 		defer cerr.Recover("macros", &err)
 		_, end := obs.Start(ctx, "compile.macros")
 		defer end()

@@ -113,7 +113,6 @@ type Job struct {
 	done  chan struct{}
 	trace *obs.Trace
 
-	state     atomic.Int32
 	attached  atomic.Int64 // dedup attach count (first submitter included)
 	mu        sync.Mutex   // guards result fields and times
 	value     any
@@ -130,8 +129,21 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // none). Deduped submissions share the first submitter's trace.
 func (j *Job) Trace() *obs.Trace { return j.trace }
 
-// State returns the current lifecycle state.
-func (j *Job) State() State { return State(j.state.Load()) }
+// State returns the current lifecycle state, derived from the job's
+// outcome and start time: a job reports done or failed only once Result
+// and Peek can return its outcome and the queue has counted it.
+func (j *Job) State() State {
+	if _, err, ok := j.Peek(); ok {
+		if err != nil {
+			return StateFailed
+		}
+		return StateDone
+	}
+	if _, started, _ := j.Times(); !started.IsZero() {
+		return StateRunning
+	}
+	return StateQueued
+}
 
 // Attached returns how many submissions share this job (1 = no dedup).
 func (j *Job) Attached() int64 { return j.attached.Load() }
@@ -355,20 +367,21 @@ func (q *Queue) worker() {
 		fastFail := q.hardDrain
 		q.mu.Unlock()
 
+		var err error
 		if fastFail {
 			// The drain budget expired: the base context is dead, so
 			// running fn would only burn time unwinding. Fail the job
 			// immediately — but still account its queue wait, so
 			// abandoned jobs never appear as zero-cost in the counters.
-			q.failFast(j)
+			err = q.failFast(j)
 		} else {
-			q.run(j)
+			err = q.run(j)
 		}
 
 		q.mu.Lock()
 		q.running--
 		delete(q.inflight, j.Key)
-		if j.State() == StateDone {
+		if err == nil {
 			q.completed++
 		} else {
 			q.failed++
@@ -406,28 +419,27 @@ func (q *Queue) observeQueueWait(j *Job, submitted, pickup time.Time, cancelled 
 
 // failFast terminates a queued job on the hard-drain path without
 // invoking its function: typed budget error, queue wait recorded,
-// started left zero (it never ran).
-func (q *Queue) failFast(j *Job) {
+// started left zero (it never ran). It returns the job's error.
+func (q *Queue) failFast(j *Job) error {
 	now := time.Now()
+	err := cerr.New(cerr.CodeBudgetExceeded,
+		"jobs: %s cancelled before execution (drain budget expired)", j.ID)
 	j.mu.Lock()
 	submitted := j.submitted
 	j.finished = now
-	j.value = nil
-	j.err = cerr.New(cerr.CodeBudgetExceeded,
-		"jobs: %s cancelled before execution (drain budget expired)", j.ID)
+	j.value, j.err = nil, err
 	j.mu.Unlock()
 	q.observeQueueWait(j, submitted, now, true)
-	j.state.Store(int32(StateFailed))
+	return err
 }
 
 // run executes one job under the per-job deadline, converting panics
-// and deadline expiry into typed errors.
-func (q *Queue) run(j *Job) {
+// and deadline expiry into typed errors, and returns the job's error.
+func (q *Queue) run(j *Job) error {
 	// A scripted queue.stall delay lands between pop and execution:
 	// the worker is wedged, queue depth builds, admission control
 	// sheds — exactly the overload drill's setup.
 	q.cfg.Chaos.Delay(chaos.PointQueueStall)
-	j.state.Store(int32(StateRunning))
 	now := time.Now()
 	j.mu.Lock()
 	j.started = now
@@ -464,11 +476,7 @@ func (q *Queue) run(j *Job) {
 	j.value, j.err = value, err
 	j.finished = time.Now()
 	j.mu.Unlock()
-	if err != nil {
-		j.state.Store(int32(StateFailed))
-	} else {
-		j.state.Store(int32(StateDone))
-	}
+	return err
 }
 
 // Shutdown gracefully drains the queue: intake stops immediately,

@@ -498,3 +498,44 @@ func TestDoneImpliesCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestTerminalStateOnlyOnceReadable: a job reports done or failed only
+// once Result and Peek can return its outcome. Holding q.mu after the
+// job's function returns stalls the worker between storing the result
+// and counting the job; no State read in that window may be terminal
+// while Peek still reports the job unfinished.
+func TestTerminalStateOnlyOnceReadable(t *testing.T) {
+	q := New(Config{Workers: 1})
+	defer q.Shutdown(context.Background())
+	entered, release := make(chan struct{}), make(chan struct{})
+	j, _, err := q.Submit("k", Interactive, func(context.Context) (any, error) {
+		close(entered)
+		<-release
+		return "v", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	q.mu.Lock()
+	close(release)
+	var stale State = -1
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end) && stale < 0; {
+		if s := j.State(); s == StateDone || s == StateFailed {
+			if _, _, ok := j.Peek(); !ok {
+				stale = s
+			}
+		}
+	}
+	q.mu.Unlock()
+	if stale >= 0 {
+		t.Fatalf("State() = %s while Peek reports no result", stale)
+	}
+	<-j.Done()
+	if v, err, ok := j.Peek(); !ok || err != nil || v != "v" || j.State() != StateDone {
+		t.Fatalf("after Done: Peek = %v, %v, %v; State = %s", v, err, ok, j.State())
+	}
+	if st := q.Stats(); st.Completed != 1 || st.Failed != 0 {
+		t.Fatalf("counted completed %d, failed %d; want 1, 0", st.Completed, st.Failed)
+	}
+}

@@ -162,13 +162,6 @@ func Tribuf(p *tech.Process, size int) *Cell {
 	return sanity(b.Done())
 }
 
-// GateCost maps logicsim gate kinds onto library cells for area
-// accounting: cell name and device-slot count.
-type GateCost struct {
-	CellName string
-	Slots    int
-}
-
 // Library is the complete leaf-cell set built for one process and
 // buffer size, the first stage of BISRAMGEN's bottom-up flow.
 type Library struct {

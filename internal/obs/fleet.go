@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,8 +14,8 @@ import (
 
 // Fleet metrics aggregation: parse each node's Prometheus text
 // exposition (the authoritative format — it carries TYPE metadata the
-// expvar JSON lacks), merge the per-node families, and re-emit one
-// fleet-wide document in both expositions. Merge rules:
+// expvar JSON lacks) into Families, merge the per-node families, and
+// re-emit one fleet-wide document in both expositions. Merge rules:
 //
 //   - counters: summed across nodes per label set — the fleet total.
 //   - histograms: bucket counts, counts and sums summed per label set
@@ -25,41 +27,27 @@ import (
 // The output is deterministic (families and label sets sorted), so a
 // fleet scrape of settled shards is golden-testable.
 
-// PromSample is one exposition sample line: an optional family-relative
-// suffix ("", "_bucket", "_sum", "_count"), its labels and the value.
-type PromSample struct {
-	Suffix string
-	Labels map[string]string
-	Value  float64
-}
-
-// PromFamily is one parsed metric family.
-type PromFamily struct {
-	Name    string
-	Help    string
-	Type    string // "counter" | "gauge" | "histogram" | "untyped"
-	Samples []PromSample
-}
-
 // ParsePrometheus decodes a text exposition (format 0.0.4) into
-// families. Histogram component samples (name_bucket/_sum/_count)
-// fold into their family. Unknown constructs fail loudly — a fleet
+// families, in order of first appearance. A histogram's
+// name_bucket/_sum/_count samples fold into one series per label set
+// (le excluded); its buckets must come in increasing order, +Inf last,
+// as the format requires. Unknown constructs fail loudly — a fleet
 // scrape must not silently mis-merge.
-func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
-	byName := map[string]*PromFamily{}
-	var order []*PromFamily
-	family := func(name string) *PromFamily {
+func ParsePrometheus(r io.Reader) ([]Family, error) {
+	byName := map[string]*Family{}
+	var order []*Family
+	family := func(name string) *Family {
 		if f, ok := byName[name]; ok {
 			return f
 		}
-		f := &PromFamily{Name: name, Type: "untyped"}
+		f := &Family{Name: name, Type: "untyped"}
 		byName[name] = f
 		order = append(order, f)
 		return f
 	}
 	// familyOf resolves a sample name to (family, suffix): histogram
 	// components attach to their declared family.
-	familyOf := func(sample string) (*PromFamily, string) {
+	familyOf := func(sample string) (*Family, string) {
 		for _, suf := range []string{"_bucket", "_sum", "_count"} {
 			base := strings.TrimSuffix(sample, suf)
 			if base != sample {
@@ -70,6 +58,9 @@ func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
 		}
 		return family(sample), ""
 	}
+	// hists holds the histogram series being folded, by family name and
+	// rendered labels.
+	hists := map[string]*HistogramSnapshot{}
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
@@ -89,7 +80,11 @@ func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
 					}
 				case "TYPE":
 					if len(fields) == 4 {
-						family(fields[2]).Type = fields[3]
+						f := family(fields[2])
+						if len(f.Series) > 0 {
+							return nil, fmt.Errorf("obs: exposition: TYPE of %s follows its samples", f.Name)
+						}
+						f.Type = fields[3]
 					}
 				}
 			}
@@ -100,14 +95,45 @@ func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
 			return nil, err
 		}
 		f, suffix := familyOf(name)
-		f.Samples = append(f.Samples, PromSample{Suffix: suffix, Labels: labels, Value: value})
+		if f.Type != "histogram" {
+			f.Series = append(f.Series, Series{Labels: labels, Value: value})
+			continue
+		}
+		if suffix == "" {
+			return nil, fmt.Errorf("obs: exposition: bare sample %q in histogram %s", line, f.Name)
+		}
+		le, hasLe := labels["le"]
+		delete(labels, "le")
+		key := f.Name + renderLabels(labels)
+		h := hists[key]
+		if h == nil {
+			h = &HistogramSnapshot{}
+			hists[key] = h
+			f.Series = append(f.Series, Series{Labels: labels, Hist: h})
+		}
+		switch suffix {
+		case "_bucket":
+			bound, err := strconv.ParseFloat(le, 64)
+			n := len(h.Bounds)
+			if !hasLe || err != nil || len(h.Cumulative) > n || (n > 0 && bound <= h.Bounds[n-1]) {
+				return nil, fmt.Errorf("obs: exposition: bucket %q out of order or without a bound", line)
+			}
+			if !math.IsInf(bound, 1) {
+				h.Bounds = append(h.Bounds, bound)
+			}
+			h.Cumulative = append(h.Cumulative, uint64(value))
+		case "_sum":
+			h.Sum = value
+		case "_count":
+			h.Count = uint64(value)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: exposition read: %w", err)
 	}
-	out := make([]PromFamily, 0, len(order))
-	for _, f := range order {
-		out = append(out, *f)
+	out := make([]Family, len(order))
+	for i, f := range order {
+		out[i] = *f
 	}
 	return out, nil
 }
@@ -195,7 +221,7 @@ func MergeHistograms(snaps ...HistogramSnapshot) (HistogramSnapshot, error) {
 		if out.Cumulative == nil {
 			out.Bounds = append([]float64(nil), s.Bounds...)
 			out.Cumulative = make([]uint64, len(s.Cumulative))
-		} else if !equalBounds(out.Bounds, s.Bounds) || len(out.Cumulative) != len(s.Cumulative) {
+		} else if !slices.Equal(out.Bounds, s.Bounds) || len(out.Cumulative) != len(s.Cumulative) {
 			return HistogramSnapshot{}, fmt.Errorf("obs: merging histograms with different buckets")
 		}
 		for i, c := range s.Cumulative {
@@ -207,216 +233,86 @@ func MergeHistograms(snaps ...HistogramSnapshot) (HistogramSnapshot, error) {
 	return out, nil
 }
 
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // FleetScrape is one node's parsed exposition.
 type FleetScrape struct {
 	Node     string
-	Families []PromFamily
+	Families []Family
 }
 
-// fleetSeries is one merged output series.
-type fleetSeries struct {
-	labels map[string]string
-	value  float64            // counters/gauges
-	hist   *HistogramSnapshot // histograms
-}
-
-// fleetFamily is one merged output family.
-type fleetFamily struct {
-	name, help, typ string
-	series          []fleetSeries
-}
-
-// FleetMerged is the fleet-wide metric document MergeFleet builds.
-type FleetMerged struct {
-	families []fleetFamily
-}
-
-// MergeFleet merges per-node expositions under the documented rules
-// (sum counters, sum histogram buckets, label gauges per node).
-// Histogram series whose buckets disagree across nodes are dropped
-// from the output with an error note gauge rather than failing the
-// whole scrape.
-func MergeFleet(scrapes []FleetScrape) *FleetMerged {
+// MergeFleet merges per-node families under the documented rules (sum
+// counters, sum histogram buckets, label gauges per node) into one
+// fleet document: families sorted by name, series by label set. A
+// histogram series whose buckets disagree across nodes is dropped
+// rather than failing the whole scrape.
+func MergeFleet(scrapes []FleetScrape) []Family {
 	type key struct{ name, labels string }
-	help := map[string]string{}
-	typ := map[string]string{}
-	var names []string
-	seenName := map[string]bool{}
-	counters := map[key]*fleetSeries{}
-	gauges := map[key]*fleetSeries{}
+	heads := map[string]*Family{}
+	merged := map[key]*Series{}
 	hists := map[key][]HistogramSnapshot{}
-	labelsByKey := map[key]map[string]string{}
-	var orderedKeys []key
-
-	note := func(k key, lb map[string]string) {
-		if _, ok := labelsByKey[k]; !ok {
-			labelsByKey[k] = lb
-			orderedKeys = append(orderedKeys, k)
-		}
-	}
+	var keys []key
 	for _, sc := range scrapes {
 		for _, f := range sc.Families {
-			if !seenName[f.Name] {
-				seenName[f.Name] = true
-				names = append(names, f.Name)
+			head := heads[f.Name]
+			if head == nil {
+				head = &Family{Name: f.Name, Type: f.Type}
+				heads[f.Name] = head
 			}
 			if f.Help != "" {
-				help[f.Name] = f.Help
+				head.Help = f.Help
 			}
-			if t, ok := typ[f.Name]; !ok || t == "untyped" {
-				typ[f.Name] = f.Type
+			if head.Type == "untyped" {
+				head.Type = f.Type
 			}
-			switch f.Type {
-			case "counter":
-				for _, s := range f.Samples {
-					k := key{f.Name, canonLabels(s.Labels)}
-					note(k, s.Labels)
-					if counters[k] == nil {
-						counters[k] = &fleetSeries{labels: s.Labels}
-					}
-					counters[k].value += s.Value
+			for _, s := range f.Series {
+				labels := s.Labels
+				if f.Type != "counter" && f.Type != "histogram" {
+					labels = map[string]string{"node": sc.Node}
+					maps.Copy(labels, s.Labels)
 				}
-			case "histogram":
-				for _, he := range histogramsOf(f) {
-					kk := key{f.Name, he.labels}
-					note(kk, he.labelMap)
-					hists[kk] = append(hists[kk], he.snap)
+				k := key{f.Name, canonLabels(labels)}
+				m := merged[k]
+				if m == nil {
+					m = &Series{Labels: labels}
+					merged[k] = m
+					keys = append(keys, k)
 				}
-			default: // gauge, untyped: one series per node
-				for _, s := range f.Samples {
-					lb := map[string]string{"node": sc.Node}
-					for lk, lv := range s.Labels {
-						lb[lk] = lv
-					}
-					k := key{f.Name, canonLabels(lb)}
-					note(k, lb)
-					gauges[k] = &fleetSeries{labels: lb, value: s.Value}
+				switch f.Type {
+				case "counter":
+					m.Value += s.Value
+				case "histogram":
+					hists[k] = append(hists[k], *s.Hist)
+				default:
+					m.Value = s.Value
 				}
 			}
 		}
 	}
-
-	sort.Strings(names)
-	sort.Slice(orderedKeys, func(i, j int) bool {
-		if orderedKeys[i].name != orderedKeys[j].name {
-			return orderedKeys[i].name < orderedKeys[j].name
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].name != keys[j].name {
+			return keys[i].name < keys[j].name
 		}
-		return orderedKeys[i].labels < orderedKeys[j].labels
+		return keys[i].labels < keys[j].labels
 	})
-	m := &FleetMerged{}
-	for _, name := range names {
-		ff := fleetFamily{name: name, help: help[name], typ: typ[name]}
-		if ff.typ == "untyped" {
-			ff.typ = "gauge"
-		}
-		for _, k := range orderedKeys {
-			if k.name != name {
-				continue
+	var out []Family
+	for _, k := range keys {
+		s := merged[k]
+		if hs := hists[k]; hs != nil {
+			h, err := MergeHistograms(hs...)
+			if err != nil {
+				continue // mismatched buckets: drop the series
 			}
-			switch {
-			case counters[k] != nil:
-				ff.series = append(ff.series, *counters[k])
-			case gauges[k] != nil:
-				ff.series = append(ff.series, *gauges[k])
-			case hists[k] != nil:
-				merged, err := MergeHistograms(hists[k]...)
-				if err != nil {
-					continue // mismatched buckets: drop the series
-				}
-				ff.series = append(ff.series, fleetSeries{labels: labelsByKey[k], hist: &merged})
+			s.Hist = &h
+		}
+		if n := len(out); n == 0 || out[n-1].Name != k.name {
+			f := *heads[k.name]
+			if f.Type == "untyped" {
+				f.Type = "gauge"
 			}
+			out = append(out, f)
 		}
-		if len(ff.series) > 0 {
-			m.families = append(m.families, ff)
-		}
+		f := &out[len(out)-1]
+		f.Series = append(f.Series, *s)
 	}
-	return m
-}
-
-// histEntry pairs a reassembled histogram snapshot with its non-le
-// label set (canonical string plus the map itself).
-type histEntry struct {
-	labels   string
-	labelMap map[string]string
-	snap     HistogramSnapshot
-}
-
-// histogramsOf reassembles one node's histogram family samples into
-// snapshots keyed by their non-le label set.
-func histogramsOf(f PromFamily) []histEntry {
-	type acc struct {
-		bounds map[float64]uint64
-		count  uint64
-		sum    float64
-		labels map[string]string
-	}
-	accs := map[string]*acc{}
-	get := func(labels map[string]string) *acc {
-		rest := map[string]string{}
-		for k, v := range labels {
-			if k != "le" {
-				rest[k] = v
-			}
-		}
-		ck := canonLabels(rest)
-		a, ok := accs[ck]
-		if !ok {
-			a = &acc{bounds: map[float64]uint64{}, labels: rest}
-			accs[ck] = a
-		}
-		return a
-	}
-	for _, s := range f.Samples {
-		switch s.Suffix {
-		case "_bucket":
-			a := get(s.Labels)
-			le := s.Labels["le"]
-			if le == "+Inf" {
-				a.bounds[math.Inf(1)] = uint64(s.Value)
-				continue
-			}
-			if b, err := strconv.ParseFloat(le, 64); err == nil {
-				a.bounds[b] = uint64(s.Value)
-			}
-		case "_sum":
-			get(s.Labels).sum = s.Value
-		case "_count":
-			get(s.Labels).count = uint64(s.Value)
-		}
-	}
-	var out []histEntry
-	for ck, a := range accs {
-		var snap HistogramSnapshot
-		bounds := make([]float64, 0, len(a.bounds))
-		for b := range a.bounds {
-			bounds = append(bounds, b)
-		}
-		sort.Float64s(bounds)
-		for _, b := range bounds {
-			if math.IsInf(b, 1) {
-				snap.Cumulative = append(snap.Cumulative, a.bounds[b])
-				continue
-			}
-			snap.Bounds = append(snap.Bounds, b)
-			snap.Cumulative = append(snap.Cumulative, a.bounds[b])
-		}
-		snap.Count = a.count
-		snap.Sum = a.sum
-		out = append(out, histEntry{labels: ck, labelMap: a.labels, snap: snap})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
 	return out
 }
 
@@ -442,75 +338,27 @@ func canonLabels(labels map[string]string) string {
 	return b.String()
 }
 
-// WritePrometheus renders the merged fleet document as text
-// exposition 0.0.4, deterministically ordered.
-func (m *FleetMerged) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-	for _, f := range m.families {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, sanitizeHelp(f.help))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.series {
-			if s.hist != nil {
-				writeFleetHistogram(&b, f.name, s.labels, *s.hist)
-				continue
-			}
-			if f.typ == "counter" {
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(s.labels), uint64(s.value))
-			} else {
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, renderLabels(s.labels), formatFloat(s.value))
-			}
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// writeFleetHistogram renders one merged histogram series, its le
-// labels composed with any existing labels.
-func writeFleetHistogram(b *strings.Builder, name string, labels map[string]string, s HistogramSnapshot) {
-	withLe := func(le string) string {
-		lb := map[string]string{"le": le}
-		for k, v := range labels {
-			lb[k] = v
-		}
-		return renderLabels(lb)
-	}
-	for i, bound := range s.Bounds {
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLe(formatFloat(bound)), s.Cumulative[i])
-	}
-	inf := uint64(0)
-	if n := len(s.Cumulative); n > 0 {
-		inf = s.Cumulative[n-1]
-	}
-	fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLe("+Inf"), inf)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, renderLabels(labels), formatFloat(s.Sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, renderLabels(labels), s.Count)
-}
-
-// Snapshot renders the merged fleet document as a JSON-able map — the
-// expvar half of the dual exposition, mirroring Registry.Snapshot:
+// FleetSnapshot renders a merged fleet document as a JSON-able map —
+// the expvar half of the dual exposition, mirroring Registry.Snapshot:
 // counters become fleet-summed numbers, gauges nest per node, and
 // histograms take the {count, sum, buckets} shape.
-func (m *FleetMerged) Snapshot() map[string]any {
+func FleetSnapshot(fams []Family) map[string]any {
 	out := map[string]any{}
-	for _, f := range m.families {
-		switch f.typ {
-		case "gauge":
+	for _, f := range fams {
+		if f.Type == "gauge" {
 			family := map[string]any{}
-			for _, s := range f.series {
-				family[canonLabels(s.labels)] = s.value
+			for _, s := range f.Series {
+				family[canonLabels(s.Labels)] = s.Value
 			}
-			out[f.name] = family
-		default:
-			for _, s := range f.series {
-				name := f.name + renderLabels(s.labels)
-				if s.hist != nil {
-					out[name] = histJSON(*s.hist)
-				} else {
-					out[name] = s.value
-				}
+			out[f.Name] = family
+			continue
+		}
+		for _, s := range f.Series {
+			name := f.Name + renderLabels(s.Labels)
+			if s.Hist != nil {
+				out[name] = histJSON(*s.Hist)
+			} else {
+				out[name] = s.Value
 			}
 		}
 	}

@@ -3,7 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -281,30 +283,14 @@ func (v *HistogramVec) labels() []string {
 
 // registry -----------------------------------------------------------
 
-type metricKind int
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-)
-
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
-
 // metric is one registered instrument (or callback).
 type metric struct {
-	name, help  string
-	kind        metricKind
-	constLabels string // pre-rendered `{k="v",...}` or ""
+	name, help string
+	typ        string            // "counter", "gauge" or "histogram"
+	labels     map[string]string // constant labels
+	// constLabels is labels rendered `{k="v",...}` ("" without labels);
+	// name+constLabels is the registration and sort key.
+	constLabels string
 	labelKey    string // vec label name
 
 	counter *Counter
@@ -313,6 +299,37 @@ type metric struct {
 	hist    *Histogram
 	vec     *HistogramVec
 	cvec    *CounterVec
+}
+
+// series reads the instrument's current values: one series per vec
+// child, in label order, else one.
+func (m *metric) series() []Series {
+	switch {
+	case m.cvec != nil:
+		labels := m.cvec.labels()
+		out := make([]Series, len(labels))
+		for i, l := range labels {
+			out[i] = Series{Labels: map[string]string{m.labelKey: l}, Value: float64(m.cvec.With(l).Value())}
+		}
+		return out
+	case m.vec != nil:
+		labels := m.vec.labels()
+		out := make([]Series, len(labels))
+		for i, l := range labels {
+			h := m.vec.With(l).Snapshot()
+			out[i] = Series{Labels: map[string]string{m.labelKey: l}, Hist: &h}
+		}
+		return out
+	case m.hist != nil:
+		h := m.hist.Snapshot()
+		return []Series{{Hist: &h}}
+	case m.fn != nil:
+		return []Series{{Labels: m.labels, Value: m.fn()}}
+	case m.counter != nil:
+		return []Series{{Value: float64(m.counter.Value())}}
+	default:
+		return []Series{{Value: m.gauge.Value()}}
+	}
 }
 
 // Registry holds named instruments and renders them as Prometheus
@@ -335,6 +352,7 @@ func NewRegistry() *Registry {
 
 // register inserts or returns the existing metric under name+labels.
 func (r *Registry) register(m *metric) *metric {
+	m.constLabels = renderLabels(m.labels)
 	key := m.name + m.constLabels
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -351,7 +369,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	m := r.register(&metric{name: name, help: help, kind: kindCounter, counter: &Counter{}})
+	m := r.register(&metric{name: name, help: help, typ: "counter", counter: &Counter{}})
 	return m.counter
 }
 
@@ -360,7 +378,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m := r.register(&metric{name: name, help: help, kind: kindGauge, gauge: &Gauge{}})
+	m := r.register(&metric{name: name, help: help, typ: "gauge", gauge: &Gauge{}})
 	return m.gauge
 }
 
@@ -370,7 +388,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.register(&metric{name: name, help: help, kind: kindGauge, fn: fn})
+	r.register(&metric{name: name, help: help, typ: "gauge", fn: fn})
 }
 
 // CounterFunc registers a counter whose value lives elsewhere (e.g. a
@@ -380,7 +398,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.register(&metric{name: name, help: help, kind: kindCounter, fn: fn})
+	r.register(&metric{name: name, help: help, typ: "counter", fn: fn})
 }
 
 // CounterFuncLabeled registers a constant-labelled counter callback.
@@ -391,11 +409,7 @@ func (r *Registry) CounterFuncLabeled(name, help string, labels map[string]strin
 	if r == nil {
 		return
 	}
-	r.register(&metric{
-		name: name, help: help, kind: kindCounter,
-		constLabels: renderLabels(labels),
-		fn:          fn,
-	})
+	r.register(&metric{name: name, help: help, typ: "counter", labels: maps.Clone(labels), fn: fn})
 }
 
 // CounterVec registers (or fetches) a one-label counter family.
@@ -404,7 +418,7 @@ func (r *Registry) CounterVec(name, help, labelKey string) *CounterVec {
 		return nil
 	}
 	m := r.register(&metric{
-		name: name, help: help, kind: kindCounter, labelKey: labelKey,
+		name: name, help: help, typ: "counter", labelKey: labelKey,
 		cvec: &CounterVec{m: map[string]*Counter{}},
 	})
 	return m.cvec
@@ -417,9 +431,8 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 		return
 	}
 	r.register(&metric{
-		name: name, help: help, kind: kindGauge,
-		constLabels: renderLabels(labels),
-		fn:          func() float64 { return 1 },
+		name: name, help: help, typ: "gauge", labels: maps.Clone(labels),
+		fn: func() float64 { return 1 },
 	})
 }
 
@@ -429,7 +442,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m := r.register(&metric{name: name, help: help, kind: kindHistogram, hist: NewHistogram(buckets)})
+	m := r.register(&metric{name: name, help: help, typ: "histogram", hist: NewHistogram(buckets)})
 	return m.hist
 }
 
@@ -442,22 +455,20 @@ func (r *Registry) HistogramVec(name, help, labelKey string, buckets []float64) 
 		buckets = DefaultBuckets
 	}
 	m := r.register(&metric{
-		name: name, help: help, kind: kindHistogram, labelKey: labelKey,
+		name: name, help: help, typ: "histogram", labelKey: labelKey,
 		vec: &HistogramVec{buckets: buckets, m: map[string]*Histogram{}},
 	})
 	return m.vec
 }
 
-// WritePrometheus renders the registry in Prometheus text exposition
-// format (version 0.0.4), metrics sorted by name for deterministic
-// output.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// sorted returns the registered metrics ordered by name, then constant
+// labels.
+func (r *Registry) sorted() []*metric {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	ms := make([]*metric, len(r.order))
-	copy(ms, r.order)
+	ms := slices.Clone(r.order)
 	r.mu.Unlock()
 	sort.SliceStable(ms, func(i, j int) bool {
 		if ms[i].name != ms[j].name {
@@ -465,99 +476,124 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		return ms[i].constLabels < ms[j].constLabels
 	})
-	var b strings.Builder
-	lastHeader := ""
-	for _, m := range ms {
-		if m.name != lastHeader {
-			fmt.Fprintf(&b, "# HELP %s %s\n", m.name, sanitizeHelp(m.help))
-			fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.kind)
-			lastHeader = m.name
+	return ms
+}
+
+// Families reads the live instruments into the exposition model: one
+// family per name, sorted by name, whose help and type come from the
+// first registration under that name.
+func (r *Registry) Families() []Family {
+	var fams []Family
+	for _, m := range r.sorted() {
+		if n := len(fams); n == 0 || fams[n-1].Name != m.name {
+			fams = append(fams, Family{Name: m.name, Help: m.help, Type: m.typ})
 		}
-		switch {
-		case m.cvec != nil:
-			for _, label := range m.cvec.labels() {
-				fmt.Fprintf(&b, "%s{%s=\"%s\"} %d\n", m.name, m.labelKey, escapeLabel(label), m.cvec.With(label).Value())
+		f := &fams[len(fams)-1]
+		f.Series = append(f.Series, m.series()...)
+	}
+	return fams
+}
+
+// WritePrometheus renders the registry in Prometheus text exposition
+// format (version 0.0.4), metrics sorted by name for deterministic
+// output.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return WritePrometheus(w, r.Families())
+}
+
+// Snapshot renders every instrument as a JSON-able map — the expvar
+// half of the dual exposition. Counter instruments are uint64, gauges
+// and callbacks float64; histograms become {count, sum, buckets:{"le"
+// -> cumulative}}; vecs nest by label value.
+func (r *Registry) Snapshot() map[string]any {
+	out := map[string]any{}
+	for _, m := range r.sorted() {
+		var vec map[string]any
+		if m.labelKey != "" {
+			vec = map[string]any{}
+			out[m.name] = vec
+		}
+		for _, s := range m.series() {
+			var v any = s.Value
+			switch {
+			case s.Hist != nil:
+				v = histJSON(*s.Hist)
+			case m.counter != nil || m.cvec != nil:
+				v = uint64(s.Value)
 			}
-		case m.vec != nil:
-			for _, label := range m.vec.labels() {
-				writeHistogram(&b, m.name, m.labelKey, label, m.vec.With(label).Snapshot())
+			if vec != nil {
+				vec[s.Labels[m.labelKey]] = v
+			} else {
+				out[m.name+m.constLabels] = v
 			}
-		case m.hist != nil:
-			writeHistogram(&b, m.name, "", "", m.hist.Snapshot())
-		case m.fn != nil:
-			fmt.Fprintf(&b, "%s%s %s\n", m.name, m.constLabels, formatFloat(m.fn()))
-		case m.counter != nil:
-			fmt.Fprintf(&b, "%s%s %d\n", m.name, m.constLabels, m.counter.Value())
-		case m.gauge != nil:
-			fmt.Fprintf(&b, "%s%s %s\n", m.name, m.constLabels, formatFloat(m.gauge.Value()))
+		}
+	}
+	return out
+}
+
+// exposition ---------------------------------------------------------
+
+// Family is one metric family in the model every exposition shares:
+// Registry.Families reads the live instruments into it,
+// ParsePrometheus decodes a scrape into it, MergeFleet merges scrapes
+// into it, and WritePrometheus and FleetSnapshot render it.
+type Family struct {
+	Name string
+	Help string
+	// Type is "counter", "gauge" or "histogram"; a parsed family whose
+	// exposition declared no type is "untyped".
+	Type   string
+	Series []Series
+}
+
+// Series is one labelled series of a family: Value for a counter or a
+// gauge, Hist for a histogram (whose labels exclude le).
+type Series struct {
+	Labels map[string]string
+	Value  float64
+	Hist   *HistogramSnapshot
+}
+
+// WritePrometheus renders families as text exposition format 0.0.4 in
+// the order given: a HELP line when the family has help, its TYPE
+// line, then each series. Counter values print as integers and gauges
+// in the shortest round-trip form; a histogram series prints its
+// cumulative _bucket lines, le after its other labels, then _sum and
+// _count.
+func WritePrometheus(w io.Writer, fams []Family) error {
+	var b strings.Builder
+	for _, f := range fams {
+		if f.Help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, sanitizeHelp(f.Help))
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Type)
+		for _, s := range f.Series {
+			labels := renderLabels(s.Labels)
+			switch h := s.Hist; {
+			case h != nil:
+				le := "{"
+				if labels != "" {
+					le = labels[:len(labels)-1] + ","
+				}
+				for i, bound := range h.Bounds {
+					fmt.Fprintf(&b, "%s_bucket%sle=\"%s\"} %d\n", f.Name, le, formatFloat(bound), h.Cumulative[i])
+				}
+				inf := uint64(0)
+				if n := len(h.Cumulative); n > 0 {
+					inf = h.Cumulative[n-1]
+				}
+				fmt.Fprintf(&b, "%s_bucket%sle=\"+Inf\"} %d\n", f.Name, le, inf)
+				fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, labels, formatFloat(h.Sum))
+				fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, labels, h.Count)
+			case f.Type == "counter":
+				fmt.Fprintf(&b, "%s%s %d\n", f.Name, labels, uint64(s.Value))
+			default:
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, labels, formatFloat(s.Value))
+			}
 		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// writeHistogram renders one histogram child in exposition format.
-func writeHistogram(b *strings.Builder, name, labelKey, labelVal string, s HistogramSnapshot) {
-	pair := ""
-	sep := ""
-	if labelKey != "" {
-		pair = labelKey + `="` + escapeLabel(labelVal) + `"`
-		sep = ","
-	}
-	for i, bound := range s.Bounds {
-		fmt.Fprintf(b, "%s_bucket{%s%sle=\"%s\"} %d\n", name, pair, sep, formatFloat(bound), s.Cumulative[i])
-	}
-	inf := uint64(0)
-	if n := len(s.Cumulative); n > 0 {
-		inf = s.Cumulative[n-1]
-	}
-	fmt.Fprintf(b, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, pair, sep, inf)
-	suffix := ""
-	if pair != "" {
-		suffix = "{" + pair + "}"
-	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, suffix, formatFloat(s.Sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, suffix, s.Count)
-}
-
-// Snapshot renders every instrument as a JSON-able map — the expvar
-// half of the dual exposition. Histograms become
-// {count, sum, buckets:{"le" -> cumulative}}; vecs nest by label.
-func (r *Registry) Snapshot() map[string]any {
-	out := map[string]any{}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	ms := make([]*metric, len(r.order))
-	copy(ms, r.order)
-	r.mu.Unlock()
-	for _, m := range ms {
-		name := m.name + m.constLabels
-		switch {
-		case m.cvec != nil:
-			family := map[string]any{}
-			for _, label := range m.cvec.labels() {
-				family[label] = m.cvec.With(label).Value()
-			}
-			out[name] = family
-		case m.vec != nil:
-			family := map[string]any{}
-			for _, label := range m.vec.labels() {
-				family[label] = histJSON(m.vec.With(label).Snapshot())
-			}
-			out[name] = family
-		case m.hist != nil:
-			out[name] = histJSON(m.hist.Snapshot())
-		case m.fn != nil:
-			out[name] = m.fn()
-		case m.counter != nil:
-			out[name] = m.counter.Value()
-		case m.gauge != nil:
-			out[name] = m.gauge.Value()
-		}
-	}
-	return out
 }
 
 func histJSON(s HistogramSnapshot) map[string]any {

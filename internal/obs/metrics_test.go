@@ -117,6 +117,90 @@ widgets_total 3
 	}
 }
 
+// TestRegistryExpositionGolden pins, byte for byte, the exposition of
+// a registry holding one instrument of each kind: counter, gauge, both
+// callbacks, a labelled callback family, both vecs, info and a
+// histogram. A counter callback of 1e6 or more prints as an integer,
+// like every other counter value.
+func TestRegistryExpositionGolden(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("jobs_total", "Jobs finished.").Add(7)
+	r.Gauge("queue_depth", "Jobs waiting.").Set(2.5)
+	r.GaugeFunc("uptime_seconds", "Seconds since start.", func() float64 { return 12.25 })
+	r.CounterFunc("store_hits_total", "Store hits.", func() float64 { return 41 })
+	r.CounterFuncLabeled("peer_fetch_total", "Peer fetches, by outcome.", map[string]string{"outcome": "miss"}, func() float64 { return 3 })
+	r.CounterFuncLabeled("peer_fetch_total", "Peer fetches, by outcome.", map[string]string{"outcome": "hit"}, func() float64 { return 9 })
+	cv := r.CounterVec("http_requests_total", "Requests, by status.", "status")
+	cv.With("200").Add(5)
+	cv.With("429").Inc()
+	r.Info("build_info", "Build metadata.", map[string]string{"go": "go1.24", "path": `a\b"c`})
+	h := r.Histogram("latency_seconds", "Request latency.", []float64{0.01, 0.1})
+	h.Observe(0.005)
+	h.Observe(0.2)
+	v := r.HistogramVec("stage_seconds", "Per-stage latency.", "stage", []float64{0.5})
+	v.With("macros").Observe(0.25)
+	v.With("floorplan").Observe(1.5)
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP build_info Build metadata.
+# TYPE build_info gauge
+build_info{go="go1.24",path="a\\b\"c"} 1
+# HELP http_requests_total Requests, by status.
+# TYPE http_requests_total counter
+http_requests_total{status="200"} 5
+http_requests_total{status="429"} 1
+# HELP jobs_total Jobs finished.
+# TYPE jobs_total counter
+jobs_total 7
+# HELP latency_seconds Request latency.
+# TYPE latency_seconds histogram
+latency_seconds_bucket{le="0.01"} 1
+latency_seconds_bucket{le="0.1"} 1
+latency_seconds_bucket{le="+Inf"} 2
+latency_seconds_sum 0.20500000000000002
+latency_seconds_count 2
+# HELP peer_fetch_total Peer fetches, by outcome.
+# TYPE peer_fetch_total counter
+peer_fetch_total{outcome="hit"} 9
+peer_fetch_total{outcome="miss"} 3
+# HELP queue_depth Jobs waiting.
+# TYPE queue_depth gauge
+queue_depth 2.5
+# HELP stage_seconds Per-stage latency.
+# TYPE stage_seconds histogram
+stage_seconds_bucket{stage="floorplan",le="0.5"} 0
+stage_seconds_bucket{stage="floorplan",le="+Inf"} 1
+stage_seconds_sum{stage="floorplan"} 1.5
+stage_seconds_count{stage="floorplan"} 1
+stage_seconds_bucket{stage="macros",le="0.5"} 1
+stage_seconds_bucket{stage="macros",le="+Inf"} 1
+stage_seconds_sum{stage="macros"} 0.25
+stage_seconds_count{stage="macros"} 1
+# HELP store_hits_total Store hits.
+# TYPE store_hits_total counter
+store_hits_total 41
+# HELP uptime_seconds Seconds since start.
+# TYPE uptime_seconds gauge
+uptime_seconds 12.25
+`
+	if got := b.String(); got != want {
+		t.Errorf("exposition mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+
+	big := NewRegistry()
+	big.CounterFunc("bytes_total", "Bytes written.", func() float64 { return 2e6 })
+	b.Reset()
+	if err := big.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nbytes_total 2000000\n") {
+		t.Errorf("counter callback not printed as an integer:\n%s", b.String())
+	}
+}
+
 // TestRegistryIdempotent: re-registering a name returns the same
 // instrument, so packages can lazily grab metrics in any order.
 func TestRegistryIdempotent(t *testing.T) {

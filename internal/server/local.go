@@ -73,7 +73,7 @@ func (l *local) registerMetrics() {
 		"Per-span pipeline stage latency (queue wait, compiler stages, bounded kernels).", "stage", nil)
 	l.slowCompiles = r.Counter("compile_slow_total", "Compiles that exceeded the slow-compile threshold.")
 	l.parStages = r.Counter("compile_parallel_stages_total",
-		"Concurrent stage fan-outs executed across all compiles (leafcells∥microcode, multi-start floorplan, analysis transients).")
+		"Concurrent stage fan-outs executed across all compiles (multi-start floorplan, analysis transients).")
 	l.parDegree = r.Histogram("compile_parallelism",
 		"Per-compile goroutine fan-out bound (the parallelism knob after server defaulting).",
 		[]float64{1, 2, 4, 8, 16, 32, 64})

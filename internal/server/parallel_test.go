@@ -60,11 +60,10 @@ func TestParallelCompileMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// RefineIterations>1 and Spares>0 with par>1: both the floorplan
-	// fan-out, the leafcells∥microcode pair and the analysis transients
-	// ran concurrently — three stage groups.
-	if !strings.Contains(body, "compile_parallel_stages_total 3") {
-		t.Errorf("want 3 parallel stage groups, exposition:\n%s",
+	// RefineIterations>1 and Spares>0 with par>1: the floorplan fan-out
+	// and the analysis transients ran concurrently — two stage groups.
+	if !strings.Contains(body, "compile_parallel_stages_total 2") {
+		t.Errorf("want 2 parallel stage groups, exposition:\n%s",
 			grepLines(body, "compile_parallel"))
 	}
 }

@@ -136,9 +136,6 @@ func (c *Circuit) Node(name string) int {
 	return i
 }
 
-// NumNodes returns the number of non-ground nodes.
-func (c *Circuit) NumNodes() int { return len(c.nodes) }
-
 // NodeIndex returns the solution-vector index of a node interned by a
 // builder call, or -1 for ground and names never used. Unlike Node it
 // never interns, so probing is side-effect free.

@@ -66,32 +66,6 @@ func (r *Result) PropDelay(in, out string, vdd, tEdge float64) (float64, error) 
 	}
 }
 
-// EdgeTime measures the 10%-90% transition time of the first edge on
-// node after tAfter. rising selects which edge.
-func (r *Result) EdgeTime(node string, vdd float64, rising bool, tAfter float64) (float64, error) {
-	lo, hi := 0.1*vdd, 0.9*vdd
-	if rising {
-		t0, err := r.CrossTime(node, lo, true, tAfter)
-		if err != nil {
-			return 0, err
-		}
-		t1, err := r.CrossTime(node, hi, true, t0)
-		if err != nil {
-			return 0, err
-		}
-		return t1 - t0, nil
-	}
-	t0, err := r.CrossTime(node, hi, false, tAfter)
-	if err != nil {
-		return 0, err
-	}
-	t1, err := r.CrossTime(node, lo, false, t0)
-	if err != nil {
-		return 0, err
-	}
-	return t1 - t0, nil
-}
-
 // SourceCharge integrates the current delivered BY the named voltage
 // source over [t0, t1] (coulombs, positive = sourcing). Useful for
 // CV² energy checks: the charge a supply delivers into a switched

@@ -52,9 +52,6 @@ func (s *Session) Dim() int { return s.sys.dim }
 // the order of the Circuit.M calls that built it.
 func (s *Session) Devices() int { return len(s.c.mos) }
 
-// DeviceName returns MOSFET i's name from elaboration.
-func (s *Session) DeviceName(i int) string { return s.c.mos[i].name }
-
 // Nominal returns MOSFET i's elaboration-time threshold voltage and
 // transconductance.
 func (s *Session) Nominal(i int) (vt0, kp float64) {

@@ -25,9 +25,6 @@ type Result struct {
 	wave  map[string][]float64
 }
 
-// Wave returns the voltage samples for a node name.
-func (r *Result) Wave(node string) []float64 { return r.wave[node] }
-
 // At returns node voltage at the sample nearest to t.
 func (r *Result) At(node string, t float64) float64 {
 	w := r.wave[node]

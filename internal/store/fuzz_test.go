@@ -109,10 +109,11 @@ func FuzzDecodeObject(f *testing.F) {
 	f.Add(v2Image(e))
 	f.Add(v2OverflowImage(key))
 
-	s, err := Open(Config{Dir: f.TempDir(), QuarantineObjects: 4})
+	s, err := Open(Config{Dir: f.TempDir()})
 	if err != nil {
 		f.Fatal(err)
 	}
+	s.qMaxObj = 4
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if entry, err := decodeObject(key, raw); err == nil {
 			m, body := checkImage(t, raw)

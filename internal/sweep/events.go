@@ -154,7 +154,9 @@ func (sw *Sweep) Summary() SummaryEvent {
 	return sw.summaryLocked()
 }
 
-// summaryLocked computes the aggregate counts; caller holds sw.mu.
+// summaryLocked computes the aggregate counts and state — the one
+// counting rule behind Summary, Status and the event feed; caller
+// holds sw.mu.
 func (sw *Sweep) summaryLocked() SummaryEvent {
 	s := SummaryEvent{Total: len(sw.points)}
 	for _, pt := range sw.points {

@@ -1,8 +1,8 @@
 // Sweep durability: a write-ahead journal that lets a restarted
 // daemon resume in-flight sweeps instead of losing them.
 //
-// Layout (all writes temp+rename, the same atomicity discipline as
-// internal/store):
+// Layout (every file is written by store.WriteAtomic, the store's own
+// temp+rename write):
 //
 //	<dir>/tmp/                  scratch for atomic writes (swept on open)
 //	<dir>/<id>.sweep            JSON record: {id, created_at, spec}
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/cerr"
+	"repro/internal/store"
 )
 
 const (
@@ -63,11 +64,7 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Join(dir, journalTmpDir), 0o755); err != nil {
 		return nil, cerr.Wrap(cerr.CodeInternal, err, "sweep: creating journal %s", dir)
 	}
-	if tmps, err := os.ReadDir(filepath.Join(dir, journalTmpDir)); err == nil {
-		for _, e := range tmps {
-			os.Remove(filepath.Join(dir, journalTmpDir, e.Name()))
-		}
-	}
+	store.ClearTemp(filepath.Join(dir, journalTmpDir))
 	return &Journal{dir: dir}, nil
 }
 
@@ -99,7 +96,10 @@ func (j *Journal) Begin(id string, spec Spec) error {
 	if err := os.MkdirAll(filepath.Join(j.dir, id+journalDoneExt), 0o755); err != nil {
 		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal markers for %s", id)
 	}
-	return j.atomicWrite(filepath.Join(j.dir, id+journalExt), data)
+	if err := store.WriteAtomic(j.tmpDir(), filepath.Join(j.dir, id+journalExt), data); err != nil {
+		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal record %s", id)
+	}
+	return nil
 }
 
 // MarkDone records that the group keyed key completed and its entry is
@@ -108,7 +108,7 @@ func (j *Journal) MarkDone(id, key string) error {
 	if j == nil {
 		return nil
 	}
-	if !validSweepID(id) || !validMarkerKey(key) {
+	if !validSweepID(id) || !store.ValidKey(key) {
 		return cerr.New(cerr.CodeInvalidParams, "sweep: journal rejects marker %q/%q", id, key)
 	}
 	j.mu.Lock()
@@ -122,7 +122,10 @@ func (j *Journal) MarkDone(id, key string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal markers for %s", id)
 	}
-	return j.atomicWrite(filepath.Join(dir, key), nil)
+	if err := store.WriteAtomic(j.tmpDir(), filepath.Join(dir, key)); err != nil {
+		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal marker %s/%s", id, key)
+	}
+	return nil
 }
 
 // Complete removes the sweep's record and markers: the sweep finished
@@ -188,29 +191,8 @@ func (j *Journal) Pending() ([]JournalRecord, error) {
 	return out, nil
 }
 
-// atomicWrite commits data under path via temp+rename. Caller holds
-// j.mu.
-func (j *Journal) atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Join(j.dir, journalTmpDir), "wal-*")
-	if err != nil {
-		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal temp file")
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	cerr2 := tmp.Close()
-	if werr != nil || cerr2 != nil {
-		os.Remove(tmpName)
-		if werr == nil {
-			werr = cerr2
-		}
-		return cerr.Wrap(cerr.CodeInternal, werr, "sweep: journal write %s", path)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal commit %s", path)
-	}
-	return nil
-}
+// tmpDir is the journal's store.WriteAtomic scratch directory.
+func (j *Journal) tmpDir() string { return filepath.Join(j.dir, journalTmpDir) }
 
 // validSweepID accepts the manager's "sweep-NNNNNN" IDs (and nothing
 // path-shaped).
@@ -224,19 +206,4 @@ func validSweepID(id string) bool {
 		}
 	}
 	return len(id) > len("sweep-")
-}
-
-// validMarkerKey accepts only 64-hex content addresses, keeping marker
-// path construction injection-proof (same rule as internal/store).
-func validMarkerKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }

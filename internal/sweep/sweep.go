@@ -899,13 +899,16 @@ func (m *Manager) Backlog() Backlog {
 	return b
 }
 
-// Status snapshots the sweep.
+// Status snapshots the sweep: its totals and state from
+// summaryLocked, plus one PointStatus per point.
 func (sw *Sweep) Status() Status {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	sum := sw.summaryLocked()
 	st := Status{
-		ID:             sw.ID,
-		Total:          len(sw.points),
+		ID:    sw.ID,
+		State: sum.State, Total: sum.Total, Pending: sum.Pending,
+		Done: sum.Done, Failed: sum.Failed, Cached: sum.Cached,
 		UniqueCompiles: len(sw.groups),
 		CreatedAt:      sw.created.UTC().Format(time.RFC3339Nano),
 	}
@@ -929,31 +932,17 @@ func (sw *Sweep) Status() Status {
 		switch pt.state {
 		case pointDone:
 			ps.Status = "done"
-			st.Done++
-			if pt.cached {
-				st.Cached++
-			}
 		case pointFailed:
 			ps.Status = "failed"
 			ps.Error = pt.err.Error()
 			ps.ErrorCode = cerr.CodeOf(pt.err).String()
-			st.Failed++
 		default:
-			st.Pending++
 			ps.Status = "queued"
 			if j := jobByKey[pt.key]; j != nil && j.State() == jobs.StateRunning {
 				ps.Status = "running"
 			}
 		}
 		st.Points = append(st.Points, ps)
-	}
-	switch {
-	case st.Pending > 0:
-		st.State = "running"
-	case st.Failed == st.Total:
-		st.State = "failed"
-	default:
-		st.State = "done"
 	}
 	return st
 }
