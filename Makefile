@@ -14,7 +14,7 @@ GO       ?= go
 FUZZTIME ?= 5s
 # BENCH_OUT names the checked-in benchmark evidence file; bump the
 # numeral with the PR that re-measures (schema in EXPERIMENTS.md).
-BENCH_OUT  ?= results/BENCH_19.json
+BENCH_OUT  ?= results/BENCH_21.json
 BENCHCOUNT ?= 3
 # NPROC drives the -cpu pass over the parallelism-sensitive
 # benchmarks; on a single-core box the pass degenerates to the serial
@@ -24,7 +24,7 @@ NPROC ?= $(shell nproc 2>/dev/null || echo 2)
 BENCH_PKGS = . ./internal/mcyield/ ./internal/floorplan/ ./internal/cjson/ ./internal/canon/ ./internal/store/ ./internal/compiler/
 # BENCH_CPU_PATTERN selects the benchmarks whose scaling the -cpu pass
 # measures; their highest-proc rows are what benchjson keeps.
-BENCH_CPU_PATTERN = 'BenchmarkCompileRefine|BenchmarkMCYieldParallel'
+BENCH_CPU_PATTERN = 'BenchmarkCompileRefine|BenchmarkCompileCold|BenchmarkMCYieldParallel'
 # BENCH_BASELINE is the newest checked-in evidence file other than
 # BENCH_OUT itself — what `make bench` and the bench-delta gate diff
 # fresh numbers against. Empty on a tree with no prior evidence, in

@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Code identifies one failure class of the compile pipeline.
@@ -304,4 +306,53 @@ func Recover(stage string, errp *error) {
 		Msg:   fmt.Sprintf("recovered panic: %v", r),
 		Err:   errors.New(stack),
 	}
+}
+
+// Parallel is the compile pipeline's one fan-out. It runs tasks on at
+// most par goroutines, the caller's included, taking them in index
+// order, and returns the error of the lowest-indexed task that failed.
+// Every task runs under its own Recover guard attributed to stage (a
+// panic cannot cross goroutines), and every task has returned before
+// Parallel does, so no branch outlives the call.
+//
+// With par <= 1, or a single task, the tasks run inline, in order, and
+// the first error stops the rest, exactly as straight-line code would.
+// Above that every task runs even after one has failed.
+func Parallel(stage string, par int, tasks ...func() error) error {
+	run := func(i int) (err error) {
+		defer Recover(stage, &err)
+		return tasks[i]()
+	}
+	par = min(par, len(tasks))
+	if par <= 1 {
+		for i := range tasks {
+			if err := run(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, len(tasks))
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(tasks); i = int(next.Add(1) - 1) {
+			errs[i] = run(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(par - 1)
+	for range par - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

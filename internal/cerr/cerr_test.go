@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -128,5 +129,74 @@ func TestCodeOfUntyped(t *testing.T) {
 	}
 	if !IsTyped(New(CodeGeometry, "x")) {
 		t.Fatal("taxonomy error must be typed")
+	}
+}
+
+// TestParallelInline: at par 1 the tasks run on the caller, in order,
+// and the first error stops the rest; a panic is a typed ErrInternal
+// attributed to the fan-out's stage.
+func TestParallelInline(t *testing.T) {
+	var order []int
+	task := func(i int, err error) func() error {
+		return func() error { order = append(order, i); return err }
+	}
+	fail := New(CodeFloorplan, "task 1")
+	if err := Parallel("s", 1, task(0, nil), task(1, fail), task(2, nil)); err != fail {
+		t.Fatalf("err = %v, want task 1's", err)
+	}
+	if fmt.Sprint(order) != "[0 1]" {
+		t.Fatalf("ran %v, want [0 1]", order)
+	}
+	err := Parallel("s", 0, func() error { panic("boom") })
+	if CodeOf(err) != CodeInternal || StageOf(err) != "s" {
+		t.Fatalf("panic surfaced as %v", err)
+	}
+}
+
+// TestParallelJoinsAndOrdersErrors: above par 1 every task runs, at
+// most par at a time; the error returned is the lowest-indexed one even
+// when a later task fails first; a panicking branch is recovered on its
+// own goroutine; and every task has finished when Parallel returns.
+func TestParallelJoinsAndOrdersErrors(t *testing.T) {
+	const n, par = 12, 3
+	var running, peak, done atomic.Int64
+	release := make(chan struct{})
+	tasks := make([]func() error, n)
+	for i := range tasks {
+		tasks[i] = func() error {
+			defer done.Add(1)
+			for r := running.Add(1); ; {
+				if p := peak.Load(); r <= p || peak.CompareAndSwap(p, r) {
+					break
+				}
+			}
+			defer running.Add(-1)
+			switch i {
+			case 0:
+				<-release // fails last in wall-clock time
+				return New(CodeGeometry, "task 0")
+			case 1:
+				close(release)
+				return New(CodeFloorplan, "task 1")
+			case 5:
+				panic("task 5")
+			}
+			return nil
+		}
+	}
+	err := Parallel("s", par, tasks...)
+	if CodeOf(err) != CodeGeometry {
+		t.Fatalf("err = %v, want task 0's ERR_GEOMETRY", err)
+	}
+	if done.Load() != n {
+		t.Fatalf("%d of %d tasks finished before Parallel returned", done.Load(), n)
+	}
+	if peak.Load() > par {
+		t.Fatalf("%d tasks ran at once, want at most %d", peak.Load(), par)
+	}
+	tasks[0] = func() error { return nil }
+	tasks[1] = func() error { return nil }
+	if err := Parallel("s", par, tasks...); CodeOf(err) != CodeInternal || StageOf(err) != "s" {
+		t.Fatalf("panicking branch surfaced as %v", err)
 	}
 }

@@ -53,14 +53,15 @@ type Params struct {
 	// independent deterministic annealing starts; the winner is picked
 	// by (cost, seed), so the result is a pure function of the budget.
 	RefineIterations int
-	// Parallelism bounds how many goroutines the compile may use for
-	// its independent stages: the floorplan's annealing starts fan out,
-	// and the analysis-stage SPICE transients (decode inverter, TLB
-	// match) run side by side. 0 or 1 means fully serial. Parallelism
-	// is an execution knob only — the output bytes are identical for
-	// every value, which is why the canonical compile key
-	// (internal/canon) deliberately excludes it: a parallel compile must
-	// hit the cache entry a serial compile wrote, and vice versa.
+	// Parallelism bounds how many goroutines each fan-out of the
+	// compile may use (cerr.Parallel): the analysis transients (decode
+	// inverter, TLB match) run beside the layout stages, the macro
+	// builders run side by side, and so do the floorplan's annealing
+	// starts. 0 or 1 means fully serial. Parallelism is an execution
+	// knob only — the output bytes are identical for every value,
+	// which is why the canonical compile key (internal/canon)
+	// deliberately excludes it: a parallel compile must hit the cache
+	// entry a serial compile wrote, and vice versa.
 	Parallelism int
 }
 
@@ -235,22 +236,29 @@ func Compile(p Params) (*Design, error) {
 //
 // When the context carries an obs.Trace, every stage — params,
 // leafcells, microcode, macros, floorplan, analysis — records a span,
-// and the context-bounded kernels underneath (floorplan.RefineMultiCtx,
-// the spice transients in timing analysis) nest their own spans under
-// the stage that invoked them. An untraced context pays one context
-// lookup per stage.
+// and the context-bounded kernels underneath nest their own spans:
+// floorplan.RefineMultiCtx's under compile.floorplan, and the two
+// analysis transients' timing.access and timing.tlb (with their
+// spice.transient spans) directly under compile, because they start
+// before the macros. compile.analysis opens when the floorplan ends and
+// covers the wait for the transients plus the timing, power and area
+// formulas. An untraced context pays one context lookup per stage.
 //
-// Concurrency: when p.Parallelism > 1, two stage groups fan out — the
-// floorplan's annealing starts and the analysis transients (decode
-// path ∥ TLB match). Leaf cells and microcode run one after the other:
-// together they cost tens of microseconds, too little for a goroutine
-// to pay for. Every concurrent branch runs behind its own cerr.Recover
-// guard (panics cannot cross goroutines), errors are surfaced in fixed
-// pipeline order (access path before TLB) regardless of which
-// goroutine finished first, and the output is byte-identical to a
-// serial compile — see TestCompileParallelDeterminism. The compile
-// span records parallelism and parallel_stages attrs so the serving
-// layer can count concurrent compiles.
+// Concurrency: when p.Parallelism > 1, three stage groups fan out
+// through cerr.Parallel, each bounded by p.Parallelism: the analysis
+// transients beside the layout stages (macros, then floorplan), the
+// macro builders, and the floorplan's annealing starts. Leaf
+// cells and microcode run one after the other: together they cost tens
+// of microseconds, too little for a goroutine to pay for. Every
+// concurrent branch runs behind its own cerr.Recover guard (panics
+// cannot cross goroutines), every branch has joined before CompileCtx
+// returns, errors are surfaced in fixed pipeline order (layout, then
+// access path, then TLB) regardless of which goroutine finished first,
+// and the output is byte-identical to a serial compile — see
+// TestCompileParallelDeterminism. At Parallelism 1 the stages run in
+// pipeline order: macros, floorplan, the two transients, then the
+// formulas. The compile span records parallelism and parallel_stages
+// attrs so the serving layer can count concurrent compiles.
 func CompileCtx(ctx context.Context, p Params) (*Design, error) {
 	par := p.par()
 	parallelStages := 0
@@ -275,9 +283,11 @@ func CompileCtx(ctx context.Context, p Params) (*Design, error) {
 		}
 		if inj != nil {
 			// Scripted stage faults: delay rules inject latency spikes,
-			// panic rules exercise the recover guards (the jobs layer's
-			// Recover converts them to typed ERR_INTERNAL), error rules
-			// fail the stage outright.
+			// panic rules exercise the recover guards (inside the
+			// fan-out the stage's own guard converts them to a typed
+			// ERR_INTERNAL, before it the jobs layer's Recover does),
+			// error rules fail the stage outright. Each analysis
+			// transient checks in as stage "timing".
 			if err := inj.Point(chaos.PointStagePrefix + stage); err != nil {
 				return cerr.WithStage(stage, err)
 			}
@@ -322,49 +332,84 @@ func CompileCtx(ctx context.Context, p Params) (*Design, error) {
 	if err := checkpoint("macros"); err != nil {
 		return nil, err
 	}
-	var macros []floorplan.Macro
-	var nets []floorplan.Net
-	err = func() (err error) {
-		defer cerr.Recover("macros", &err)
-		_, end := obs.Start(ctx, "compile.macros")
-		defer end()
-		macros, nets = d.buildMacros()
-		return nil
-	}()
-	if err != nil {
-		return nil, err
+	if par > 1 {
+		parallelStages += 2 // layout ∥ transients, and the macro builders
+		if p.RefineIterations > 1 {
+			parallelStages++ // annealing starts fan out inside RefineMultiCtx
+		}
 	}
 
-	if err := checkpoint("floorplan"); err != nil {
-		return nil, err
+	// One fan-out: the layout stages (macros, then floorplan) on the
+	// first branch, the analysis transients — which read only the
+	// library and Params — on the others. Branches are listed in
+	// pipeline order, so a layout error wins over a transient's, and at
+	// Parallelism 1 the stages run in the serial order.
+	var tr transients
+	endAnalysis := func(...obs.Attr) {}
+	layout := func() error {
+		var macros []floorplan.Macro
+		var nets []floorplan.Net
+		err := func() (err error) {
+			defer cerr.Recover("macros", &err)
+			_, end := obs.Start(ctx, "compile.macros")
+			defer end()
+			macros, nets, err = d.buildMacros(par)
+			return err
+		}()
+		if err != nil {
+			return err
+		}
+		err = func() (err error) {
+			defer cerr.Recover("floorplan", &err)
+			if err := checkpoint("floorplan"); err != nil {
+				return err
+			}
+			fpCtx, end := obs.Start(ctx, "compile.floorplan")
+			ferr := d.floorplanLadder(fpCtx, macros, nets)
+			end(obs.Int("degradations", len(d.Degradations)))
+			return ferr
+		}()
+		if err != nil {
+			return err
+		}
+		// compile.analysis opens as the layout ends, so the wait for
+		// the transients counts towards it.
+		return func() (err error) {
+			defer cerr.Recover("analysis", &err)
+			if err = checkpoint("analysis"); err == nil {
+				_, endAnalysis = obs.Start(ctx, "compile.analysis")
+			}
+			return err
+		}()
 	}
-	if par > 1 && p.RefineIterations > 1 {
-		parallelStages++ // annealing starts fan out inside RefineMultiCtx
+	transient := func(run func() error) func() error {
+		return func() error {
+			if err := checkpoint("timing"); err != nil {
+				return err
+			}
+			return cerr.WithStage("timing", run())
+		}
 	}
-	err = func() (err error) {
-		defer cerr.Recover("floorplan", &err)
-		fpCtx, end := obs.Start(ctx, "compile.floorplan")
-		ferr := d.floorplanLadder(fpCtx, macros, nets)
-		end(obs.Int("degradations", len(d.Degradations)))
-		return ferr
-	}()
-	if err != nil {
-		return nil, err
+	tasks := []func() error{layout, transient(func() (err error) {
+		tr.decode, err = d.decodeTransient(ctx)
+		return err
+	})}
+	if p.Spares > 0 {
+		tasks = append(tasks, transient(func() (err error) {
+			tr.tlbNs, err = d.tlbTransient(ctx)
+			return err
+		}))
 	}
-
-	if err := checkpoint("analysis"); err != nil {
-		return nil, err
+	err = cerr.Parallel("timing", par, tasks...)
+	if err == nil {
+		err = func() (err error) {
+			defer cerr.Recover("analysis", &err)
+			d.computeArea()
+			d.computeTiming(tr)
+			return nil
+		}()
 	}
-	if par > 1 && p.Spares > 0 {
-		parallelStages++ // decode transient ∥ TLB match simulation
-	}
-	err = func() (err error) {
-		defer cerr.Recover("analysis", &err)
-		anCtx, end := obs.Start(ctx, "compile.analysis")
-		defer end()
-		d.computeArea()
-		return cerr.WithStage("timing", d.computeTiming(anCtx))
-	}()
+	endAnalysis()
 	if err != nil {
 		return nil, err
 	}
@@ -378,33 +423,44 @@ func budgetErr(stage string, cause error) error {
 		cerr.Wrap(cerr.CodeBudgetExceeded, cause, "compiler: compile budget exhausted before stage %q", stage))
 }
 
-// buildMacros elaborates every macrocell and assembles the floorplan
-// macro and net lists. It runs behind the "macros" Recover guard in
-// Compile because the leaf-cell generators' residual invariant panics
-// (geom.MustPort, leafcell sanity) live beneath it.
-func (d *Design) buildMacros() ([]floorplan.Macro, []floorplan.Net) {
+// buildMacros elaborates every macrocell, one fan-out task per builder
+// (at most par at once), fills d.Macros after the join, and assembles
+// the floorplan macro and net lists. Each builder runs behind its own
+// "macros" Recover guard because the leaf-cell generators' residual
+// invariant panics (geom.MustPort, leafcell sanity) live beneath it.
+func (d *Design) buildMacros(par int) ([]floorplan.Macro, []floorplan.Net, error) {
 	p := d.Params
-	array := d.buildArray()
-	rowdec := d.buildRowDecoder()
-	colper := d.buildColPeriphery()
-	datagen := d.buildDataGen()
-	addgen := d.buildAddGen()
-	streg := d.buildStReg()
-	trpla := d.buildTRPLA()
-	var tlb *geom.Cell
+	type builder struct {
+		name  string
+		build func() *geom.Cell
+	}
+	builders := []builder{
+		{"array", d.buildArray},
+		{"rowdec", d.buildRowDecoder},
+		{"colper", d.buildColPeriphery},
+		{"datagen", d.buildDataGen},
+		{"addgen", d.buildAddGen},
+		{"streg", d.buildStReg},
+		{"trpla", d.buildTRPLA},
+	}
 	if p.Spares > 0 {
-		tlb = d.buildTLB()
+		builders = append(builders, builder{"tlb", d.buildTLB})
+	}
+	macros := make([]floorplan.Macro, len(builders))
+	tasks := make([]func() error, len(builders))
+	for i, b := range builders {
+		tasks[i] = func() error {
+			macros[i] = floorplan.Macro{Name: b.name, Cell: b.build()}
+			return nil
+		}
+	}
+	if err := cerr.Parallel("macros", par, tasks...); err != nil {
+		return nil, nil, err
+	}
+	for _, m := range macros {
+		d.Macros[m.Name] = m.Cell
 	}
 
-	macros := []floorplan.Macro{
-		{Name: "array", Cell: array},
-		{Name: "rowdec", Cell: rowdec},
-		{Name: "colper", Cell: colper},
-		{Name: "datagen", Cell: datagen},
-		{Name: "addgen", Cell: addgen},
-		{Name: "streg", Cell: streg},
-		{Name: "trpla", Cell: trpla},
-	}
 	nets := []floorplan.Net{
 		{Name: "wl_bus", Pins: []floorplan.Pin{{Macro: "rowdec", Port: "wl_edge"}, {Macro: "array", Port: "wl_edge"}}},
 		{Name: "bl_bus", Pins: []floorplan.Pin{{Macro: "array", Port: "bl_edge"}, {Macro: "colper", Port: "bl_edge"}}},
@@ -412,14 +468,13 @@ func (d *Design) buildMacros() ([]floorplan.Macro, []floorplan.Net) {
 		{Name: "addr", Pins: []floorplan.Pin{{Macro: "addgen", Port: "abus"}, {Macro: "rowdec", Port: "abus"}}},
 		{Name: "ctl", Pins: []floorplan.Pin{{Macro: "trpla", Port: "ctl"}, {Macro: "streg", Port: "ctl"}}},
 	}
-	if tlb != nil {
-		macros = append(macros, floorplan.Macro{Name: "tlb", Cell: tlb})
+	if p.Spares > 0 {
 		nets = append(nets, floorplan.Net{Name: "spare_wl", Pins: []floorplan.Pin{
 			{Macro: "tlb", Port: "spare_wl"}, {Macro: "array", Port: "wl_edge"}}})
 		nets = append(nets, floorplan.Net{Name: "addr_tlb", Pins: []floorplan.Pin{
 			{Macro: "addgen", Port: "abus"}, {Macro: "tlb", Port: "abus"}}})
 	}
-	return macros, nets
+	return macros, nets, nil
 }
 
 // floorplanLadder descends the degradation ladder:
@@ -457,6 +512,8 @@ func (d *Design) floorplanLadder(ctx context.Context, macros []floorplan.Macro, 
 		refined, rerr := floorplan.RefineMultiCtx(ctx, p.Process, macros, nets, plan,
 			p.RefineIterations, 1, refineStarts, p.par())
 		switch {
+		case cerr.CodeOf(rerr) == cerr.CodeInternal:
+			return rerr // a start panicked: an invariant broke, not a budget
 		case rerr != nil && refined != nil:
 			d.degrade("floorplan refinement stopped early (%v): keeping best-so-far placement", rerr)
 			plan = refined

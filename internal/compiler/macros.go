@@ -1,8 +1,8 @@
 package compiler
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/geom"
 	"repro/internal/leafcell"
@@ -22,6 +22,24 @@ import (
 // over-the-cell wiring channels).
 const strapWidthL = 8
 
+// columnX is the x offset of bit-cell column c for bit cells cellW
+// wide, strap gaps included. The array places its columns there and the
+// column periphery its pitch cells, so the two line up without the
+// periphery reading the array.
+func (p Params) columnX(c, cellW int) int {
+	x := c * cellW
+	if p.StrapCells > 0 {
+		x += (c / p.StrapCells) * p.Process.L(strapWidthL)
+	}
+	return x
+}
+
+// arrayWidth is the bit-cell array's width for bit cells cellW wide.
+func (p Params) arrayWidth(cellW int) int { return p.columnX(p.BPW*p.BPC-1, cellW) + cellW }
+
+// The builders below return their macrocell and write nothing shared,
+// so buildMacros may run them side by side.
+
 // buildArray assembles the (rows+spares) x (bpw*bpc) bit-cell array
 // with strap gaps.
 func (d *Design) buildArray() *geom.Cell {
@@ -29,28 +47,22 @@ func (d *Design) buildArray() *geom.Cell {
 	cell := d.Lib.SRAM
 	cw, ch := cell.Bounds().W(), cell.Bounds().H()
 	cols := p.BPW * p.BPC
-	strap := 0
-	if p.StrapCells > 0 {
-		strap = p.Process.L(strapWidthL)
-	}
 	// One row strip, reused for every row.
 	row := geom.NewCell("array_row")
-	x := 0
+	row.Grow(cols)
 	for c := 0; c < cols; c++ {
-		if strap > 0 && c > 0 && c%p.StrapCells == 0 {
-			x += strap
-		}
-		row.Place(fmt.Sprintf("c%d", c), cell.Cell, geom.R0, geom.Point{X: x})
-		x += cw
+		row.Place("c"+strconv.Itoa(c), cell.Cell, geom.R0, geom.Point{X: p.columnX(c, cw)})
 	}
+	x := p.arrayWidth(cw)
 	row.Abut = geom.R(0, 0, x, ch)
 
 	arr := geom.NewCell("array")
 	total := p.Rows() + p.Spares
+	arr.Grow(total)
 	for r := 0; r < total; r++ {
-		name := fmt.Sprintf("r%d", r)
+		name := "r" + strconv.Itoa(r)
 		if r >= p.Rows() {
-			name = fmt.Sprintf("spare%d", r-p.Rows())
+			name = "spare" + strconv.Itoa(r-p.Rows())
 		}
 		// Alternate rows are mirrored about x so that abutting rows
 		// share their vdd/gnd rails, as in any real bit-cell array
@@ -67,7 +79,6 @@ func (d *Design) buildArray() *geom.Cell {
 	// bitline edge (south).
 	arr.AddPort("wl_edge", tech.Poly, geom.R(0, 0, p.Process.L(2), total*ch), geom.West)
 	arr.AddPort("bl_edge", tech.Metal2, geom.R(0, 0, x, p.Process.L(2)), geom.South)
-	d.Macros["array"] = arr
 	return arr
 }
 
@@ -77,14 +88,14 @@ func (d *Design) buildRowDecoder() *geom.Cell {
 	unit := d.Lib.RowDecoder(p.RowAddrBits())
 	uw, uh := unit.Bounds().W(), unit.Bounds().H()
 	dec := geom.NewCell("rowdec")
+	dec.Grow(p.Rows())
 	for r := 0; r < p.Rows(); r++ {
-		dec.Place(fmt.Sprintf("u%d", r), unit.Cell, geom.R0, geom.Point{Y: r * uh})
+		dec.Place("u"+strconv.Itoa(r), unit.Cell, geom.R0, geom.Point{Y: r * uh})
 	}
 	h := p.Rows() * uh
 	dec.Abut = geom.R(0, 0, uw, h)
 	dec.AddPort("wl_edge", tech.Poly, geom.R(uw-p.Process.L(2), 0, uw, h), geom.East)
 	dec.AddPort("abus", tech.Metal2, geom.R(0, 0, uw, p.Process.L(2)), geom.South)
-	d.Macros["rowdec"] = dec
 	return dec
 }
 
@@ -95,25 +106,14 @@ func (d *Design) buildColPeriphery() *geom.Cell {
 	p := d.Params
 	cw := d.Lib.SRAM.Bounds().W()
 	cols := p.BPW * p.BPC
-	strap := 0
-	if p.StrapCells > 0 {
-		strap = p.Process.L(strapWidthL)
-	}
-	// colX matches buildArray's column positions, including straps.
-	colX := func(c int) int {
-		x := c * cw
-		if strap > 0 {
-			x += (c / p.StrapCells) * strap
-		}
-		return x
-	}
 	per := geom.NewCell("colper")
+	per.Grow(2*cols + 2*(cols/p.BPC) + p.ColAddrBits() + 2*p.BPC)
 	y := 0
 	rowOf := func(name string, cell *leafcell.Cell, pitchCells int) {
 		n := cols / pitchCells
 		for i := 0; i < n; i++ {
-			per.Place(fmt.Sprintf("%s%d", name, i), cell.Cell, geom.R0,
-				geom.Point{X: colX(i * pitchCells), Y: y})
+			per.Place(name+strconv.Itoa(i), cell.Cell, geom.R0,
+				geom.Point{X: p.columnX(i*pitchCells, cw), Y: y})
 		}
 		y += cell.Bounds().H()
 	}
@@ -125,21 +125,20 @@ func (d *Design) buildColPeriphery() *geom.Cell {
 	// as NAND2+INV chains, placed as one extra standard-cell row.
 	x := 0
 	for i := 0; i < p.ColAddrBits(); i++ {
-		per.Place(fmt.Sprintf("cdi%d", i), d.Lib.Inv.Cell, geom.R0, geom.Point{X: x, Y: y})
+		per.Place("cdi"+strconv.Itoa(i), d.Lib.Inv.Cell, geom.R0, geom.Point{X: x, Y: y})
 		x += d.Lib.Inv.Bounds().W()
 	}
 	for i := 0; i < p.BPC; i++ {
-		per.Place(fmt.Sprintf("cdn%d", i), d.Lib.Nand2.Cell, geom.R0, geom.Point{X: x, Y: y})
+		per.Place("cdn"+strconv.Itoa(i), d.Lib.Nand2.Cell, geom.R0, geom.Point{X: x, Y: y})
 		x += d.Lib.Nand2.Bounds().W()
-		per.Place(fmt.Sprintf("cdv%d", i), d.Lib.Inv.Cell, geom.R0, geom.Point{X: x, Y: y})
+		per.Place("cdv"+strconv.Itoa(i), d.Lib.Inv.Cell, geom.R0, geom.Point{X: x, Y: y})
 		x += d.Lib.Inv.Bounds().W()
 	}
 	y += d.Lib.Inv.Bounds().H()
-	w := d.Macros["array"].Bounds().W()
+	w := p.arrayWidth(cw)
 	per.Abut = geom.R(0, 0, w, y)
 	per.AddPort("bl_edge", tech.Metal2, geom.R(0, y-p.Process.L(2), w, y), geom.North)
 	per.AddPort("dout", tech.Metal1, geom.R(0, 0, w, p.Process.L(2)), geom.South)
-	d.Macros["colper"] = per
 	return per
 }
 
@@ -192,9 +191,10 @@ func (d *Design) stdBlock(name string, sim *logicsim.Sim, extraCells []*leafcell
 	target := (total + rows - 1) / rows
 
 	blk := geom.NewCell(name)
+	blk.Grow(len(cells))
 	x, y, maxW := 0, 0, 0
 	for i, c := range cells {
-		blk.Place(fmt.Sprintf("g%d", i), c.Cell, geom.R0, geom.Point{X: x, Y: y})
+		blk.Place("g"+strconv.Itoa(i), c.Cell, geom.R0, geom.Point{X: x, Y: y})
 		x += c.Bounds().W()
 		if x > maxW {
 			maxW = x
@@ -211,7 +211,6 @@ func (d *Design) stdBlock(name string, sim *logicsim.Sim, extraCells []*leafcell
 	for _, port := range ports {
 		blk.AddPort(port, tech.Metal2, geom.R(0, 0, maxW, d.Params.Process.L(2)), geom.South)
 	}
-	d.Macros[name] = blk
 	return blk
 }
 
@@ -226,7 +225,7 @@ func (d *Design) buildDataGen() *geom.Cell {
 	exp := s.Bus("exp", p.BPW)
 	diffs := make([]int, p.BPW)
 	for i := range diffs {
-		diffs[i] = s.Net(fmt.Sprintf("d%d", i))
+		diffs[i] = s.Net("d" + strconv.Itoa(i))
 		s.Gate(logicsim.XOR, diffs[i], read[i], exp[i])
 	}
 	s.OrReduce("err", diffs)
@@ -249,11 +248,11 @@ func (d *Design) buildStReg() *geom.Cell {
 	rstN := s.Net("rstN")
 	n := d.Prog.StateBits + 3 // state + pass2 + done + unsucc
 	for i := 0; i < n; i++ {
-		dn := s.Net(fmt.Sprintf("d%d", i))
-		qn := s.Net(fmt.Sprintf("q%d", i))
+		dn := s.Net("d" + strconv.Itoa(i))
+		qn := s.Net("q" + strconv.Itoa(i))
 		s.DFF(dn, qn, rstN)
 		// Set/hold gating per flag bit.
-		s.Gate(logicsim.OR, dn, qn, s.Net(fmt.Sprintf("set%d", i)))
+		s.Gate(logicsim.OR, dn, qn, s.Net("set"+strconv.Itoa(i)))
 	}
 	return d.stdBlock("streg", s, nil, []string{"ctl"})
 }
@@ -271,8 +270,10 @@ func (d *Design) buildTRPLA() *geom.Cell {
 	outCols := prog.StateBits + 14 // next-state + control signals (NumSigs)
 
 	blk := geom.NewCell("trpla")
+	blk.Grow(len(prog.Terms)*(2*nIn+outCols+1) + 2*nIn)
 	y := 0
 	for t, term := range prog.Terms {
+		row := strconv.Itoa(t)
 		x := 0
 		// AND plane: two columns (true, complement) per input.
 		for i := 0; i < nIn; i++ {
@@ -285,9 +286,10 @@ func (d *Design) buildTRPLA() *geom.Cell {
 					cellF = on
 				}
 			}
-			blk.Place(fmt.Sprintf("a%d_%dt", t, i), cellT.Cell, geom.R0, geom.Point{X: x, Y: y})
+			lit := "a" + row + "_" + strconv.Itoa(i)
+			blk.Place(lit+"t", cellT.Cell, geom.R0, geom.Point{X: x, Y: y})
 			x += pitch
-			blk.Place(fmt.Sprintf("a%d_%df", t, i), cellF.Cell, geom.R0, geom.Point{X: x, Y: y})
+			blk.Place(lit+"f", cellF.Cell, geom.R0, geom.Point{X: x, Y: y})
 			x += pitch
 		}
 		// OR plane.
@@ -296,18 +298,18 @@ func (d *Design) buildTRPLA() *geom.Cell {
 			if term.Out&(1<<uint(o)) != 0 {
 				c = on
 			}
-			blk.Place(fmt.Sprintf("o%d_%d", t, o), c.Cell, geom.R0, geom.Point{X: x, Y: y})
+			blk.Place("o"+row+"_"+strconv.Itoa(o), c.Cell, geom.R0, geom.Point{X: x, Y: y})
 			x += pitch
 		}
 		// Row pull-up.
-		blk.Place(fmt.Sprintf("pu%d", t), pull.Cell, geom.R0, geom.Point{X: x, Y: y})
+		blk.Place("pu"+row, pull.Cell, geom.R0, geom.Point{X: x, Y: y})
 		y += on.Bounds().H()
 	}
 	// Input buffer row: two inverters per input (true/complement
 	// rails).
 	x := 0
 	for i := 0; i < 2*nIn; i++ {
-		blk.Place(fmt.Sprintf("ib%d", i), d.Lib.Inv.Cell, geom.R0, geom.Point{X: x, Y: y})
+		blk.Place("ib"+strconv.Itoa(i), d.Lib.Inv.Cell, geom.R0, geom.Point{X: x, Y: y})
 		x += d.Lib.Inv.Bounds().W()
 	}
 	_ = nOut
@@ -317,7 +319,6 @@ func (d *Design) buildTRPLA() *geom.Cell {
 	}
 	blk.Abut = geom.R(0, 0, w, y+d.Lib.Inv.Bounds().H())
 	blk.AddPort("ctl", tech.Metal2, geom.R(0, 0, w, d.Params.Process.L(2)), geom.South)
-	d.Macros["trpla"] = blk
 	return blk
 }
 
@@ -330,24 +331,26 @@ func (d *Design) buildTLB() *geom.Cell {
 	cw, ch := cam.Bounds().W(), cam.Bounds().H()
 	bits := p.RowAddrBits()
 	blk := geom.NewCell("tlb")
+	blk.Grow(p.Spares*(bits+2) + bits)
 	y := 0
 	for s := 0; s < p.Spares; s++ {
+		spare := strconv.Itoa(s)
 		x := 0
 		for b := 0; b < bits; b++ {
-			blk.Place(fmt.Sprintf("cam%d_%d", s, b), cam.Cell, geom.R0, geom.Point{X: x, Y: y})
+			blk.Place("cam"+spare+"_"+strconv.Itoa(b), cam.Cell, geom.R0, geom.Point{X: x, Y: y})
 			x += cw
 		}
 		// Match-line sense inverter and the spare wordline driver.
-		blk.Place(fmt.Sprintf("mlbuf%d", s), d.Lib.Inv.Cell, geom.R0, geom.Point{X: x, Y: y})
+		blk.Place("mlbuf"+spare, d.Lib.Inv.Cell, geom.R0, geom.Point{X: x, Y: y})
 		x += d.Lib.Inv.Bounds().W()
-		blk.Place(fmt.Sprintf("wldrv%d", s), d.Lib.Buf.Cell, geom.R0, geom.Point{X: x, Y: y})
+		blk.Place("wldrv"+spare, d.Lib.Buf.Cell, geom.R0, geom.Point{X: x, Y: y})
 		y += ch
 	}
 	// Address output tristates (TLB vs address register selection per
 	// Section VI's synchronous masking scheme).
 	x := 0
 	for b := 0; b < bits; b++ {
-		blk.Place(fmt.Sprintf("tb%d", b), d.Lib.Tribuf.Cell, geom.R0, geom.Point{X: x, Y: y})
+		blk.Place("tb"+strconv.Itoa(b), d.Lib.Tribuf.Cell, geom.R0, geom.Point{X: x, Y: y})
 		x += d.Lib.Tribuf.Bounds().W()
 	}
 	y += d.Lib.Tribuf.Bounds().H()
@@ -358,6 +361,5 @@ func (d *Design) buildTLB() *geom.Cell {
 	blk.Abut = geom.R(0, 0, w, y)
 	blk.AddPort("spare_wl", tech.Poly, geom.R(w-p.Process.L(2), 0, w, y), geom.East)
 	blk.AddPort("abus", tech.Metal2, geom.R(0, 0, w, p.Process.L(2)), geom.South)
-	d.Macros["tlb"] = blk
 	return blk
 }

@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/leafcell"
@@ -176,7 +177,29 @@ func BenchmarkAnalysisCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resetAnalysisMemo()
-		if err := d.computeTiming(ctx); err != nil {
+		if _, err := d.decodeTransient(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.tlbTransient(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileCold times a whole compile as a daemon's first
+// request for a design sees it: the analysis memo is emptied before
+// every iteration, so both transients simulate beside the layout
+// stages, and the compile runs at Parallelism = GOMAXPROCS, the
+// daemon's default. The design is mid-size (1024 × 16, bpc 4) with 4
+// spares and no refine; `-cpu 1,2` compares the serial pipeline with
+// the fan-out.
+func BenchmarkCompileCold(b *testing.B) {
+	p := Params{Words: 1024, BPW: 16, BPC: 4, Spares: 4, BufSize: 2,
+		StrapCells: 32, Process: tech.CDA07, Parallelism: runtime.GOMAXPROCS(0)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		resetAnalysisMemo()
+		if _, err := Compile(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,67 +1,15 @@
 package compiler
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/cerr"
+	"repro/internal/chaos"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
-
-// TestCompileParallelDeterminism is the tentpole contract: a compile
-// with the concurrency knob wide open must produce byte-identical
-// output to a fully serial compile of the same Params, because the
-// content-addressed cache (internal/canon + internal/store) hashes
-// only Params and replays cached bytes regardless of how a compile
-// was scheduled. Run under -race this also exercises the concurrent
-// stage DAG for data races.
-func TestCompileParallelDeterminism(t *testing.T) {
-	base := Params{
-		Words: 256, BPW: 8, BPC: 4, Spares: 4, BufSize: 1,
-		StrapCells: 32, Process: tech.CDA07, RefineIterations: 2000,
-	}
-	serial := base
-	serial.Parallelism = 1
-	parallel := base
-	parallel.Parallelism = 8
-
-	// Each compile starts from an empty analysis memo; otherwise the
-	// second would be served from it and the concurrent transients
-	// would never run under -race.
-	resetAnalysisMemo()
-	ds, err := Compile(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resetAnalysisMemo()
-	dp, err := Compile(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := ds.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jp, err := dp.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js != jp {
-		t.Fatalf("parallel compile diverged from serial:\nserial:\n%s\nparallel:\n%s", js, jp)
-	}
-	// The layouts must agree too, not just the datasheet.
-	if ds.Plan == nil || dp.Plan == nil {
-		t.Fatal("expected full floorplans")
-	}
-	if ds.Plan.Area != dp.Plan.Area || ds.Plan.Wirelength != dp.Plan.Wirelength {
-		t.Fatalf("floorplan diverged: %d/%d vs %d/%d",
-			ds.Plan.Area, ds.Plan.Wirelength, dp.Plan.Area, dp.Plan.Wirelength)
-	}
-	for name, pl := range ds.Plan.Placements {
-		if dp.Plan.Placements[name] != pl {
-			t.Fatalf("placement of %q diverged: %+v vs %+v", name, pl, dp.Plan.Placements[name])
-		}
-	}
-}
 
 // TestCompileNoSparesParallel covers the DAG shape without the TLB
 // branch (Spares == 0 skips the second transient).
@@ -96,5 +44,48 @@ func TestValidateParallelismEnvelope(t *testing.T) {
 	p.Parallelism = maxParallelism
 	if err := p.Validate(); err != nil {
 		t.Fatalf("cap value should validate: %v", err)
+	}
+}
+
+// TestFloorplanErrorJoinsTransients: the analysis transients start
+// before the macros and run beside the layout stages. A floorplan
+// stage that fails while they still run (a chaos delay holds them at
+// their checkpoint) must report the floorplan's error, and the
+// transients must have finished — their timing.* spans recorded —
+// before CompileCtx returns: no branch outlives the call.
+func TestFloorplanErrorJoinsTransients(t *testing.T) {
+	for _, par := range []int{2, 8} {
+		inj, err := chaos.Parse([]byte(`{"rules":[
+			{"point":"compile.stage.timing","mode":"delay","delay_ms":100},
+			{"point":"compile.stage.floorplan","mode":"error"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resetAnalysisMemo()
+		tr := obs.NewTrace("join")
+		ctx := chaos.WithContext(obs.WithTrace(context.Background(), tr), inj)
+		p := Params{Words: 256, BPW: 8, BPC: 4, Spares: 4, BufSize: 1, StrapCells: 32,
+			Process: tech.CDA07, Parallelism: par}
+		if _, err := CompileCtx(ctx, p); cerr.StageOf(err) != "floorplan" {
+			t.Fatalf("par %d: err = %v, want the floorplan stage's injected error", par, err)
+		}
+		var macrosEnd time.Time
+		timing := map[string]time.Time{}
+		for _, sp := range tr.Spans() {
+			switch sp.Name {
+			case "compile.macros":
+				macrosEnd = sp.Start.Add(sp.Dur)
+			case "timing.access", "timing.tlb":
+				timing[sp.Name] = sp.Start.Add(sp.Dur)
+			}
+		}
+		if macrosEnd.IsZero() || len(timing) != 2 {
+			t.Fatalf("par %d: compile.macros ended %v, timing spans %v: want both transients recorded", par, macrosEnd, timing)
+		}
+		for name, end := range timing {
+			if !end.After(macrosEnd) {
+				t.Errorf("par %d: %s ended before compile.macros did; it was not running when the floorplan failed", par, name)
+			}
+		}
 	}
 }

@@ -97,3 +97,22 @@ func TestMultiStartBudgetExpiry(t *testing.T) {
 		t.Fatalf("expired refine should still return a full floorplan, got %+v", res)
 	}
 }
+
+// TestMultiStartPanicIsTyped: a start that panics (here on a macro
+// with no cell) surfaces as a typed ERR_INTERNAL attributed to the
+// floorplan at every par. Before the starts ran under per-branch
+// guards, par > 1 panicked on a start goroutine and killed the process.
+func TestMultiStartPanicIsTyped(t *testing.T) {
+	macros, base := multiMacros(t, 6)
+	broken := append([]Macro(nil), macros...)
+	broken[2].Cell = nil
+	for _, par := range []int{1, 4} {
+		res, err := RefineMultiCtx(context.Background(), tech.CDA07, broken, nil, base, 4000, 1, 4, par)
+		if cerr.CodeOf(err) != cerr.CodeInternal || cerr.StageOf(err) != "floorplan" {
+			t.Fatalf("par %d: err = %v, want ERR_INTERNAL[floorplan]", par, err)
+		}
+		if res != nil {
+			t.Fatalf("par %d: a panicked refine returned a floorplan", par)
+		}
+	}
+}

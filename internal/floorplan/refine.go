@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/cerr"
 	"repro/internal/geom"
@@ -56,8 +55,8 @@ func RefineCtx(ctx context.Context, p *tech.Process, macros []Macro, nets []Net,
 // ties broken by the lowest seed. Every start is deterministic given
 // its seed and budget share, and the tiebreak is scheduling-blind, so
 // the result is byte-identical whether the starts run sequentially or
-// concurrently — `par` (clamped to [1, starts]) only bounds how many
-// run at once and never influences the outcome. Each start records
+// concurrently — `par` only bounds how many run at once (through
+// cerr.Parallel) and never influences the outcome. Each start records
 // its own "floorplan.refine" span (attrs: seed, moves, budget), so
 // traces nest correctly under the caller's floorplan stage span even
 // when starts interleave.
@@ -66,7 +65,8 @@ func RefineCtx(ctx context.Context, p *tech.Process, macros []Macro, nets []Net,
 // placements with a cerr.ErrBudgetExceeded; the winner among the
 // partial results is still returned alongside the budget error, so
 // callers keep a legal floorplan as a diagnostic (the compiler's
-// degradation ladder records the stop instead of failing).
+// degradation ladder records the stop instead of failing). A start that
+// panics returns no floorplan and a typed cerr.ErrInternal, at any par.
 func RefineMultiCtx(ctx context.Context, p *tech.Process, macros []Macro, nets []Net, initial *Result, iterations int, seed int64, starts, par int) (*Result, error) {
 	if iterations <= 0 {
 		return initial, nil
@@ -85,12 +85,6 @@ func RefineMultiCtx(ctx context.Context, p *tech.Process, macros []Macro, nets [
 	if starts > iterations {
 		starts = iterations // every start must get at least one move
 	}
-	if par < 1 {
-		par = 1
-	}
-	if par > starts {
-		par = starts
-	}
 
 	type outcome struct {
 		best map[string]Placement
@@ -101,32 +95,22 @@ func RefineMultiCtx(ctx context.Context, p *tech.Process, macros []Macro, nets [
 	share := iterations / starts
 	extra := iterations % starts
 
-	runStart := func(i int) {
-		budget := share
-		if i < extra {
-			budget++
+	// A start's budget stop is its outcome, not a failure, so the tasks
+	// fail only by a recovered panic.
+	tasks := make([]func() error, starts)
+	for i := range tasks {
+		tasks[i] = func() error {
+			budget := share
+			if i < extra {
+				budget++
+			}
+			best, cost, err := refineOne(ctx, macros, nets, initial, budget, seed+int64(i))
+			outs[i] = outcome{best: best, cost: cost, err: err}
+			return nil
 		}
-		best, cost, err := refineOne(ctx, macros, nets, initial, budget, seed+int64(i))
-		outs[i] = outcome{best: best, cost: cost, err: err}
 	}
-
-	if par == 1 {
-		for i := 0; i < starts; i++ {
-			runStart(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, par)
-		for i := 0; i < starts; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runStart(i)
-			}(i)
-		}
-		wg.Wait()
+	if err := cerr.Parallel("floorplan", par, tasks...); err != nil {
+		return nil, err
 	}
 
 	// Winner by (cost, seed): strictly-lower cost wins; equal cost

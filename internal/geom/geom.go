@@ -11,6 +11,7 @@ package geom
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cerr"
@@ -334,6 +335,14 @@ func (c *Cell) MustPort(name string) Port {
 		panic(fmt.Sprintf("geom: cell %q has no port %q", c.Name, name))
 	}
 	return p
+}
+
+// Grow makes room for n more instances, so a generator that knows its
+// instance count sizes the slice once instead of growing it by
+// appends.
+func (c *Cell) Grow(n int) {
+	c.mutcheck("Grow")
+	c.Instances = slices.Grow(c.Instances, n)
 }
 
 // Place adds an instance of child at the given point with orientation o.

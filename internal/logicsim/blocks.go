@@ -1,6 +1,6 @@
 package logicsim
 
-import "fmt"
+import "strconv"
 
 // This file provides structural building blocks used by the BIST/BISR
 // netlist generators: reduction trees, decoders, and registered buses.
@@ -39,7 +39,7 @@ func (s *Sim) reduce(name string, k Kind, in []int) int {
 				next = append(next, cur[i])
 				continue
 			}
-			out := s.Net(fmt.Sprintf("%s.r%d_%d", name, level, i/2))
+			out := s.Net(name + ".r" + strconv.Itoa(level) + "_" + strconv.Itoa(i/2))
 			s.Gate(k, out, cur[i], cur[i+1])
 			next = append(next, out)
 		}
@@ -62,7 +62,7 @@ func (s *Sim) Decoder(name string, addr []int, en int) []int {
 	// Complement rails.
 	nb := make([]int, n)
 	for i, a := range addr {
-		nb[i] = s.Net(fmt.Sprintf("%s.nb%d", name, i))
+		nb[i] = s.Net(name + ".nb" + strconv.Itoa(i))
 		s.Gate(NOT, nb[i], a)
 	}
 	out := make([]int, size)
@@ -76,7 +76,7 @@ func (s *Sim) Decoder(name string, addr []int, en int) []int {
 				ins = append(ins, nb[i])
 			}
 		}
-		out[v] = s.Net(fmt.Sprintf("%s.o%d", name, v))
+		out[v] = s.Net(name + ".o" + strconv.Itoa(v))
 		s.Gate(AND, out[v], ins...)
 	}
 	return out
@@ -95,7 +95,7 @@ func (s *Sim) EqComparator(name string, a, b []int) int {
 	}
 	diffs := make([]int, len(a))
 	for i := range a {
-		diffs[i] = s.Net(fmt.Sprintf("%s.x%d", name, i))
+		diffs[i] = s.Net(name + ".x" + strconv.Itoa(i))
 		s.Gate(XOR, diffs[i], a[i], b[i])
 	}
 	ne := s.OrReduce(name+".ne", diffs)
@@ -175,11 +175,11 @@ func (s *Sim) UpDownCounter(name string, n int, rstN int) *UpDownCounterNets {
 			ones[i] = c.En
 			zeros[i] = c.En
 		} else {
-			ones[i] = s.Net(fmt.Sprintf("%s.ones%d", name, i))
+			ones[i] = s.Net(name + ".ones" + strconv.Itoa(i))
 			s.Gate(AND, ones[i], ones[i-1], q[i-1])
-			nz := s.Net(fmt.Sprintf("%s.nq%d", name, i-1))
+			nz := s.Net(name + ".nq" + strconv.Itoa(i-1))
 			s.Gate(NOT, nz, q[i-1])
-			zeros[i] = s.Net(fmt.Sprintf("%s.zeros%d", name, i))
+			zeros[i] = s.Net(name + ".zeros" + strconv.Itoa(i))
 			s.Gate(AND, zeros[i], zeros[i-1], nz)
 		}
 	}
@@ -187,11 +187,11 @@ func (s *Sim) UpDownCounter(name string, n int, rstN int) *UpDownCounterNets {
 	loadVal := s.Net(name + ".loadval")
 	s.Gate(NOT, loadVal, c.Up)
 	for i := 0; i < n; i++ {
-		tog := s.Net(fmt.Sprintf("%s.tog%d", name, i))
+		tog := s.Net(name + ".tog" + strconv.Itoa(i))
 		s.Gate(MUX2, tog, c.Up, zeros[i], ones[i])
-		d := s.Net(fmt.Sprintf("%s.d%d", name, i))
+		d := s.Net(name + ".d" + strconv.Itoa(i))
 		s.Gate(XOR, d, q[i], tog)
-		dl := s.Net(fmt.Sprintf("%s.dl%d", name, i))
+		dl := s.Net(name + ".dl" + strconv.Itoa(i))
 		s.Gate(MUX2, dl, c.Load, d, loadVal)
 		s.DFF(dl, q[i], rstN)
 	}
@@ -199,7 +199,7 @@ func (s *Sim) UpDownCounter(name string, n int, rstN int) *UpDownCounterNets {
 	allOnes := s.AndReduce(name+".allones", q)
 	nqs := make([]int, n)
 	for i := 0; i < n; i++ {
-		nqs[i] = s.Net(fmt.Sprintf("%s.tnq%d", name, i))
+		nqs[i] = s.Net(name + ".tnq" + strconv.Itoa(i))
 		s.Gate(NOT, nqs[i], q[i])
 	}
 	allZeros := s.AndReduce(name+".allzeros", nqs)
@@ -236,10 +236,10 @@ func (s *Sim) JohnsonCounter(name string, n int, rstN int) *JohnsonCounterNets {
 		if i > 0 {
 			src = q[i-1]
 		}
-		d := s.Net(fmt.Sprintf("%s.d%d", name, i))
+		d := s.Net(name + ".d" + strconv.Itoa(i))
 		s.Gate(MUX2, d, j.En, q[i], src)
 		// Synchronous clear: load forces the next state to zero.
-		dl := s.Net(fmt.Sprintf("%s.dl%d", name, i))
+		dl := s.Net(name + ".dl" + strconv.Itoa(i))
 		s.Gate(AND, dl, d, nload)
 		s.DFF(dl, q[i], rstN)
 	}

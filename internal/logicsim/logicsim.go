@@ -6,7 +6,7 @@
 package logicsim
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/cerr"
 )
@@ -322,7 +322,7 @@ func (s *Sim) Nets(names ...string) []int {
 func (s *Sim) Bus(prefix string, n int) []int {
 	out := make([]int, n)
 	for i := range out {
-		out[i] = s.Net(fmt.Sprintf("%s[%d]", prefix, i))
+		out[i] = s.Net(prefix + "[" + strconv.Itoa(i) + "]")
 	}
 	return out
 }

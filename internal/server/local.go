@@ -73,7 +73,7 @@ func (l *local) registerMetrics() {
 		"Per-span pipeline stage latency (queue wait, compiler stages, bounded kernels).", "stage", nil)
 	l.slowCompiles = r.Counter("compile_slow_total", "Compiles that exceeded the slow-compile threshold.")
 	l.parStages = r.Counter("compile_parallel_stages_total",
-		"Concurrent stage fan-outs executed across all compiles (multi-start floorplan, analysis transients).")
+		"Concurrent stage fan-outs executed across all compiles (layout beside the analysis transients, macro builders, multi-start floorplan).")
 	l.parDegree = r.Histogram("compile_parallelism",
 		"Per-compile goroutine fan-out bound (the parallelism knob after server defaulting).",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
@@ -166,8 +166,15 @@ func (l *local) Lookup(key string) (*cache.Entry, bool) {
 	return e, ok
 }
 
-// Run is the sweep manager's Run seam: one observed compile.
+// Run is the sweep manager's Run seam: one observed compile. Every
+// compile the daemon runs, interactive or sweep point, passes here, so
+// here the server-side concurrency default applies. It applies after
+// keying: parallelism is an execution knob the canonical key excludes,
+// so a request compiled serially elsewhere still hits this entry.
 func (l *local) Run(ctx context.Context, key string, _ canon.Request, p compiler.Params) (*cache.Entry, error) {
+	if p.Parallelism == 0 && l.s.cfg.CompileParallelism > 0 {
+		p.Parallelism = l.s.cfg.CompileParallelism
+	}
 	runStart := time.Now()
 	entry, err := l.runCompile(ctx, key, p)
 	l.observeCompile(obs.FromContext(ctx), time.Since(runStart), key, err)
@@ -195,13 +202,6 @@ func (l *local) Compile(w http.ResponseWriter, r *http.Request, c Compile) error
 	}
 	annotateCache(w, "miss")
 	l.cacheMisses.Inc()
-	// Server-side concurrency default. Applied strictly AFTER keying:
-	// parallelism is an execution knob the canonical key excludes, so
-	// a request compiled serially elsewhere still hits this entry.
-	params := c.Params
-	if params.Parallelism == 0 && s.cfg.CompileParallelism > 0 {
-		params.Parallelism = s.cfg.CompileParallelism
-	}
 
 	// Every submission carries a trace: the queue records the wait span,
 	// the pipeline records its stage spans, and the completed tree is
@@ -215,7 +215,7 @@ func (l *local) Compile(w http.ResponseWriter, r *http.Request, c Compile) error
 		tr = obs.NewTraceRemote(tid, parent)
 	}
 	job, deduped, err := s.cfg.Queue.SubmitTraced(c.Key, c.Priority, tr, func(ctx context.Context) (any, error) {
-		entry, err := l.Run(ctx, c.Key, canon.Request{}, params)
+		entry, err := l.Run(ctx, c.Key, canon.Request{}, c.Params)
 		if err != nil {
 			return nil, err
 		}

@@ -11,12 +11,16 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/canon"
+	"repro/internal/compiler"
 	"repro/internal/jobs"
+	"repro/internal/obs"
+	"repro/internal/tech"
 )
 
 // parallelTestServer is testServer with the compile-parallelism
 // default configured (the -compile-par knob of bisramgend).
-func parallelTestServer(t *testing.T, par int) *httptest.Server {
+func parallelTestServer(t *testing.T, par int) (*httptest.Server, *Server) {
 	t.Helper()
 	q := jobs.New(jobs.Config{Workers: 2, Deadline: time.Minute})
 	var logBuf bytes.Buffer
@@ -32,14 +36,14 @@ func parallelTestServer(t *testing.T, par int) *httptest.Server {
 		defer cancel()
 		q.Shutdown(ctx)
 	})
-	return ts
+	return ts, s
 }
 
 // TestParallelCompileMetrics: a compile under a configured
 // parallelism default surfaces the compile_parallel_stages_total
 // counter and the compile_parallelism histogram on /metrics.
 func TestParallelCompileMetrics(t *testing.T) {
-	ts := parallelTestServer(t, 8)
+	ts, _ := parallelTestServer(t, 8)
 	req := `{"words":256,"bpw":8,"bpc":4,"spares":4,"refine_iterations":500}`
 	if code, m := postCompile(t, ts, req, ""); code != 200 {
 		t.Fatalf("compile %d: %v", code, m)
@@ -60,11 +64,44 @@ func TestParallelCompileMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// RefineIterations>1 and Spares>0 with par>1: the floorplan fan-out
-	// and the analysis transients ran concurrently — two stage groups.
-	if !strings.Contains(body, "compile_parallel_stages_total 2") {
-		t.Errorf("want 2 parallel stage groups, exposition:\n%s",
+	// With par>1 three stage groups fanned out: the layout beside the
+	// analysis transients, the macro builders, and (RefineIterations>1)
+	// the floorplan's annealing starts.
+	if !strings.Contains(body, "compile_parallel_stages_total 3") {
+		t.Errorf("want 3 parallel stage groups, exposition:\n%s",
 			grepLines(body, "compile_parallel"))
+	}
+}
+
+// TestSweepSeamAppliesParallelismDefault: sweep points reach the
+// backend's Run seam with Parallelism 0, as a request that names none
+// reaches POST /v1/compile. The configured default (bisramgend
+// -compile-par) must apply to both, so a standalone daemon's sweep
+// compiles fan out as its interactive ones do.
+func TestSweepSeamAppliesParallelismDefault(t *testing.T) {
+	_, s := parallelTestServer(t, 3)
+	p := compiler.Params{Words: 256, BPW: 8, BPC: 4, Spares: 4, BufSize: 1, StrapCells: 32, Process: tech.CDA07}
+	key, err := canon.KeyOfParams(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("sweep")
+	if _, err := s.backend.Run(obs.WithTrace(context.Background(), tr), key, canon.Request{}, p); err != nil {
+		t.Fatal(err)
+	}
+	got := ""
+	for _, sp := range tr.Spans() {
+		if sp.Name != "compile" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "parallelism" {
+				got = a.Value
+			}
+		}
+	}
+	if got != "3" {
+		t.Fatalf("sweep compile ran at parallelism %q, want the configured default 3", got)
 	}
 }
 
@@ -72,7 +109,7 @@ func TestParallelCompileMetrics(t *testing.T) {
 // with different parallelism knobs must share one content key, so the
 // second request is a cache hit, not a second compile.
 func TestParallelismAliasesToOneCacheEntry(t *testing.T) {
-	ts := parallelTestServer(t, 0) // no server default; knob from requests
+	ts, _ := parallelTestServer(t, 0) // no server default; knob from requests
 	serial := `{"words":256,"bpw":8,"bpc":4,"spares":4,"parallelism":1}`
 	par := `{"words":256,"bpw":8,"bpc":4,"spares":4,"parallelism":16}`
 	code, first := postCompile(t, ts, serial, "")

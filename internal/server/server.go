@@ -106,8 +106,9 @@ type Config struct {
 	// trace reads; <= 0 means DefaultTraceBudget.
 	TraceBudget int
 	// CompileParallelism is the per-compile goroutine fan-out applied
-	// to requests that leave the knob at 0 (requests naming an
-	// explicit parallelism keep it). Because the compiler's output is
+	// to compiles that leave the knob at 0, POST /v1/compile requests
+	// and sweep points alike (requests naming an explicit parallelism
+	// keep it). Because the compiler's output is
 	// byte-identical at every parallelism, this default is invisible
 	// to the content-addressed cache — it only changes wall-clock
 	// time. <= 0 leaves compiles serial.
