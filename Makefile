@@ -175,8 +175,10 @@ serve:
 # Brief coverage-guided pass over every fuzz target. Seed corpora are
 # checked in under each package's testdata/fuzz/; anything the fuzzer
 # minimises lands there too and should be committed. FuzzDecodeObject's
-# inputs are object images of a few hundred bytes, whose minimisation
-# would take the whole budget, so its pass caps it.
+# inputs are object images of a few hundred bytes, and
+# FuzzMergeSpanSets's are records of up to 64 spans rendered three
+# ways; minimising either would take the whole budget, so their passes
+# cap it.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDeck -fuzztime=$(FUZZTIME) ./internal/tech/
 	$(GO) test -run='^$$' -fuzz=FuzzMarchNotation -fuzztime=$(FUZZTIME) ./internal/march/
@@ -189,6 +191,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalDifferential -fuzztime=$(FUZZTIME) ./internal/cjson/
 	$(GO) test -run='^$$' -fuzz=FuzzGDSDifferential -fuzztime=$(FUZZTIME) ./internal/gds/
 	$(GO) test -run='^$$' -fuzz=FuzzExpositionRoundTrip -fuzztime=$(FUZZTIME) ./internal/obs/
+	$(GO) test -run='^$$' -fuzz=FuzzMergeSpanSets -fuzztime=$(FUZZTIME) -fuzzminimizetime=1000x ./internal/obs/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeObject -fuzztime=$(FUZZTIME) -fuzzminimizetime=1000x ./internal/store/
 
 # Adversarial-input campaign against the full compile pipeline: exits

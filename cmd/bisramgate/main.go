@@ -21,22 +21,19 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 func main() {
@@ -66,17 +63,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	var inj *chaos.Injector
-	if *chaosSpec != "" {
-		if strings.HasPrefix(strings.TrimSpace(*chaosSpec), "{") {
-			inj, err = chaos.Parse([]byte(*chaosSpec))
-		} else {
-			inj, err = chaos.Load(*chaosSpec)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bisramgate: chaos spec: %v\n", err)
-			os.Exit(1)
-		}
+	inj, err := chaos.LoadSpec(*chaosSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bisramgate: chaos spec: %v\n", err)
+		os.Exit(1)
+	}
+	if inj != nil {
 		fmt.Fprintln(os.Stderr, "bisramgate: CHAOS INJECTION ENABLED — not for production use")
 	}
 
@@ -106,39 +98,8 @@ func main() {
 		Handler:           gw.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "bisramgate: listening on %s in front of %d shard(s) (%d up)\n",
-			*addr, tab.PeersTotal(), tab.PeersUp())
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "bisramgate: serve: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
+	if code := server.Serve("bisramgate", httpSrv, q, *drainTimeout, fmt.Sprintf(
+		"listening on %s in front of %d shard(s) (%d up)", *addr, tab.PeersTotal(), tab.PeersUp())); code != 0 {
+		os.Exit(code)
 	}
-	stop()
-	fmt.Fprintf(os.Stderr, "bisramgate: signal received; draining (budget %v)\n", *drainTimeout)
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	shutdownErr := httpSrv.Shutdown(drainCtx)
-	drainErr := q.Shutdown(drainCtx)
-	<-errCh
-
-	switch {
-	case drainErr != nil:
-		fmt.Fprintf(os.Stderr, "bisramgate: drain incomplete: %v\n", drainErr)
-		os.Exit(1)
-	case shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed):
-		fmt.Fprintf(os.Stderr, "bisramgate: http shutdown: %v\n", shutdownErr)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "bisramgate: drained cleanly")
 }

@@ -27,13 +27,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/canon"
 	"repro/internal/cerr"
 	"repro/internal/cjson"
 	"repro/internal/compiler"
-	"repro/internal/gds"
 	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/spice"
@@ -114,7 +114,7 @@ func main() {
 		fatal(err)
 	}
 	if tr != nil {
-		doc, terr := tr.ChromeJSON()
+		doc, terr := tr.SpanSet("bisramgen").ChromeJSON()
 		if terr != nil {
 			fatal(terr)
 		}
@@ -126,51 +126,42 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	write := func(name, content string) {
+	write := func(name string, content []byte) {
 		path := filepath.Join(*outDir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", path, len(content))
 	}
 
 	// A degraded compile may have no floorplan (estimate-only rung of
-	// the ladder): still emit the datasheet, report and control code,
-	// just skip the layout artefacts.
+	// the ladder): its artifact set still holds the datasheet, report
+	// and TRPLA control-code planes (loaded back at runtime by the tool,
+	// and editable to change the test algorithm), just no layout.
 	for _, deg := range d.Degradations {
 		fmt.Fprintf(os.Stderr, "bisramgen: warning: degraded result: %s\n", deg)
 	}
-	if d.Top != nil {
-		write("layout.svg", render.SVG(d.Top, render.Options{Depth: 0}))
-		var gdsBuf strings.Builder
-		if err := gds.Write(&gdsBuf, d.Top, d.Top.Name); err != nil {
-			fatal(err)
-		}
-		write("layout.gds", gdsBuf.String())
-	} else {
+	if d.Top == nil {
 		fmt.Fprintln(os.Stderr, "bisramgen: warning: no floorplan — skipping layout.svg and layout.gds")
 	}
-	write("datasheet.txt", d.Datasheet())
-	js, err := d.JSON()
+	arts, err := d.Artifacts()
 	if err != nil {
 		fatal(err)
 	}
-	write("datasheet.json", js)
-
-	// TRPLA control code plane files (loaded back at runtime by the
-	// tool, and editable to change the test algorithm).
-	var andB, orB strings.Builder
-	if err := d.Prog.WritePlanes(&andB, &orB); err != nil {
-		fatal(err)
+	names := make([]string, 0, len(arts))
+	for name := range arts {
+		names = append(names, name)
 	}
-	write("trpla_and.plane", andB.String())
-	write("trpla_or.plane", orB.String())
+	slices.Sort(names)
+	for _, name := range names {
+		write(name, arts[name])
+	}
 
 	// Extracted SPICE deck for the sense amplifier leaf cell.
 	ckt := spice.New()
 	ckt.V("vdd", "xvdd", spice.DC(p.Process.VDD))
 	d.Lib.SenseAmp.Extract(ckt, "x")
-	write("senseamp.sp", ckt.Deck("extracted current-mode sense amplifier"))
+	write("senseamp.sp", []byte(ckt.Deck("extracted current-mode sense amplifier")))
 
 	fmt.Printf("\ncontent address: %s\n\n", key)
 	fmt.Print(d.Datasheet())

@@ -19,18 +19,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cache"
@@ -67,18 +63,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var inj *chaos.Injector
-	if *chaosSpec != "" {
-		var err error
-		if strings.HasPrefix(strings.TrimSpace(*chaosSpec), "{") {
-			inj, err = chaos.Parse([]byte(*chaosSpec))
-		} else {
-			inj, err = chaos.Load(*chaosSpec)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bisramgend: chaos spec: %v\n", err)
-			os.Exit(1)
-		}
+	inj, err := chaos.LoadSpec(*chaosSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bisramgend: chaos spec: %v\n", err)
+		os.Exit(1)
+	}
+	if inj != nil {
 		fmt.Fprintln(os.Stderr, "bisramgend: CHAOS INJECTION ENABLED — not for production use")
 	}
 
@@ -97,7 +87,6 @@ func main() {
 	c.SetChaos(inj)
 	var st *store.Store
 	if *storeDir != "" {
-		var err error
 		st, err = store.Open(store.Config{Dir: *storeDir, BudgetBytes: *storeMB << 20, Chaos: inj})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bisramgend: opening store %s: %v\n", *storeDir, err)
@@ -111,7 +100,6 @@ func main() {
 		if jd == "" {
 			jd = filepath.Join(*storeDir, "sweeps")
 		}
-		var err error
 		journal, err = sweep.OpenJournal(jd)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bisramgend: opening sweep journal %s: %v\n", jd, err)
@@ -187,44 +175,8 @@ func main() {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
-	// Serve until a termination signal arrives.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "bisramgend: listening on %s (%d workers, %d MiB cache, %v deadline)\n",
-			*addr, *workers, *cacheMB, *deadline)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errCh:
-		// Listener failed before any signal (port in use, etc.).
-		fmt.Fprintf(os.Stderr, "bisramgend: serve: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
+	if code := server.Serve("bisramgend", httpSrv, q, *drainTimeout, fmt.Sprintf(
+		"listening on %s (%d workers, %d MiB cache, %v deadline)", *addr, *workers, *cacheMB, *deadline)); code != 0 {
+		os.Exit(code)
 	}
-	stop()
-	fmt.Fprintf(os.Stderr, "bisramgend: signal received; draining (budget %v)\n", *drainTimeout)
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-
-	// Stop accepting connections and finish in-flight HTTP exchanges,
-	// then drain the compile queue.
-	shutdownErr := httpSrv.Shutdown(drainCtx)
-	drainErr := q.Shutdown(drainCtx)
-	<-errCh // join the serve goroutine (returns ErrServerClosed)
-
-	switch {
-	case drainErr != nil:
-		fmt.Fprintf(os.Stderr, "bisramgend: drain incomplete: %v\n", drainErr)
-		os.Exit(1)
-	case shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed):
-		fmt.Fprintf(os.Stderr, "bisramgend: http shutdown: %v\n", shutdownErr)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "bisramgend: drained cleanly")
 }

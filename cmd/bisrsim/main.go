@@ -187,7 +187,7 @@ func runFaultCampaign(args []string) {
 	fmt.Printf("fault campaign: %d adversarial inputs, %v per-case deadline\n", len(cases), *timeout)
 	rep := faultcampaign.RunTraced(cases, *timeout, tr)
 	if tr != nil {
-		doc, err := tr.ChromeJSON()
+		doc, err := tr.SpanSet("bisrsim").ChromeJSON()
 		if err != nil {
 			fail(err)
 		}

@@ -143,7 +143,7 @@ func (r *rule) matches(point string) bool {
 
 // Injector evaluates a scripted scenario. A nil *Injector is the
 // disabled state: every method returns the zero outcome immediately.
-// Construct with Parse or Load; safe for concurrent use.
+// Construct with Parse or LoadSpec; safe for concurrent use.
 type Injector struct {
 	mu    sync.Mutex
 	rules []*rule
@@ -187,11 +187,19 @@ func Parse(data []byte) (*Injector, error) {
 	return in, nil
 }
 
-// Load reads and parses a spec file.
-func Load(path string) (*Injector, error) {
-	data, err := os.ReadFile(path)
+// LoadSpec builds the injector a -chaos-spec flag names: inline JSON
+// (the value starts with "{") or the path of a spec file. An empty
+// spec is the disabled state, a nil injector.
+func LoadSpec(spec string) (*Injector, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	if strings.HasPrefix(strings.TrimSpace(spec), "{") {
+		return Parse([]byte(spec))
+	}
+	data, err := os.ReadFile(spec)
 	if err != nil {
-		return nil, cerr.Wrap(cerr.CodeInvalidParams, err, "chaos: reading spec %s", path)
+		return nil, cerr.Wrap(cerr.CodeInvalidParams, err, "chaos: reading spec %s", spec)
 	}
 	return Parse(data)
 }

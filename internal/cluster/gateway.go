@@ -362,10 +362,10 @@ func (f *fleet) Object(w http.ResponseWriter, r *http.Request, key string, _ boo
 // A failed remote fetch (or an injected trace.fetch fault) degrades to
 // the gateway-local spans: a partial trace still answers "where did the
 // time go" questions.
-func (f *fleet) Trace(ctx context.Context, id string) (server.Trace, bool) {
+func (f *fleet) Trace(ctx context.Context, id string) (obs.SpanSet, bool) {
 	rec, ok := f.jobs.Get(id)
 	if !ok || rec.trace == nil {
-		return nil, false
+		return obs.SpanSet{}, false
 	}
 	sets := []obs.SpanSet{rec.trace.SpanSet("gateway")}
 	f.chaos.Delay(chaos.PointTraceFetch)

@@ -1,9 +1,12 @@
 package compiler
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/cjson"
+	"repro/internal/gds"
+	"repro/internal/render"
 )
 
 // Report is the machine-readable datasheet — the structured
@@ -102,4 +105,32 @@ func (d *Design) JSON() (string, error) {
 		return "", fmt.Errorf("compiler: %w", err)
 	}
 	return string(b), nil
+}
+
+// Artifacts renders the files a compiled design ships, by name: the
+// canonical report (datasheet.json), the text datasheet, the TRPLA
+// control-code planes and, when the design has a layout, layout.svg
+// and the GDSII stream layout.gds. It is the one definition of the
+// artifact set: the daemon caches and persists it, bisramgen writes it
+// to disk, and the layout figures read their drawings from it.
+func (d *Design) Artifacts() (map[string][]byte, error) {
+	js, err := d.JSON()
+	if err != nil {
+		return nil, err
+	}
+	var and, or bytes.Buffer
+	if err := d.Prog.WritePlanes(&and, &or); err != nil {
+		return nil, fmt.Errorf("compiler: TRPLA planes: %w", err)
+	}
+	a := map[string][]byte{
+		"datasheet.json":  []byte(js),
+		"datasheet.txt":   []byte(d.Datasheet()),
+		"trpla_and.plane": and.Bytes(),
+		"trpla_or.plane":  or.Bytes(),
+	}
+	if d.Top != nil {
+		a["layout.svg"] = []byte(render.SVG(d.Top, render.Options{Depth: 0}))
+		a["layout.gds"] = gds.Bytes(d.Top, d.Top.Name)
+	}
+	return a, nil
 }

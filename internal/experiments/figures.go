@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/compiler"
-	"repro/internal/gds"
 	"repro/internal/reliability"
 	"repro/internal/render"
 	"repro/internal/tech"
@@ -157,16 +155,16 @@ func layoutFig(id, title string, p compiler.Params) (*LayoutResult, error) {
 	t.Add("tlb_ns", d.Timing.TLBNs)
 	t.Add("rectangularity", d.Plan.Rectangularity)
 	t.Add("transistors(array row)", int64(p.BPW*p.BPC*6))
-	var gdsBuf bytes.Buffer
-	if err := gds.Write(&gdsBuf, d.Top, d.Top.Name); err != nil {
+	arts, err := d.Artifacts()
+	if err != nil {
 		return nil, err
 	}
 	return &LayoutResult{
 		Table:  t,
 		Design: d,
-		SVG:    render.SVG(d.Top, render.Options{Depth: 0}),
+		SVG:    string(arts["layout.svg"]),
 		ASCII:  render.ASCII(d.Top, 78),
-		GDS:    gdsBuf.Bytes(),
+		GDS:    arts["layout.gds"],
 	}, nil
 }
 

@@ -125,8 +125,8 @@ type Job struct {
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Trace returns the job's trace (nil when the submitter attached
-// none). Deduped submissions share the first submitter's trace.
+// Trace returns the job's trace. Deduped submissions share the first
+// submitter's trace.
 func (j *Job) Trace() *obs.Trace { return j.trace }
 
 // State returns the current lifecycle state, derived from the job's
@@ -297,21 +297,19 @@ func New(cfg Config) *Queue {
 
 // Submit enqueues fn under key. If a job with the same key is already
 // queued or running, the submission attaches to it (deduped=true) and
-// fn is discarded. A draining queue or a full queue rejects with
-// ERR_OVERLOADED — a transient, retryable shed, distinct from the
-// ERR_BUDGET_EXCEEDED a job earns by exhausting its own deadline.
-// Submit is SubmitTraced without a trace.
-func (q *Queue) Submit(key string, pri Priority, fn Func) (job *Job, deduped bool, err error) {
-	return q.SubmitTraced(key, pri, nil, fn)
-}
-
-// SubmitTraced is Submit with a request-scoped trace attached to the
-// job: the queue records a "queue.wait" span covering submission →
-// worker pickup (or drain cancellation), and fn runs under a context
-// carrying the trace so the pipeline's stage spans land in it. A
-// deduped submission attaches to the existing job and its trace; tr
-// is discarded in that case (the job keeps the first submitter's).
-func (q *Queue) SubmitTraced(key string, pri Priority, tr *obs.Trace, fn Func) (job *Job, deduped bool, err error) {
+// fn and tr are discarded: the job keeps the first submitter's trace.
+// A draining queue or a full queue rejects with ERR_OVERLOADED — a
+// transient, retryable shed, distinct from the ERR_BUDGET_EXCEEDED a
+// job earns by exhausting its own deadline.
+//
+// Every job has a trace: tr, or a fresh one when tr is nil. The queue
+// records a "queue.wait" span covering submission → worker pickup (or
+// drain cancellation), and fn runs under a context carrying the trace
+// so the pipeline's stage spans land in it.
+func (q *Queue) Submit(key string, pri Priority, tr *obs.Trace, fn Func) (job *Job, deduped bool, err error) {
+	if tr == nil {
+		tr = obs.NewTrace("")
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining {
@@ -400,9 +398,9 @@ func (q *Queue) worker() {
 }
 
 // observeQueueWait accounts the submit→pickup interval for j into the
-// histogram, the cumulative counter and (when the job carries a
-// trace) a "queue.wait" span. It runs for every job that leaves the
-// queue: executed AND drain-cancelled.
+// histogram, the cumulative counter and the job trace's "queue.wait"
+// span. It runs for every job that leaves the queue: executed AND
+// drain-cancelled.
 func (q *Queue) observeQueueWait(j *Job, submitted, pickup time.Time, cancelled bool) {
 	wait := pickup.Sub(submitted)
 	if wait < 0 {
@@ -455,9 +453,7 @@ func (q *Queue) run(j *Job) error {
 		ctx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
-	if j.trace != nil {
-		ctx = obs.WithTrace(ctx, j.trace)
-	}
+	ctx = obs.WithTrace(ctx, j.trace)
 
 	var value any
 	err := func() (err error) {

@@ -19,7 +19,7 @@ import (
 func TestRunsAndReturnsValue(t *testing.T) {
 	q := New(Config{Workers: 2})
 	defer q.Shutdown(context.Background())
-	j, deduped, err := q.Submit("k1", Interactive, func(ctx context.Context) (any, error) {
+	j, deduped, err := q.Submit("k1", Interactive, nil, func(ctx context.Context) (any, error) {
 		return 42, nil
 	})
 	if err != nil || deduped {
@@ -41,7 +41,7 @@ func TestErrorPropagates(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Shutdown(context.Background())
 	boom := errors.New("boom")
-	j, _, err := q.Submit("k", Interactive, func(ctx context.Context) (any, error) {
+	j, _, err := q.Submit("k", Interactive, nil, func(ctx context.Context) (any, error) {
 		return nil, boom
 	})
 	if err != nil {
@@ -58,7 +58,7 @@ func TestErrorPropagates(t *testing.T) {
 func TestPanicBecomesTypedError(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Shutdown(context.Background())
-	j, _, err := q.Submit("k", Interactive, func(ctx context.Context) (any, error) {
+	j, _, err := q.Submit("k", Interactive, nil, func(ctx context.Context) (any, error) {
 		panic("invariant violated")
 	})
 	if err != nil {
@@ -76,7 +76,7 @@ func TestSingleflightDedup(t *testing.T) {
 	var runs atomic.Int32
 	release := make(chan struct{})
 	// Occupy the single worker so the key stays in-flight.
-	blocker, _, err := q.Submit("blocker", Interactive, func(ctx context.Context) (any, error) {
+	blocker, _, err := q.Submit("blocker", Interactive, nil, func(ctx context.Context) (any, error) {
 		<-release
 		return nil, nil
 	})
@@ -87,13 +87,13 @@ func TestSingleflightDedup(t *testing.T) {
 		runs.Add(1)
 		return "r", nil
 	}
-	first, deduped, err := q.Submit("same", Interactive, fn)
+	first, deduped, err := q.Submit("same", Interactive, nil, fn)
 	if err != nil || deduped {
 		t.Fatalf("first: %v %v", err, deduped)
 	}
 	var jobs []*Job
 	for i := 0; i < 5; i++ {
-		j, dup, err := q.Submit("same", Interactive, fn)
+		j, dup, err := q.Submit("same", Interactive, nil, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestPriorityOrdering(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Shutdown(context.Background())
 	release := make(chan struct{})
-	blocker, _, err := q.Submit("blocker", Interactive, func(ctx context.Context) (any, error) {
+	blocker, _, err := q.Submit("blocker", Interactive, nil, func(ctx context.Context) (any, error) {
 		<-release
 		return nil, nil
 	})
@@ -153,7 +153,7 @@ func TestPriorityOrdering(t *testing.T) {
 		{"batch1", Batch}, {"norm1", Normal}, {"int1", Interactive},
 		{"batch2", Batch}, {"int2", Interactive}, {"norm2", Normal},
 	} {
-		j, _, err := q.Submit(sub.name, sub.pri, mk(sub.name))
+		j, _, err := q.Submit(sub.name, sub.pri, nil, mk(sub.name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestPriorityOrdering(t *testing.T) {
 func TestPerJobDeadline(t *testing.T) {
 	q := New(Config{Workers: 1, Deadline: 30 * time.Millisecond})
 	defer q.Shutdown(context.Background())
-	j, _, err := q.Submit("slow", Interactive, func(ctx context.Context) (any, error) {
+	j, _, err := q.Submit("slow", Interactive, nil, func(ctx context.Context) (any, error) {
 		select {
 		case <-ctx.Done():
 			return nil, cerr.Wrap(cerr.CodeBudgetExceeded, ctx.Err(), "kernel stopped")
@@ -202,7 +202,7 @@ func TestCapacityRejects(t *testing.T) {
 	q := New(Config{Workers: 1, Capacity: 2})
 	defer q.Shutdown(context.Background())
 	release := make(chan struct{})
-	q.Submit("blocker", Interactive, func(ctx context.Context) (any, error) {
+	q.Submit("blocker", Interactive, nil, func(ctx context.Context) (any, error) {
 		<-release
 		return nil, nil
 	})
@@ -212,12 +212,12 @@ func TestCapacityRejects(t *testing.T) {
 	for q.Stats().Running == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	ok1, _, err1 := q.Submit("a", Interactive, func(ctx context.Context) (any, error) { return nil, nil })
-	ok2, _, err2 := q.Submit("b", Interactive, func(ctx context.Context) (any, error) { return nil, nil })
+	ok1, _, err1 := q.Submit("a", Interactive, nil, func(ctx context.Context) (any, error) { return nil, nil })
+	ok2, _, err2 := q.Submit("b", Interactive, nil, func(ctx context.Context) (any, error) { return nil, nil })
 	if err1 != nil || err2 != nil {
 		t.Fatalf("fills rejected: %v %v", err1, err2)
 	}
-	_, _, err3 := q.Submit("c", Interactive, func(ctx context.Context) (any, error) { return nil, nil })
+	_, _, err3 := q.Submit("c", Interactive, nil, func(ctx context.Context) (any, error) { return nil, nil })
 	if cerr.CodeOf(err3) != cerr.CodeOverloaded {
 		t.Fatalf("overflow not rejected with ERR_OVERLOADED: %v", err3)
 	}
@@ -234,7 +234,7 @@ func TestGracefulDrainFinishesQueuedWork(t *testing.T) {
 	var ran atomic.Int32
 	var jobs []*Job
 	for i := 0; i < 10; i++ {
-		j, _, err := q.Submit(fmt.Sprintf("k%d", i), Batch, func(ctx context.Context) (any, error) {
+		j, _, err := q.Submit(fmt.Sprintf("k%d", i), Batch, nil, func(ctx context.Context) (any, error) {
 			time.Sleep(2 * time.Millisecond)
 			ran.Add(1)
 			return nil, nil
@@ -256,14 +256,14 @@ func TestGracefulDrainFinishesQueuedWork(t *testing.T) {
 		}
 	}
 	// Post-drain submissions are rejected.
-	if _, _, err := q.Submit("late", Interactive, func(ctx context.Context) (any, error) { return nil, nil }); err == nil {
+	if _, _, err := q.Submit("late", Interactive, nil, func(ctx context.Context) (any, error) { return nil, nil }); err == nil {
 		t.Fatal("draining queue must reject")
 	}
 }
 
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	q := New(Config{Workers: 1})
-	j, _, err := q.Submit("straggler", Interactive, func(ctx context.Context) (any, error) {
+	j, _, err := q.Submit("straggler", Interactive, nil, func(ctx context.Context) (any, error) {
 		<-ctx.Done() // only exits when the drain hard-cancels
 		return nil, cerr.Wrap(cerr.CodeBudgetExceeded, ctx.Err(), "cancelled")
 	})
@@ -284,7 +284,7 @@ func TestAbandonedWaitDoesNotCancelJob(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Shutdown(context.Background())
 	release := make(chan struct{})
-	j, _, err := q.Submit("k", Interactive, func(ctx context.Context) (any, error) {
+	j, _, err := q.Submit("k", Interactive, nil, func(ctx context.Context) (any, error) {
 		<-release
 		return "late value", nil
 	})
@@ -313,7 +313,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%20)
-				j, _, err := q.Submit(key, Priority(i%3), func(ctx context.Context) (any, error) {
+				j, _, err := q.Submit(key, Priority(i%3), nil, func(ctx context.Context) (any, error) {
 					ran.Add(1)
 					return key, nil
 				})
@@ -348,7 +348,7 @@ func TestTracePropagation(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Shutdown(context.Background())
 	tr := obs.NewTrace("job-trace")
-	j, deduped, err := q.SubmitTraced("k", Interactive, tr, func(ctx context.Context) (any, error) {
+	j, deduped, err := q.Submit("k", Interactive, tr, func(ctx context.Context) (any, error) {
 		if obs.FromContext(ctx) != tr {
 			t.Error("fn context does not carry the submitted trace")
 		}
@@ -374,6 +374,56 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
+// TestSubmitWithoutTrace: a submission that brings no trace still gets
+// one, so every job records its queue wait and runs traced.
+func TestSubmitWithoutTrace(t *testing.T) {
+	q := New(Config{Workers: 1})
+	defer q.Shutdown(context.Background())
+	j, _, err := q.Submit("k", Batch, nil, func(ctx context.Context) (any, error) {
+		if obs.FromContext(ctx) == nil {
+			t.Error("fn context carries no trace")
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Result(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	spans := j.Trace().Spans()
+	if len(spans) != 1 || spans[0].Name != "queue.wait" {
+		t.Fatalf("untraced submission's job trace = %+v, want one queue.wait span", spans)
+	}
+}
+
+// TestDedupKeepsFirstTrace: a submission that attaches to an in-flight
+// job discards its own trace; the job keeps the first submitter's.
+func TestDedupKeepsFirstTrace(t *testing.T) {
+	q := New(Config{Workers: 1})
+	defer q.Shutdown(context.Background())
+	release := make(chan struct{})
+	first := obs.NewTrace("first")
+	j, _, err := q.Submit("same", Interactive, first, func(ctx context.Context) (any, error) {
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, deduped, err := q.Submit("same", Interactive, obs.NewTrace("second"), func(ctx context.Context) (any, error) {
+		t.Error("deduped submission's fn ran")
+		return nil, nil
+	})
+	close(release)
+	if err != nil || !deduped || dup != j {
+		t.Fatalf("second submission: job %p (want %p), deduped %v, err %v", dup, j, deduped, err)
+	}
+	if dup.Trace() != first {
+		t.Fatalf("deduped job trace %q, want the first submitter's", dup.Trace().ID)
+	}
+}
+
 // TestCancelledJobAccountsQueueWait is the drain-path accounting
 // contract: a job failed fast during a hard drain (never executed)
 // still contributes its queue wait to the histogram, the cumulative
@@ -383,7 +433,7 @@ func TestCancelledJobAccountsQueueWait(t *testing.T) {
 	q := New(Config{Workers: 1, Registry: reg})
 	block := make(chan struct{})
 	// Occupy the single worker so the second job stays queued.
-	blocker, _, err := q.Submit("blocker", Interactive, func(ctx context.Context) (any, error) {
+	blocker, _, err := q.Submit("blocker", Interactive, nil, func(ctx context.Context) (any, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
@@ -394,7 +444,7 @@ func TestCancelledJobAccountsQueueWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("victim")
-	victim, _, err := q.SubmitTraced("victim", Interactive, tr, func(ctx context.Context) (any, error) {
+	victim, _, err := q.Submit("victim", Interactive, tr, func(ctx context.Context) (any, error) {
 		t.Error("cancelled job's fn must not run")
 		return nil, nil
 	})
@@ -486,7 +536,7 @@ func TestDoneImpliesCounted(t *testing.T) {
 	q := New(Config{Workers: 2})
 	defer q.Shutdown(context.Background())
 	for i := 1; i <= 2000; i++ {
-		j, _, err := q.Submit(fmt.Sprint(i), Interactive, func(ctx context.Context) (any, error) {
+		j, _, err := q.Submit(fmt.Sprint(i), Interactive, nil, func(ctx context.Context) (any, error) {
 			return nil, nil
 		})
 		if err != nil {
@@ -508,7 +558,7 @@ func TestTerminalStateOnlyOnceReadable(t *testing.T) {
 	q := New(Config{Workers: 1})
 	defer q.Shutdown(context.Background())
 	entered, release := make(chan struct{}), make(chan struct{})
-	j, _, err := q.Submit("k", Interactive, func(context.Context) (any, error) {
+	j, _, err := q.Submit("k", Interactive, nil, func(context.Context) (any, error) {
 		close(entered)
 		<-release
 		return "v", nil

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"time"
+	"strconv"
 )
 
 // chromeEvent is one entry of the Chrome trace-event format
@@ -25,49 +25,64 @@ type chromeDoc struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// ChromeJSON renders the trace as a Chrome trace-event JSON document.
-// Span timestamps are relative to the trace epoch; every span lands
-// on pid 1 / tid 1, which is correct for the strictly nested span
-// trees the pipeline produces (the viewer stacks nested slices).
-func (t *Trace) ChromeJSON() ([]byte, error) {
-	if t == nil {
-		return json.Marshal(chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"})
+// ChromeJSON renders the span set as one Chrome trace-event document
+// with one pid per node, each named by a process_name metadata event:
+// a span's node attribute, else the set's Node, else "trace <id>".
+// Timestamps count from the earliest span. Every slice carries its
+// span and parent IDs in args, so cross-process parent links are
+// explicit in the JSON itself; within a process the viewer stacks the
+// strictly nested slices on one row.
+func (s SpanSet) ChromeJSON() ([]byte, error) {
+	var epoch int64
+	for i, ws := range s.Spans {
+		if i == 0 || ws.StartUnixNs < epoch {
+			epoch = ws.StartUnixNs
+		}
 	}
-	spans := t.Spans()
-	doc := chromeDoc{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(spans)+1)}
-	// Metadata event: names the process row after the trace ID.
-	doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: 1, Tid: 1,
-		Args: map[string]string{"name": "trace " + t.ID},
-	})
-	for _, s := range spans {
+	doc := chromeDoc{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
+	slices := make([]chromeEvent, 0, len(s.Spans))
+	pids := map[string]int{}
+	pid := func(node string) int {
+		if node == "" {
+			node = s.Node
+		}
+		if node == "" {
+			node = "trace " + s.TraceID
+		}
+		if p, ok := pids[node]; ok {
+			return p
+		}
+		pids[node] = len(pids) + 1
+		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+			Name: "process_name", Ph: "M", Pid: len(pids), Tid: 1,
+			Args: map[string]string{"name": node},
+		})
+		return len(pids)
+	}
+	if len(s.Spans) == 0 {
+		pid("") // a set with no spans yet still names its process
+	}
+	for _, ws := range s.Spans {
 		ev := chromeEvent{
-			Name: s.Name,
+			Name: ws.Name,
 			Cat:  "compile",
 			Ph:   "X",
-			Ts:   usSince(t.start, s.Start),
-			Dur:  float64(s.Dur.Microseconds()),
-			Pid:  1,
+			Ts:   float64((ws.StartUnixNs - epoch) / 1e3),
+			Dur:  float64(ws.DurNs / 1e3),
+			Pid:  pid(ws.Attrs["node"]),
 			Tid:  1,
+			Args: map[string]string{
+				"span_id":   strconv.FormatUint(ws.ID, 10),
+				"parent_id": strconv.FormatUint(ws.Parent, 10),
+			},
 		}
-		if len(s.Attrs) > 0 {
-			ev.Args = make(map[string]string, len(s.Attrs))
-			for _, a := range s.Attrs {
-				ev.Args[a.Key] = a.Value
+		for k, v := range ws.Attrs {
+			if k != "node" {
+				ev.Args[k] = v
 			}
 		}
-		doc.TraceEvents = append(doc.TraceEvents, ev)
+		slices = append(slices, ev)
 	}
+	doc.TraceEvents = append(doc.TraceEvents, slices...)
 	return json.MarshalIndent(doc, "", " ")
-}
-
-// usSince returns the microseconds from epoch to ts, clamped at 0 so
-// synthesized spans recorded slightly before the trace epoch (e.g. a
-// queue wait that began before NewTrace returned) stay renderable.
-func usSince(epoch, ts time.Time) float64 {
-	us := float64(ts.Sub(epoch).Microseconds())
-	if us < 0 {
-		return 0
-	}
-	return us
 }

@@ -64,7 +64,6 @@ type Trace struct {
 	// mint a random one).
 	ID string
 
-	start  time.Time
 	nextID atomic.Uint64
 
 	// remoteParent is the span ID (in the originating process's trace)
@@ -83,7 +82,7 @@ func NewTrace(id string) *Trace {
 	if id == "" {
 		id = NewID()
 	}
-	return &Trace{ID: id, start: time.Now()}
+	return &Trace{ID: id}
 }
 
 // NewTraceRemote builds a trace that continues a wire identity from
@@ -114,10 +113,6 @@ func NewID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// Epoch returns the trace's zero time (construction instant); Chrome
-// export timestamps are relative to it.
-func (t *Trace) Epoch() time.Time { return t.start }
 
 // add appends a completed span.
 func (t *Trace) add(s Span) {
@@ -235,43 +230,67 @@ func SpanIDFromContext(ctx context.Context) uint64 {
 }
 
 // Tree renders the span hierarchy as indented text with durations —
-// the slow-compile forensics format. Roots (and spans whose parent
-// was never completed) are ordered by start time.
-func (t *Trace) Tree() string {
-	if t == nil {
-		return ""
+// the slow-compile forensics format. Roots (and spans whose parent is
+// not in the set) are listed in span order, attributes in key order.
+// A span's node attribute is shown only where it differs from its
+// parent's, so a merged trace marks each process transition. Each span
+// prints at most once: a malformed set whose parent links form a
+// cycle still renders, each span on the cycle once.
+func (s SpanSet) Tree() string {
+	byID := make(map[uint64]int, len(s.Spans)) // first span holding each ID
+	for i, ws := range s.Spans {
+		if _, dup := byID[ws.ID]; !dup {
+			byID[ws.ID] = i
+		}
 	}
-	spans := t.Spans()
-	byParent := map[uint64][]Span{}
-	ids := map[uint64]bool{}
-	for _, s := range spans {
-		ids[s.ID] = true
-	}
+	children := map[uint64][]int{}
+	var roots []int
 	var total time.Duration
-	for _, s := range spans {
-		parent := s.Parent
-		if parent != 0 && !ids[parent] {
-			parent = 0 // orphan: promote to root
+	for i, ws := range s.Spans {
+		if _, ok := byID[ws.Parent]; ws.Parent == 0 || !ok {
+			roots = append(roots, i)
+			total += time.Duration(ws.DurNs)
+			continue
 		}
-		byParent[parent] = append(byParent[parent], s)
-		if s.Parent == 0 || !ids[s.Parent] {
-			total += s.Dur
-		}
+		children[ws.Parent] = append(children[ws.Parent], i)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s: %d spans, %s root time\n", t.ID, len(spans), total.Round(time.Microsecond))
-	var walk func(parent uint64, depth int)
-	walk = func(parent uint64, depth int) {
-		for _, s := range byParent[parent] {
-			fmt.Fprintf(&b, "%s%-*s %12s", strings.Repeat("  ", depth+1), 28-2*depth, s.Name,
-				s.Dur.Round(time.Microsecond))
-			for _, a := range s.Attrs {
-				fmt.Fprintf(&b, " %s=%s", a.Key, a.Value)
+	fmt.Fprintf(&b, "trace %s: %d spans, %s root time\n", s.TraceID, len(s.Spans), total.Round(time.Microsecond))
+	printed := make([]bool, len(s.Spans))
+	var walk func(i, depth int)
+	walk = func(i, depth int) {
+		if printed[i] {
+			return
+		}
+		printed[i] = true
+		ws := s.Spans[i]
+		fmt.Fprintf(&b, "%s%-*s %12s", strings.Repeat("  ", depth+1), 28-2*depth, ws.Name,
+			time.Duration(ws.DurNs).Round(time.Microsecond))
+		keys := make([]string, 0, len(ws.Attrs))
+		for k := range ws.Attrs {
+			if k != "node" {
+				keys = append(keys, k)
 			}
-			b.WriteByte('\n')
-			walk(s.ID, depth+1)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&b, " %s=%s", k, ws.Attrs[k])
+		}
+		if node := ws.Attrs["node"]; node != "" {
+			if p, ok := byID[ws.Parent]; ws.Parent == 0 || !ok || s.Spans[p].Attrs["node"] != node {
+				fmt.Fprintf(&b, " node=%s", node)
+			}
+		}
+		b.WriteByte('\n')
+		for _, c := range children[ws.ID] {
+			walk(c, depth+1)
 		}
 	}
-	walk(0, 0)
+	for _, i := range roots {
+		walk(i, 0)
+	}
+	for i := range s.Spans {
+		walk(i, 0) // spans on a parent cycle, which no root reaches
+	}
 	return b.String()
 }

@@ -58,7 +58,7 @@ func TestStartUntraced(t *testing.T) {
 	}
 	var tr *Trace
 	tr.Record("x", time.Now(), time.Now()) // nil-safe
-	if tr.Len() != 0 || tr.Spans() != nil || tr.Tree() != "" {
+	if tr.Len() != 0 || tr.Spans() != nil || len(tr.SpanSet("").Spans) != 0 {
 		t.Fatal("nil trace not inert")
 	}
 }
@@ -109,14 +109,16 @@ func TestRecordClamps(t *testing.T) {
 }
 
 // TestChromeJSON: the export is a valid trace-event document — a
-// metadata event plus one complete ("X") event per span with µs
-// timestamps relative to the epoch.
+// metadata event naming the process plus one complete ("X") event per
+// span with µs timestamps relative to the earliest span and the span
+// and parent IDs in args.
 func TestChromeJSON(t *testing.T) {
 	tr := NewTrace("chrome")
-	base := tr.Epoch()
+	base := time.Now()
+	tr.Record("origin", base, base)
 	tr.Record("alpha", base.Add(1*time.Millisecond), base.Add(3*time.Millisecond), String("k", "v"))
 	tr.Record("beta", base.Add(4*time.Millisecond), base.Add(5*time.Millisecond))
-	b, err := tr.ChromeJSON()
+	b, err := tr.SpanSet("").ChromeJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +138,13 @@ func TestChromeJSON(t *testing.T) {
 	if doc.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", doc.DisplayTimeUnit)
 	}
-	if len(doc.TraceEvents) != 3 { // metadata + 2 spans
-		t.Fatalf("got %d events, want 3", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 4 { // metadata + 3 spans
+		t.Fatalf("got %d events, want 4", len(doc.TraceEvents))
 	}
-	if doc.TraceEvents[0].Ph != "M" {
-		t.Errorf("first event ph = %q, want metadata", doc.TraceEvents[0].Ph)
+	if meta := doc.TraceEvents[0]; meta.Ph != "M" || meta.Args["name"] != "trace chrome" {
+		t.Errorf("first event = %+v, want the process_name metadata", meta)
 	}
-	alpha := doc.TraceEvents[1]
+	alpha := doc.TraceEvents[2]
 	if alpha.Name != "alpha" || alpha.Ph != "X" {
 		t.Fatalf("unexpected event order: %+v", doc.TraceEvents)
 	}
@@ -152,12 +154,12 @@ func TestChromeJSON(t *testing.T) {
 	if alpha.Dur < 1999 || alpha.Dur > 2001 {
 		t.Errorf("alpha dur = %v µs, want ~2000", alpha.Dur)
 	}
-	if alpha.Args["k"] != "v" {
+	if alpha.Args["k"] != "v" || alpha.Args["span_id"] != "2" || alpha.Args["parent_id"] != "0" {
 		t.Errorf("alpha args = %v", alpha.Args)
 	}
 	// Nil trace exports an empty, still-valid document.
 	var nilTr *Trace
-	if b, err := nilTr.ChromeJSON(); err != nil || !json.Valid(b) {
+	if b, err := nilTr.SpanSet("").ChromeJSON(); err != nil || !json.Valid(b) {
 		t.Fatalf("nil export: %v %s", err, b)
 	}
 }
@@ -171,7 +173,7 @@ func TestTree(t *testing.T) {
 	_, end2 := Start(c1, "floorplan")
 	end2(Int("moves", 12))
 	end1()
-	out := tr.Tree()
+	out := tr.SpanSet("").Tree()
 	if !strings.Contains(out, "compile") || !strings.Contains(out, "floorplan") {
 		t.Fatalf("tree missing spans:\n%s", out)
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Wire identity: how a trace crosses a process boundary. The sender
@@ -121,184 +120,70 @@ func ParseSpanSet(data []byte) (SpanSet, error) {
 	return ss, nil
 }
 
-// Merged is a multi-process trace assembled from per-node span sets:
-// span IDs remapped into disjoint ranges, remote-parent links
-// resolved, ready for Chrome export (one pid per node) or a single
-// text tree.
-type Merged struct {
-	TraceID string
-	Nodes   []string // process names, index = pid-1
-
-	spans []Span
-	node  map[uint64]int // remapped span ID -> Nodes index
-	epoch time.Time
-}
-
-// MergeSpanSets builds one end-to-end trace from per-node span sets.
-// sets[0] is the base process (typically the gateway); later sets'
-// root spans are re-parented under their RemoteParent span when it
-// exists in the base set, so e.g. shard compile stages nest under the
-// gateway's proxy.route span. Sets whose TraceID disagrees with the
+// MergeSpanSets builds one end-to-end span set from per-node span
+// sets. sets[0] is the base process (typically the gateway); later
+// sets' root spans are re-parented under their RemoteParent span when
+// it exists in the base set, so e.g. shard compile stages nest under
+// the gateway's proxy.route span. Sets whose TraceID disagrees with the
 // base are skipped — a stale retention entry must not splice into the
 // wrong request.
-func MergeSpanSets(sets []SpanSet) *Merged {
-	m := &Merged{node: map[uint64]int{}}
-	var offset uint64
-	baseIDs := map[uint64]uint64{} // base-set original ID -> remapped ID
+//
+// Spans are renumbered 1…n in set order, so independently allocated ID
+// ranges cannot collide and no input ID, however large or repeated, can
+// wrap or alias another span; a parent that names no span of its set
+// becomes 0. Every span gets a "node" attribute naming its process (a
+// span that already has one keeps it, so a merged set merges again),
+// and the result is sorted by start time.
+func MergeSpanSets(sets []SpanSet) SpanSet {
+	out := SpanSet{Node: "merged", Spans: []WireSpan{}}
+	if len(sets) > 0 {
+		out.TraceID, out.RemoteParent = sets[0].TraceID, sets[0].RemoteParent
+	}
+	var base map[uint64]uint64 // base-set input ID -> merged ID
 	for i, set := range sets {
-		if i == 0 {
-			m.TraceID = set.TraceID
-		} else if set.TraceID != m.TraceID {
+		if set.TraceID != out.TraceID {
 			continue
 		}
-		name := set.Node
-		if name == "" {
-			name = fmt.Sprintf("node-%d", i)
+		node := set.Node
+		if node == "" {
+			node = "node-" + strconv.Itoa(i)
 		}
-		nodeIdx := len(m.Nodes)
-		m.Nodes = append(m.Nodes, name)
-		ids := map[uint64]bool{}
-		var maxID uint64
-		for _, ws := range set.Spans {
-			ids[ws.ID] = true
-			if ws.ID > maxID {
-				maxID = ws.ID
+		first := uint64(len(out.Spans))
+		ids := make(map[uint64]uint64, len(set.Spans)) // input ID -> merged ID, first span holding it
+		for k, ws := range set.Spans {
+			if _, dup := ids[ws.ID]; !dup {
+				ids[ws.ID] = first + uint64(k) + 1
 			}
 		}
-		for _, ws := range set.Spans {
-			s := Span{
-				ID:    ws.ID + offset,
-				Name:  ws.Name,
-				Start: time.Unix(0, ws.StartUnixNs),
-				Dur:   time.Duration(ws.DurNs),
+		for k, ws := range set.Spans {
+			ms := WireSpan{
+				ID:          first + uint64(k) + 1,
+				Name:        ws.Name,
+				StartUnixNs: ws.StartUnixNs,
+				DurNs:       ws.DurNs,
+				Attrs:       make(map[string]string, len(ws.Attrs)+1),
 			}
-			switch {
-			case ws.Parent != 0 && ids[ws.Parent]:
-				s.Parent = ws.Parent + offset
-			case i > 0 && set.RemoteParent != 0:
+			if p, ok := ids[ws.Parent]; ws.Parent != 0 && ok {
+				ms.Parent = p
+			} else if i > 0 && set.RemoteParent != 0 {
 				// Root of a remote set: splice under the base process's
 				// injecting span when it exists there.
-				if remapped, ok := baseIDs[set.RemoteParent]; ok {
-					s.Parent = remapped
-				}
+				ms.Parent = base[set.RemoteParent]
 			}
-			if len(ws.Attrs) > 0 {
-				keys := make([]string, 0, len(ws.Attrs))
-				for k := range ws.Attrs {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					s.Attrs = append(s.Attrs, Attr{Key: k, Value: ws.Attrs[k]})
-				}
+			for k, v := range ws.Attrs {
+				ms.Attrs[k] = v
 			}
-			if i == 0 {
-				baseIDs[ws.ID] = s.ID
+			if ms.Attrs["node"] == "" {
+				ms.Attrs["node"] = node
 			}
-			m.node[s.ID] = nodeIdx
-			m.spans = append(m.spans, s)
-			if m.epoch.IsZero() || s.Start.Before(m.epoch) {
-				m.epoch = s.Start
-			}
+			out.Spans = append(out.Spans, ms)
 		}
-		offset += maxID
+		if i == 0 {
+			base = ids
+		}
 	}
-	sort.Slice(m.spans, func(i, j int) bool {
-		if !m.spans[i].Start.Equal(m.spans[j].Start) {
-			return m.spans[i].Start.Before(m.spans[j].Start)
-		}
-		return m.spans[i].ID < m.spans[j].ID
+	sort.SliceStable(out.Spans, func(i, j int) bool {
+		return out.Spans[i].StartUnixNs < out.Spans[j].StartUnixNs
 	})
-	return m
-}
-
-// Spans returns the merged, remapped spans sorted by start time.
-func (m *Merged) Spans() []Span { return m.spans }
-
-// SpanSet flattens the merged trace back into one wire span set —
-// the document GET /v1/debug/traces/{id}?format=spans serves from a
-// gateway. Per-node attribution survives as a "node" attribute on
-// each span, since the single-node Node field cannot carry it.
-func (m *Merged) SpanSet() SpanSet {
-	ss := SpanSet{TraceID: m.TraceID, Node: "merged", Spans: make([]WireSpan, 0, len(m.spans))}
-	for _, s := range m.spans {
-		ws := WireSpan{
-			ID:          s.ID,
-			Parent:      s.Parent,
-			Name:        s.Name,
-			StartUnixNs: s.Start.UnixNano(),
-			DurNs:       int64(s.Dur),
-		}
-		ws.Attrs = make(map[string]string, len(s.Attrs)+1)
-		for _, a := range s.Attrs {
-			ws.Attrs[a.Key] = a.Value
-		}
-		if n := m.NodeOf(s.ID); n != "" {
-			ws.Attrs["node"] = n
-		}
-		ss.Spans = append(ss.Spans, ws)
-	}
-	return ss
-}
-
-// NodeOf returns the process name a remapped span belongs to.
-func (m *Merged) NodeOf(spanID uint64) string {
-	if i, ok := m.node[spanID]; ok && i < len(m.Nodes) {
-		return m.Nodes[i]
-	}
-	return ""
-}
-
-// ChromeJSON renders the merged trace as one Chrome trace-event
-// document with one pid per node (named by a process_name metadata
-// event) so chrome://tracing shows each process on its own track.
-// Every slice carries its remapped span/parent IDs in args, making
-// the cross-process parent links explicit in the JSON itself.
-func (m *Merged) ChromeJSON() ([]byte, error) {
-	doc := chromeDoc{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(m.spans)+len(m.Nodes))}
-	for i, name := range m.Nodes {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: i + 1, Tid: 1,
-			Args: map[string]string{"name": name},
-		})
-	}
-	for _, s := range m.spans {
-		ev := chromeEvent{
-			Name: s.Name,
-			Cat:  "compile",
-			Ph:   "X",
-			Ts:   usSince(m.epoch, s.Start),
-			Dur:  float64(s.Dur.Microseconds()),
-			Pid:  m.node[s.ID] + 1,
-			Tid:  1,
-		}
-		ev.Args = map[string]string{
-			"span_id":   strconv.FormatUint(s.ID, 10),
-			"parent_id": strconv.FormatUint(s.Parent, 10),
-		}
-		for _, a := range s.Attrs {
-			ev.Args[a.Key] = a.Value
-		}
-		doc.TraceEvents = append(doc.TraceEvents, ev)
-	}
-	return json.MarshalIndent(doc, "", " ")
-}
-
-// Tree renders the merged trace as one indented text tree: remote
-// roots nest under the span that injected the wire identity, so a
-// gateway-routed compile reads top-to-bottom across processes.
-func (m *Merged) Tree() string {
-	tr := &Trace{ID: m.TraceID, start: m.epoch}
-	for _, s := range m.spans {
-		sc := s
-		if node := m.NodeOf(s.ID); node != "" {
-			// Annotate process transitions only: a span on the same node
-			// as its parent inherits the context visually.
-			if pn := m.NodeOf(s.Parent); s.Parent == 0 || pn != node {
-				sc.Attrs = append(append([]Attr(nil), s.Attrs...), Attr{Key: "node", Value: node})
-			}
-		}
-		tr.spans = append(tr.spans, sc)
-	}
-	return tr.Tree()
+	return out
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -136,27 +137,24 @@ func mergeFixture(t *testing.T) (gw, shard SpanSet, routeID uint64) {
 }
 
 // TestMergeSpanSets: merging re-parents the shard's root span under
-// the gateway's proxy.route span, keeps intra-shard parent links, and
-// remaps IDs so the two processes' ranges cannot collide.
+// the gateway's proxy.route span, keeps intra-shard parent links,
+// renumbers IDs 1…n so the two processes' ranges cannot collide, and
+// names each span's process in its node attribute.
 func TestMergeSpanSets(t *testing.T) {
 	gwSet, shardSet, _ := mergeFixture(t)
 	m := MergeSpanSets([]SpanSet{gwSet, shardSet})
-	if m.TraceID != "trace-1" {
-		t.Fatalf("trace ID %q", m.TraceID)
+	if m.TraceID != "trace-1" || m.Node != "merged" {
+		t.Fatalf("merged header: trace %q node %q", m.TraceID, m.Node)
 	}
-	if len(m.Nodes) != 2 || m.Nodes[0] != "gateway" || m.Nodes[1] != "http://shard-1" {
-		t.Fatalf("nodes = %v", m.Nodes)
+	if len(m.Spans) != 4 {
+		t.Fatalf("got %d merged spans, want 4", len(m.Spans))
 	}
-	spans := m.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("got %d merged spans, want 4", len(spans))
-	}
-	byName := map[string]Span{}
+	byName := map[string]WireSpan{}
 	seen := map[uint64]bool{}
-	for _, s := range spans {
+	for _, s := range m.Spans {
 		byName[s.Name] = s
-		if seen[s.ID] {
-			t.Fatalf("duplicate remapped ID %d", s.ID)
+		if s.ID < 1 || s.ID > 4 || seen[s.ID] {
+			t.Fatalf("merged ID %d not a unique ID in 1..4", s.ID)
 		}
 		seen[s.ID] = true
 	}
@@ -167,8 +165,16 @@ func TestMergeSpanSets(t *testing.T) {
 	if fp.Parent != compile.ID {
 		t.Errorf("floorplan.Parent = %d, want compile %d", fp.Parent, compile.ID)
 	}
-	if m.NodeOf(route.ID) != "gateway" || m.NodeOf(compile.ID) != "http://shard-1" {
-		t.Errorf("node attribution: route=%q compile=%q", m.NodeOf(route.ID), m.NodeOf(compile.ID))
+	if route.Attrs["node"] != "gateway" || compile.Attrs["node"] != "http://shard-1" {
+		t.Errorf("node attribution: route=%q compile=%q", route.Attrs["node"], compile.Attrs["node"])
+	}
+
+	// A merged set merges again: its spans keep their node attributes.
+	again := MergeSpanSets([]SpanSet{m})
+	for _, s := range again.Spans {
+		if s.Attrs["node"] != byName[s.Name].Attrs["node"] {
+			t.Errorf("re-merge renamed %s's node to %q", s.Name, s.Attrs["node"])
+		}
 	}
 }
 
@@ -179,8 +185,13 @@ func TestMergeSkipsForeignTrace(t *testing.T) {
 	foreign := shardSet
 	foreign.TraceID = "other-trace"
 	m := MergeSpanSets([]SpanSet{gwSet, foreign})
-	if len(m.Nodes) != 1 || len(m.Spans()) != 2 {
-		t.Fatalf("foreign set merged: nodes=%v spans=%d", m.Nodes, len(m.Spans()))
+	if len(m.Spans) != 2 {
+		t.Fatalf("foreign set merged: %d spans", len(m.Spans))
+	}
+	for _, s := range m.Spans {
+		if s.Attrs["node"] != "gateway" {
+			t.Fatalf("foreign set merged: span %s on node %q", s.Name, s.Attrs["node"])
+		}
 	}
 }
 
@@ -191,11 +202,118 @@ func TestMergeUnknownRemoteParent(t *testing.T) {
 	gwSet, shardSet, _ := mergeFixture(t)
 	shardSet.RemoteParent = 999
 	m := MergeSpanSets([]SpanSet{gwSet, shardSet})
-	for _, s := range m.Spans() {
+	for _, s := range m.Spans {
 		if s.Name == "compile" && s.Parent != 0 {
 			t.Fatalf("compile parented under dangling ID %d", s.Parent)
 		}
 	}
+}
+
+// TestMergeHostileSpanIDs: shard-supplied span IDs are untrusted. An ID
+// of 2^64-1, which shifting by the base set's largest ID wrapped to 0,
+// and a repeated ID naming its twin as parent both used to make the
+// tree walk recurse forever; merging and rendering must return, with
+// every span printed exactly once.
+func TestMergeHostileSpanIDs(t *testing.T) {
+	gw := SpanSet{TraceID: "t", Node: "gateway", Spans: []WireSpan{{ID: 1, Name: "proxy.route"}}}
+	for name, shard := range map[string]SpanSet{
+		"max-id": {TraceID: "t", Node: "shard", Spans: []WireSpan{
+			{ID: math.MaxUint64, Name: "compile", StartUnixNs: 1},
+		}},
+		"twin-ids": {TraceID: "t", Node: "shard", RemoteParent: 1, Spans: []WireSpan{
+			{ID: 2, Name: "compile", StartUnixNs: 1},
+			{ID: 2, Parent: 2, Name: "floorplan", StartUnixNs: 2},
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := MergeSpanSets([]SpanSet{gw, shard})
+			out := m.Tree()
+			if lines := strings.Count(out, "\n"); lines != 1+len(m.Spans) {
+				t.Fatalf("tree has %d lines, want a header and %d spans:\n%s", lines, len(m.Spans), out)
+			}
+			checkMerged(t, m)
+		})
+	}
+}
+
+// checkMerged asserts the merged-set invariants: IDs unique and
+// nonzero, every parent 0 or a merged ID, every span named to a node.
+func checkMerged(t *testing.T, m SpanSet) {
+	t.Helper()
+	ids := map[uint64]bool{}
+	for _, s := range m.Spans {
+		if s.ID == 0 || ids[s.ID] {
+			t.Fatalf("merged ID %d is zero or repeated", s.ID)
+		}
+		ids[s.ID] = true
+	}
+	for _, s := range m.Spans {
+		if s.Parent != 0 && !ids[s.Parent] {
+			t.Fatalf("span %d names parent %d, which is not a merged span", s.ID, s.Parent)
+		}
+		if s.Attrs["node"] == "" {
+			t.Fatalf("span %d has no node attribute", s.ID)
+		}
+	}
+}
+
+// FuzzMergeSpanSets: span sets built from the input — IDs drawn from a
+// small range plus the top of uint64, so repeats, self-parents, parent
+// cycles and wrap-around all occur — merge into a set whose IDs are
+// unique, whose parents are 0 or merged IDs, and which every renderer
+// returns on, the tree printing each span once.
+func FuzzMergeSpanSets(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 9, 1, 2, 0, 1, 5}, uint8(1), uint8(0), false)
+	f.Add([]byte{0, 1, 0, 0, 1, 1, 6, 0, 1, 1, 2, 2, 2, 2, 2}, uint8(0), uint8(6), true)
+	f.Add([]byte{1, 2, 2, 0, 0, 1, 2, 2, 1, 1, 129, 3, 4, 7, 7, 129, 4, 3, 8, 8}, uint8(3), uint8(2), false)
+	f.Fuzz(func(t *testing.T, data []byte, remote1, remote2 uint8, foreign bool) {
+		ids := [...]uint64{0, 1, 2, 3, 4, math.MaxUint64 - 1, math.MaxUint64}
+		sets := []SpanSet{
+			{TraceID: "t", Node: "gateway"},
+			{TraceID: "t", Node: "shard-1", RemoteParent: ids[int(remote1)%len(ids)]},
+			{TraceID: "t", RemoteParent: ids[int(remote2)%len(ids)]},
+		}
+		if foreign {
+			sets[2].TraceID = "u"
+		}
+		// At most 64 spans: every defect this hunts shows in a few, and
+		// larger sets only slow each run and the minimisation of inputs.
+		if len(data) > 5*64 {
+			data = data[:5*64]
+		}
+		want := 0
+		for ; len(data) >= 5; data = data[5:] {
+			set := int(data[0]&0x7f) % len(sets)
+			ws := WireSpan{
+				ID:          ids[int(data[1])%len(ids)],
+				Parent:      ids[int(data[2])%len(ids)],
+				Name:        "s",
+				StartUnixNs: int64(data[3]),
+				DurNs:       int64(data[4]),
+			}
+			if data[0]&0x80 != 0 {
+				ws.Attrs = map[string]string{"node": "inner"}
+			}
+			sets[set].Spans = append(sets[set].Spans, ws)
+			if sets[set].TraceID == "t" {
+				want++
+			}
+		}
+		m := MergeSpanSets(sets)
+		if len(m.Spans) != want {
+			t.Fatalf("merged %d spans, want %d", len(m.Spans), want)
+		}
+		checkMerged(t, m)
+		if lines := strings.Count(m.Tree(), "\n"); lines != 1+want {
+			t.Fatalf("tree has %d lines, want %d", lines, 1+want)
+		}
+		if _, err := m.JSON(); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := m.ChromeJSON(); err != nil || !json.Valid(b) {
+			t.Fatalf("chrome export: %v", err)
+		}
+	})
 }
 
 // TestMergedChromeJSON: the Chrome export carries one pid per node

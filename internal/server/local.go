@@ -15,11 +15,9 @@ import (
 	"repro/internal/cerr"
 	"repro/internal/chaos"
 	"repro/internal/compiler"
-	"repro/internal/gds"
 	"repro/internal/jobs"
 	"repro/internal/memo"
 	"repro/internal/obs"
-	"repro/internal/render"
 )
 
 // local is the daemon's Backend: compiles run on the server's own
@@ -29,6 +27,9 @@ import (
 type local struct {
 	s    *Server
 	jobs *JobTable[localJob]
+	// node names this process in its span sets: the shard's own URL
+	// when federated, else "".
+	node string
 
 	cacheHits    *obs.Counter
 	storeHits    *obs.Counter
@@ -54,6 +55,9 @@ func newLocal(s *Server) *local {
 		_, _, done := r.job.Peek()
 		return !done
 	})}
+	if cl := s.cfg.Cluster; cl != nil {
+		l.node = cl.Self()
+	}
 	l.registerMetrics()
 	s.latency = l.compileDur
 	return l
@@ -203,18 +207,16 @@ func (l *local) Compile(w http.ResponseWriter, r *http.Request, c Compile) error
 	annotateCache(w, "miss")
 	l.cacheMisses.Inc()
 
-	// Every submission carries a trace: the queue records the wait span,
-	// the pipeline records its stage spans, and the completed tree is
-	// retrievable via GET /v1/debug/traces/{job_id}. Deduped submissions
-	// share the first submitter's trace. A traceparent header continues
-	// the sender's distributed trace — same trace ID, with the remote
-	// span remembered so the gateway's merge parents this shard's spans
-	// under its proxy.route span.
-	tr := obs.NewTrace("")
+	// The queue gives every job a trace, retrievable via
+	// GET /v1/debug/traces/{job_id}. A traceparent header continues the
+	// sender's distributed trace instead — same trace ID, with the
+	// remote span remembered so the gateway's merge parents this
+	// shard's spans under its proxy.route span.
+	var tr *obs.Trace
 	if tid, parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader)); ok {
 		tr = obs.NewTraceRemote(tid, parent)
 	}
-	job, deduped, err := s.cfg.Queue.SubmitTraced(c.Key, c.Priority, tr, func(ctx context.Context) (any, error) {
+	job, deduped, err := s.cfg.Queue.Submit(c.Key, c.Priority, tr, func(ctx context.Context) (any, error) {
 		entry, err := l.Run(ctx, c.Key, canon.Request{}, c.Params)
 		if err != nil {
 			return nil, err
@@ -270,31 +272,18 @@ func (l *local) runCompile(ctx context.Context, key string, params compiler.Para
 
 // RenderEntry renders a compiled design into the entry the daemon
 // caches and persists under key: the canonical report and the
-// artifact set (datasheet.json, datasheet.txt, the TRPLA planes and,
-// when the design has a layout, layout.svg and layout.gds).
+// design's artifact set (compiler.Design.Artifacts).
 func RenderEntry(key string, d *compiler.Design) (*cache.Entry, error) {
-	js, err := d.JSON()
+	arts, err := d.Artifacts()
 	if err != nil {
 		return nil, cerr.Wrap(cerr.CodeInternal, err, "server: report rendering")
 	}
-	entry := &cache.Entry{
+	return &cache.Entry{
 		Key:       key,
-		Report:    []byte(js),
-		Artifacts: map[string][]byte{},
+		Report:    arts["datasheet.json"],
+		Artifacts: arts,
 		Degraded:  len(d.Degradations) > 0,
-	}
-	entry.Artifacts["datasheet.json"] = []byte(js)
-	entry.Artifacts["datasheet.txt"] = []byte(d.Datasheet())
-	var and, or strings.Builder
-	if err := d.Prog.WritePlanes(&and, &or); err == nil {
-		entry.Artifacts["trpla_and.plane"] = []byte(and.String())
-		entry.Artifacts["trpla_or.plane"] = []byte(or.String())
-	}
-	if d.Top != nil {
-		entry.Artifacts["layout.svg"] = []byte(render.SVG(d.Top, render.Options{Depth: 0}))
-		entry.Artifacts["layout.gds"] = gds.Bytes(d.Top, d.Top.Name)
-	}
-	return entry, nil
+	}, nil
 }
 
 // observeCompile folds one finished compile into the telemetry: the
@@ -339,7 +328,7 @@ func (l *local) observeCompile(tr *obs.Trace, dur time.Duration, key string, err
 		fmt.Fprintf(&b, " err=%s", cerr.CodeOf(err))
 	}
 	b.WriteByte('\n')
-	b.WriteString(tr.Tree())
+	b.WriteString(tr.SpanSet(l.node).Tree())
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	io.WriteString(w, b.String())
@@ -522,26 +511,14 @@ func (l *local) Object(w http.ResponseWriter, r *http.Request, key string, repor
 	return nil
 }
 
-// localTrace is a job's own trace, its span set stamped with this
-// shard's identity.
-type localTrace struct {
-	*obs.Trace
-	node string
-}
-
-func (t localTrace) SpanSet() obs.SpanSet { return t.Trace.SpanSet(t.node) }
-
-// Trace returns the trace of a remembered job.
-func (l *local) Trace(_ context.Context, id string) (Trace, bool) {
+// Trace returns the span set of a remembered job, stamped with this
+// process's node.
+func (l *local) Trace(_ context.Context, id string) (obs.SpanSet, bool) {
 	rec, ok := l.jobs.Get(id)
-	if !ok || rec.job.Trace() == nil {
-		return nil, false
+	if !ok {
+		return obs.SpanSet{}, false
 	}
-	t := localTrace{Trace: rec.job.Trace()}
-	if cl := l.s.cfg.Cluster; cl != nil {
-		t.node = cl.Self()
-	}
-	return t, true
+	return rec.job.Trace().SpanSet(l.node), true
 }
 
 // Health reports the worker pool, the shard identity when federated,

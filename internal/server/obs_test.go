@@ -290,7 +290,7 @@ func TestTraceBudgetEviction(t *testing.T) {
 	l := s.backend.(*local)
 	ids := []string{}
 	for i := 0; i < 3; i++ {
-		j, _, err := q.SubmitTraced("k"+strconv.Itoa(i), jobs.Interactive, obs.NewTrace(""),
+		j, _, err := q.Submit("k"+strconv.Itoa(i), jobs.Interactive, obs.NewTrace(""),
 			func(ctx context.Context) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)

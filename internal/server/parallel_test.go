@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/sweep"
 	"repro/internal/tech"
 )
 
@@ -137,4 +139,72 @@ func grepLines(s, sub string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestSweepJobsTraced: sweep points are jobs like any other, so each
+// carries a trace. A standalone daemon's two-point sweep folds both
+// compiles' stage spans into the stage histogram and the fan-out
+// counter, and each sweep job's trace is served with its queue wait
+// and compile spans.
+func TestSweepJobsTraced(t *testing.T) {
+	ts, _ := parallelTestServer(t, 2)
+	cl := sweep.NewClient(ts.URL)
+	st, err := cl.CreateSweep(sweep.Spec{
+		Base: canon.Request{Words: 256, BPW: 8, BPC: 4, Spares: 4},
+		Axes: sweep.Axes{Spares: []int{0, 4}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if st, err = cl.WaitSweep(ctx, st.ID, 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" || st.UniqueCompiles != 2 {
+		t.Fatalf("sweep status %+v", st)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	body := string(raw)
+	if want := `compile_stage_duration_seconds_count{stage="compile"} 2`; !strings.Contains(body, want) {
+		t.Errorf("exposition missing %q:\n%s", want, grepLines(body, `stage="compile"`))
+	}
+	var stages float64
+	for _, l := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(l, "compile_parallel_stages_total "); ok {
+			stages, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	if stages <= 0 {
+		t.Errorf("sweep compiles counted no parallel stages:\n%s", grepLines(body, "compile_parallel_stages_total"))
+	}
+
+	for _, pt := range st.Points {
+		resp, err := http.Get(ts.URL + "/v1/debug/traces/" + pt.JobID + "?format=spans")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace of sweep job %q: status %d: %s", pt.JobID, resp.StatusCode, raw)
+		}
+		ss, err := obs.ParseSpanSet(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, sp := range ss.Spans {
+			names[sp.Name] = true
+		}
+		if !names["queue.wait"] || !names["compile"] {
+			t.Errorf("trace of sweep job %s lacks queue.wait or compile: %v", pt.JobID, names)
+		}
+	}
 }

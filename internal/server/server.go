@@ -174,8 +174,8 @@ type Backend interface {
 	// Object answers GET|HEAD /v1/objects/{key}, or its cached report
 	// when report is set.
 	Object(w http.ResponseWriter, r *http.Request, key string, report bool) error
-	// Trace returns the retained trace of job id.
-	Trace(ctx context.Context, id string) (Trace, bool)
+	// Trace returns the retained trace of job id as a span set.
+	Trace(ctx context.Context, id string) (obs.SpanSet, bool)
 	// Health adds the backend's members to the /healthz document and
 	// returns a non-empty state when it cannot take work (503).
 	Health(doc map[string]any) string
@@ -192,15 +192,6 @@ type Compile struct {
 	Params   compiler.Params
 	Priority jobs.Priority
 	Start    time.Time // when the server began handling the request
-}
-
-// Trace is a job's trace in the representations GET
-// /v1/debug/traces/{id} serves. *obs.Merged, the gateway's
-// cross-process view, is one.
-type Trace interface {
-	Tree() string
-	ChromeJSON() ([]byte, error)
-	SpanSet() obs.SpanSet
 }
 
 // JobTable keeps one record per job id for the job, trace and routing
@@ -858,7 +849,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		format = "tree"
 	}
 	id := r.PathValue("id")
-	tr, ok := s.backend.Trace(r.Context(), id)
+	ss, ok := s.backend.Trace(r.Context(), id)
 	if !ok {
 		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no trace for job %q", id), http.StatusNotFound)
 		return
@@ -869,14 +860,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	case "tree":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, tr.Tree())
+		io.WriteString(w, ss.Tree())
 		return
 	case "spans":
 		// The wire span set a gateway fetches to merge this process's
 		// slice of a distributed trace into the end-to-end view.
-		b, err = tr.SpanSet().JSON()
+		b, err = ss.JSON()
 	default:
-		b, err = tr.ChromeJSON()
+		b, err = ss.ChromeJSON()
 	}
 	if err != nil {
 		s.writeError(w, cerr.Wrap(cerr.CodeInternal, err, "server: trace rendering"), 0)

@@ -259,7 +259,7 @@ func TestOverloadBackpressures429(t *testing.T) {
 	ts, _, q, _ := testServer(t, jobs.Config{Workers: 1, Capacity: 1, Deadline: time.Minute}, 1<<20)
 	// Saturate the worker via the jobs API directly (deterministic).
 	release := make(chan struct{})
-	q.Submit("block-worker", jobs.Interactive, func(ctx context.Context) (any, error) {
+	q.Submit("block-worker", jobs.Interactive, nil, func(ctx context.Context) (any, error) {
 		<-release
 		return nil, nil
 	})
@@ -270,7 +270,7 @@ func TestOverloadBackpressures429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Fill the single queue slot.
-	q.Submit("fill-slot", jobs.Interactive, func(ctx context.Context) (any, error) { return nil, nil })
+	q.Submit("fill-slot", jobs.Interactive, nil, func(ctx context.Context) (any, error) { return nil, nil })
 
 	status, m := postCompile(t, ts, smallReq, "?async=1")
 	if status != http.StatusTooManyRequests {

@@ -9,7 +9,7 @@ import (
 // crosses level in the given direction, using linear interpolation
 // between samples. It returns an error when no crossing exists.
 func (r *Result) CrossTime(node string, level float64, rising bool, tAfter float64) (float64, error) {
-	w := r.wave[node]
+	w := r.wave(node)
 	if w == nil {
 		return 0, fmt.Errorf("spice: no waveform for node %q", node)
 	}
@@ -71,7 +71,7 @@ func (r *Result) PropDelay(in, out string, vdd, tEdge float64) (float64, error) 
 // CV² energy checks: the charge a supply delivers into a switched
 // capacitor equals C·Vdd.
 func (r *Result) SourceCharge(srcName string, t0, t1 float64) (float64, error) {
-	w := r.wave["I("+srcName+")"]
+	w := r.wave("I(" + srcName + ")")
 	if w == nil {
 		return 0, fmt.Errorf("spice: no current recorded for source %q", srcName)
 	}

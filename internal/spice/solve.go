@@ -18,16 +18,28 @@ const (
 	numDeriv  = 1e-6 // perturbation for numeric MOS derivatives
 )
 
-// Result holds a transient run: shared time points and per-node
-// waveforms.
+// Result holds a transient run: shared time points and one waveform
+// per circuit unknown.
 type Result struct {
 	Times []float64
-	wave  map[string][]float64
+	// waves holds one waveform per MNA unknown, indexed like the
+	// solution vector: node voltages, then source branch currents.
+	waves [][]float64
+	index map[string]int // node name or "I(<source>)" -> waves index
+}
+
+// wave returns the waveform of a node or of a source's branch current
+// ("I(<source>)"), nil when none was recorded.
+func (r *Result) wave(name string) []float64 {
+	if i, ok := r.index[name]; ok {
+		return r.waves[i]
+	}
+	return nil
 }
 
 // At returns node voltage at the sample nearest to t.
 func (r *Result) At(node string, t float64) float64 {
-	w := r.wave[node]
+	w := r.wave(node)
 	if len(w) == 0 {
 		return math.NaN()
 	}
@@ -338,27 +350,28 @@ func (c *Circuit) TransientCtx(ctx context.Context, tstop, h float64) (*Result, 
 		return nil, cerr.Wrap(cerr.CodeSimDiverged, err, "spice: op failed")
 	}
 	steps := int(math.Ceil(tstop/h)) + 1
-	res := &Result{Times: make([]float64, 0, steps), wave: map[string][]float64{}}
-	for _, n := range c.nodes {
-		res.wave[n] = make([]float64, 0, steps)
+	// One slice per unknown, indexed like v, so recording a step does
+	// no map lookups; the name index is built once per run.
+	res := &Result{
+		Times: make([]float64, 0, steps),
+		waves: make([][]float64, s.dim),
+		index: make(map[string]int, s.dim),
 	}
-	// Branch-current wave keys, built once: concatenating them inside
-	// record() made the recorder the hottest allocation site of a whole
-	// timing analysis.
-	branchKey := make([]string, len(c.vsrc))
+	for i := range res.waves {
+		res.waves[i] = make([]float64, 0, steps)
+	}
+	for i, n := range c.nodes {
+		res.index[n] = i
+	}
+	// Branch currents: positive = current flowing from the node into
+	// the source, so a supplying source reads negative.
 	for k, src := range c.vsrc {
-		branchKey[k] = "I(" + src.name + ")"
-		res.wave[branchKey[k]] = make([]float64, 0, steps)
+		res.index["I("+src.name+")"] = s.n + k
 	}
 	record := func(t float64) {
 		res.Times = append(res.Times, t)
-		for i, n := range c.nodes {
-			res.wave[n] = append(res.wave[n], v[i])
-		}
-		// Branch currents: positive = current flowing from the node
-		// into the source, so a supplying source reads negative.
-		for k := range c.vsrc {
-			res.wave[branchKey[k]] = append(res.wave[branchKey[k]], v[s.n+k])
+		for i, x := range v {
+			res.waves[i] = append(res.waves[i], x)
 		}
 	}
 	record(0)

@@ -627,7 +627,7 @@ func (m *Manager) create(spec Spec, forcedID string) (*Sweep, error) {
 		params := g.params
 		key := g.key
 		req := g.req
-		job, _, serr := m.cfg.Queue.Submit(key, pri, func(ctx context.Context) (any, error) {
+		job, _, serr := m.cfg.Queue.Submit(key, pri, nil, func(ctx context.Context) (any, error) {
 			return m.cfg.Run(ctx, key, req, params)
 		})
 		if serr != nil {
