@@ -105,12 +105,15 @@ chaos-smoke:
 # End-to-end federation drill: a bisramgate gateway in front of three
 # federated bisramgend shards next to one standalone reference daemon.
 # Requires (1) a compile through the cluster returns the same key and
-# byte-identical artifact as the single daemon; (2) fresh and repeat
-# sweeps through the cluster return results documents byte-identical
-# to the single daemon's, with the repeat running zero compiles on any
-# shard; (3) kill -9 of one shard mid-sweep still completes the sweep
-# via ring-successor failover with byte-identical rows, and the
-# gateway marks the dead shard down.
+# byte-identical artifact as the single daemon; (2) async compiles of
+# distinct geometries through the gateway land on at least two shards
+# with distinct job ids, and each job's result read through the
+# gateway is its own key's report; (3) fresh and repeat sweeps through
+# the cluster return results documents byte-identical to the single
+# daemon's, with the repeat running zero compiles on any shard; (4)
+# kill -9 of one shard mid-sweep still completes the sweep via
+# ring-successor failover with byte-identical rows, and the gateway
+# marks the dead shard down.
 cluster-smoke:
 	$(GO) test -race -run TestClusterSmoke -count=1 ./cmd/bisramgate/
 

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,11 +33,14 @@ const (
 //
 //  1. a compile through the cluster returns the same key and
 //     byte-identical artifact as the single daemon;
-//  2. a fresh sweep through the cluster returns a results document
+//  2. async compiles of distinct geometries through the gateway land
+//     on at least two shards with distinct job ids, and each job's
+//     result read through the gateway is its own key's report;
+//  3. a fresh sweep through the cluster returns a results document
 //     byte-identical to the single daemon's;
-//  3. repeating the sweep against the warm cluster runs zero compiles
+//  4. repeating the sweep against the warm cluster runs zero compiles
 //     on any shard (the fleet's caches absorb it);
-//  4. kill -9 of one shard mid-sweep still completes the sweep via
+//  5. kill -9 of one shard mid-sweep still completes the sweep via
 //     ring-successor failover, again with byte-identical rows.
 func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
@@ -98,14 +103,17 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("artifact bytes diverge: single %d bytes, cluster %d bytes", len(refArt), len(gwArt))
 	}
 
-	// 2. Fresh sweep: byte-identical results documents.
+	// 2. Job identity across the fleet.
+	checkJobIdentity(t, gwBase, urls)
+
+	// 3. Fresh sweep: byte-identical results documents.
 	refResults := runSweep(t, refBase, smokeSweep, nil)
 	gwResults := runSweep(t, gwBase, smokeSweep, nil)
 	if !bytes.Equal(refResults, gwResults) {
 		t.Fatalf("sweep results diverge:\n--- single ---\n%s\n--- cluster ---\n%s", refResults, gwResults)
 	}
 
-	// 3. Repeat sweep: zero recompiles anywhere in the fleet, and the
+	// 4. Repeat sweep: zero recompiles anywhere in the fleet, and the
 	// warm rows (cached=true) still match the warm single daemon's.
 	before := fleetCompletions(t, urls)
 	refRepeat := runSweep(t, refBase, smokeSweep, nil)
@@ -117,7 +125,7 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("repeat sweep recompiled: fleet completions %d -> %d", before, after)
 	}
 
-	// 4. Kill one shard mid-sweep; the sweep must still complete with
+	// 5. Kill one shard mid-sweep; the sweep must still complete with
 	// rows byte-identical to the single daemon's.
 	refKill := runSweep(t, refBase, killSweep, nil)
 	gwKill := runSweep(t, gwBase, killSweep, func(done int) {
@@ -149,6 +157,72 @@ func TestClusterSmoke(t *testing.T) {
 			t.Fatalf("gateway never marked the killed shard down: up %d of %d", hz.PeersUp, hz.PeersTotal)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// checkJobIdentity sends async compiles of distinct geometries (bpw 16
+// and 32, which no other step compiles) through the gateway. Their job
+// ids must be distinct and held by at least two of the shards, and
+// each job's result read through the gateway must be the report of the
+// key its submission answered.
+func checkJobIdentity(t *testing.T, gwBase string, shards []string) {
+	t.Helper()
+	ids, holders := map[string]bool{}, map[string]bool{}
+	for _, words := range []int{64, 128, 256, 512, 1024, 2048} {
+		for _, bpw := range []int{16, 32} {
+			body := fmt.Sprintf(`{"words":%d,"bpw":%d,"bpc":4,"spares":4}`, words, bpw)
+			resp, err := http.Post(gwBase+"/v1/compile?async=1", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Job smokeJob `json:"job"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			job := env.Job
+			if err != nil || resp.StatusCode != http.StatusAccepted || job.JobID == "" {
+				t.Fatalf("async compile %s: status %d, job %+v (%v)", body, resp.StatusCode, job, err)
+			}
+			if ids[job.JobID] {
+				t.Fatalf("job id %s issued twice", job.JobID)
+			}
+			ids[job.JobID] = true
+			for _, u := range shards {
+				if r, err := http.Get(u + "/v1/jobs/" + job.JobID); err == nil {
+					r.Body.Close()
+					if r.StatusCode == http.StatusOK {
+						holders[u] = true
+					}
+				}
+			}
+			for deadline := time.Now().Add(60 * time.Second); job.State != "done"; time.Sleep(20 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("job %s of %s never finished (state %q)", job.JobID, body, job.State)
+				}
+				key := job.Key
+				getJSON(t, gwBase+"/v1/jobs/"+job.JobID, &env)
+				if job = env.Job; job.Key != key {
+					t.Fatalf("job %s of %s: status key %s, submitted key %s", job.JobID, body, job.Key, key)
+				}
+			}
+			var result struct {
+				Data any `json:"data"`
+			}
+			var report struct {
+				Data struct {
+					Report any `json:"report"`
+				} `json:"data"`
+			}
+			if json.Unmarshal(getRaw(t, gwBase+"/v1/jobs/"+job.JobID+"/result"), &result) != nil ||
+				json.Unmarshal(getRaw(t, gwBase+"/v1/objects/"+job.Key+"/report"), &report) != nil ||
+				!reflect.DeepEqual(result.Data, report.Data.Report) {
+				t.Fatalf("job %s of %s: result is not the report of key %s", job.JobID, body, job.Key)
+			}
+		}
+	}
+	if len(holders) < 2 {
+		t.Fatalf("%d async compiles landed on %d shard(s), want at least 2", len(ids), len(holders))
 	}
 }
 

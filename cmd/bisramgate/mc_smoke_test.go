@@ -119,16 +119,15 @@ func TestMCSmoke(t *testing.T) {
 	waitHealthy(t, vBase, d1.exited)
 
 	id := createSweep(t, vBase, mcKillSweep)
-	markerDir := filepath.Join(vdir, "sweeps", id+".done")
 	deadline := time.Now().Add(60 * time.Second)
-	for countMarkers(t, markerDir) == 0 {
+	for doneGroups(t, vBase, id) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no group finished within 60s; cannot stage a mid-sweep kill")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if n := countMarkers(t, markerDir); n >= mcKillUnique {
-		t.Fatalf("sweep finished before the kill (%d markers); stall too short", n)
+	if n := doneGroups(t, vBase, id); n >= mcKillUnique {
+		t.Fatalf("sweep finished before the kill (%d groups done); stall too short", n)
 	}
 	d1.kill(t)
 
@@ -271,17 +270,24 @@ func waitSweepByID(t *testing.T, base, id string) []byte {
 	return getRaw(t, base+"/v1/sweeps/"+id+"/results")
 }
 
-// countMarkers counts per-group done markers in a sweep's journal
-// directory; zero (including "not created yet") means no group has
-// finished.
-func countMarkers(t *testing.T, dir string) int {
+// doneGroups counts a sweep's finished groups: the distinct keys of
+// its done points.
+func doneGroups(t *testing.T, base, id string) int {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0
-		}
-		t.Fatal(err)
+	var env struct {
+		Sweep struct {
+			Points []struct {
+				Key    string `json:"key"`
+				Status string `json:"status"`
+			} `json:"points"`
+		} `json:"sweep"`
 	}
-	return len(ents)
+	getJSON(t, base+"/v1/sweeps/"+id, &env)
+	keys := map[string]bool{}
+	for _, p := range env.Sweep.Points {
+		if p.Status == "done" {
+			keys[p.Key] = true
+		}
+	}
+	return len(keys)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -73,17 +72,16 @@ func chaosCrashResume(t *testing.T, bin string) {
 	if err != nil {
 		t.Fatalf("create sweep: %v", err)
 	}
-	markerDir := filepath.Join(dir, "sweeps", st.ID+".done")
 	deadline := time.Now().Add(60 * time.Second)
-	for countMarkers(t, markerDir) == 0 {
+	for doneGroups(t, c1, st.ID) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no group finished within 60s\nstderr:\n%s", d1.stderr.String())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	survivors := countMarkers(t, markerDir)
+	survivors := doneGroups(t, c1, st.ID)
 	if survivors >= unique {
-		t.Fatalf("sweep finished before the kill (%d markers); stall too short", survivors)
+		t.Fatalf("sweep finished before the kill (%d groups done); stall too short", survivors)
 	}
 	if err := d1.cmd.Process.Kill(); err != nil { // SIGKILL, mid-compile
 		t.Fatal(err)
@@ -253,11 +251,19 @@ func waitSweepDone(t *testing.T, c *sweep.Client, id string) *sweep.Results {
 	return res
 }
 
-func countMarkers(t *testing.T, dir string) int {
+// doneGroups counts a sweep's finished groups: the distinct keys of
+// its done points.
+func doneGroups(t *testing.T, c *sweep.Client, id string) int {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	st, err := c.SweepStatus(id)
 	if err != nil {
-		return 0 // not created yet
+		t.Fatalf("sweep %s status: %v", id, err)
 	}
-	return len(ents)
+	keys := map[string]bool{}
+	for _, p := range st.Points {
+		if p.Status == "done" {
+			keys[p.Key] = true
+		}
+	}
+	return len(keys)
 }

@@ -42,9 +42,11 @@ type GatewayConfig struct {
 
 // fleetScrapeFanout bounds how many peers one fleet scrape queries
 // concurrently, and fleetScrapeTimeout bounds each per-peer exchange.
+// gatewayNode names the gateway in span sets.
 const (
 	fleetScrapeFanout  = 8
 	fleetScrapeTimeout = 2 * time.Second
+	gatewayNode        = "gateway"
 )
 
 // Gateway is the federation front door: the daemon's own /v1 surface
@@ -52,9 +54,11 @@ const (
 // key-addressed reads route to the key's ring owner (failing over to
 // successors while a shard is down); job reads follow the shard that
 // accepted the job; sweeps run on the server's manager with per-point
-// compiles proxied — so the sweep envelope a cluster serves is
-// byte-identical to a single daemon's, because rows are computed by
-// the same code from the same reports.
+// compiles proxied by route jobs on the gateway's own queue, which
+// answers their job and trace reads as a daemon's queue does — so the
+// sweep envelope a cluster serves is byte-identical to a single
+// daemon's, because rows are computed by the same code from the same
+// reports.
 type Gateway struct {
 	cfg   GatewayConfig
 	srv   *server.Server
@@ -76,13 +80,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		table:  cfg.Table,
 		chaos:  cfg.Chaos,
 		client: &sweep.Client{Retry: PeerRetry},
-		jobs:   server.NewJobTable[route](server.DefaultTraceBudget, nil),
 		start:  time.Now(),
 	}
 	f.registerMetrics(cfg.Registry)
 	srv := server.New(server.Config{
 		Backend: f,
-		Cluster: View{Table: cfg.Table},
+		Cluster: View{SelfURL: gatewayNode, Table: cfg.Table},
 		Queue:   cfg.Queue,
 		Metrics: cfg.Registry,
 		Chaos:   cfg.Chaos,
@@ -104,18 +107,18 @@ func (g *Gateway) Handler() http.Handler {
 }
 
 // fleet is the gateway's server.Backend: ring routing with failover,
-// verbatim relay of shard answers, a job-to-shard memory, proxied
-// sweep compiles and cross-process trace merging. The member table is
-// its only memory of dead shards: a transport failure marks the shard
-// down, and no path dials a shard the table marks down while another
-// is up.
+// verbatim relay of shard answers, a memory of the shard behind each
+// relayed job, proxied sweep compiles and cross-process trace merging.
+// The member table is its only memory of dead shards: a transport
+// failure marks the shard down, and no path dials a shard the table
+// marks down while another is up.
 type fleet struct {
 	table  *Table
 	chaos  *chaos.Injector
 	client *sweep.Client
-	// jobs remembers, per routed job id, the shard that issued it and
-	// the gateway side of its trace.
-	jobs  *server.JobTable[route]
+	// jobs remembers, per relayed shard job id, the shard that issued
+	// it and the gateway side of its trace.
+	jobs  jobTable
 	start time.Time
 
 	requests     *obs.CounterVec // proxy_requests_total{peer}
@@ -131,6 +134,38 @@ type fleet struct {
 type route struct {
 	peer  string
 	trace *obs.Trace
+}
+
+// jobTable is a bounded FIFO of routes by job id: it holds at most
+// jobs.KeepFinished, the oldest evicted first, and an id already held
+// keeps its place. Safe for concurrent use; the zero value is empty.
+type jobTable struct {
+	mu   sync.Mutex
+	byID map[string]route
+	ids  [jobs.KeepFinished]string // a ring, in insertion order
+	n    int                       // ids ever inserted
+}
+
+func (t *jobTable) put(id string, rec route) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.byID == nil {
+		t.byID = map[string]route{}
+	}
+	if _, held := t.byID[id]; !held {
+		slot := &t.ids[t.n%len(t.ids)]
+		delete(t.byID, *slot) // the oldest id, once the ring is full
+		*slot = id
+		t.n++
+	}
+	t.byID[id] = rec
+}
+
+func (t *jobTable) get(id string) (route, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rec, ok := t.byID[id]
+	return rec, ok
 }
 
 func (f *fleet) registerMetrics(r *obs.Registry) {
@@ -263,7 +298,7 @@ func (f *fleet) upMembers() []string {
 // accepted answer, else the last one received, with the shard that
 // gave it; nil when no shard answered.
 func (f *fleet) findJob(ctx context.Context, id, method, path string, found func(status int) bool) (*sweep.RawResponse, string) {
-	rec, remembered := f.jobs.Get(id)
+	rec, remembered := f.jobs.get(id)
 	if remembered && f.table.Up(rec.peer) {
 		if resp, err := f.send(ctx, rec.peer, method, path, nil); err == nil {
 			return resp, rec.peer
@@ -277,7 +312,7 @@ func (f *fleet) findJob(ctx context.Context, id, method, path string, found func
 			continue
 		}
 		if found(resp.Status) {
-			f.jobs.Put(id, route{peer: peer, trace: rec.trace})
+			f.jobs.put(id, route{peer: peer, trace: rec.trace})
 			return resp, peer
 		}
 		last, lastPeer = resp, peer
@@ -310,7 +345,7 @@ func (f *fleet) Compile(w http.ResponseWriter, r *http.Request, c server.Compile
 		return err
 	}
 	if id := jobIDOf(resp.Body); id != "" {
-		f.jobs.Put(id, route{peer: peer, trace: tr})
+		f.jobs.put(id, route{peer: peer, trace: tr})
 	}
 	relay(w, resp)
 	return nil
@@ -330,8 +365,9 @@ func jobIDOf(body []byte) string {
 	return env.Job.JobID
 }
 
-// Job relays the job read from the shard that issued the job, or from
-// the first shard that knows the id.
+// Job relays the read of a job the gateway's queue does not hold from
+// the shard that issued the job, or from the first shard that knows
+// the id.
 func (f *fleet) Job(w http.ResponseWriter, r *http.Request, id, _ string) bool {
 	resp, _ := f.findJob(r.Context(), id, r.Method, r.URL.RequestURI(),
 		func(status int) bool { return status != http.StatusNotFound })
@@ -356,18 +392,18 @@ func (f *fleet) Object(w http.ResponseWriter, r *http.Request, key string, _ boo
 	return nil
 }
 
-// Trace is the end-to-end view of a routed compile: the gateway's own
+// Trace is the end-to-end view of a relayed compile: the gateway's own
 // span set is the base, and the issuing shard's set is fetched and
 // spliced under the proxy.route span that injected the wire identity.
 // A failed remote fetch (or an injected trace.fetch fault) degrades to
 // the gateway-local spans: a partial trace still answers "where did the
 // time go" questions.
 func (f *fleet) Trace(ctx context.Context, id string) (obs.SpanSet, bool) {
-	rec, ok := f.jobs.Get(id)
+	rec, ok := f.jobs.get(id)
 	if !ok || rec.trace == nil {
 		return obs.SpanSet{}, false
 	}
-	sets := []obs.SpanSet{rec.trace.SpanSet("gateway")}
+	sets := []obs.SpanSet{rec.trace.SpanSet(gatewayNode)}
 	f.chaos.Delay(chaos.PointTraceFetch)
 	if f.chaos.Fail(chaos.PointTraceFetch) == nil {
 		resp, peer := f.findJob(ctx, id, http.MethodGet, "/v1/debug/traces/"+id+"?format=spans",

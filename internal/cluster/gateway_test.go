@@ -8,11 +8,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/canon"
 	"repro/internal/chaos"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -241,6 +246,191 @@ func TestGatewayCompileAndReadsMatchSingleDaemon(t *testing.T) {
 	}
 }
 
+// keyOf is the content key a daemon files a compile body under.
+func keyOf(t *testing.T, body string) string {
+	t.Helper()
+	req, err := canon.ParseRequest([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := req.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := canon.KeyOfParams(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// jobWhenDone polls GET base/v1/jobs/{id} until the job is done and
+// returns its status member.
+func jobWhenDone(t *testing.T, base, id string) map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, _, raw := httpDo(t, http.MethodGet, base+"/v1/jobs/"+id, "")
+		var env struct {
+			Job map[string]any `json:"job"`
+		}
+		if st != http.StatusOK || json.Unmarshal(raw, &env) != nil {
+			t.Fatalf("job %s status %d: %s", id, st, raw)
+		}
+		if env.Job["state"] == "done" {
+			return env.Job
+		}
+		if env.Job["state"] == "failed" || time.Now().After(deadline) {
+			t.Fatalf("job %s never finished: %s", id, raw)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestGatewayAsyncJobsReadBackTheirOwnCompile: six async compiles of
+// distinct geometries through a two-shard gateway, three owned by each
+// shard, get six distinct job ids, and each job's status and result,
+// read through the gateway, answer that submission's own key and
+// report: no shard's job answers for another's.
+func TestGatewayAsyncJobsReadBackTheirOwnCompile(t *testing.T) {
+	_, _, tab, gw := startFleet(t, 2)
+	type submission struct{ body, key, id string }
+	var subs []submission
+	perShard := map[string]int{}
+	for _, words := range []int{64, 128, 256, 512} {
+		for _, bpw := range []int{4, 8, 16, 32} {
+			for _, spares := range []int{0, 4} {
+				body := fmt.Sprintf(`{"words":%d,"bpw":%d,"bpc":4,"spares":%d}`, words, bpw, spares)
+				key := keyOf(t, body)
+				if owner := tab.Ring().Owner(key); perShard[owner] < 3 {
+					perShard[owner]++
+					subs = append(subs, submission{body: body, key: key})
+				}
+			}
+		}
+	}
+	if len(subs) != 6 {
+		t.Fatalf("candidate geometries split %v over the shards, want 3 each", perShard)
+	}
+	ids := map[string]bool{}
+	for i := range subs {
+		st, _, raw := httpDo(t, http.MethodPost, gw.URL+"/v1/compile?async=1", subs[i].body)
+		var env struct {
+			Job struct {
+				JobID string `json:"job_id"`
+			} `json:"job"`
+		}
+		if st != http.StatusAccepted || json.Unmarshal(raw, &env) != nil || env.Job.JobID == "" {
+			t.Fatalf("async compile %d: %d %s", i, st, raw)
+		}
+		subs[i].id = env.Job.JobID
+		ids[env.Job.JobID] = true
+	}
+	if len(ids) != len(subs) {
+		t.Errorf("%d submissions got %d distinct job ids", len(subs), len(ids))
+	}
+	for _, sub := range subs {
+		if job := jobWhenDone(t, gw.URL, sub.id); job["key"] != sub.key {
+			t.Errorf("job %s of %s: status key %v, want %s", sub.id, sub.body, job["key"], sub.key)
+			continue
+		}
+		st, _, raw := httpDo(t, http.MethodGet, gw.URL+"/v1/jobs/"+sub.id+"/result", "")
+		var res struct {
+			Data any `json:"data"`
+		}
+		if st != http.StatusOK || json.Unmarshal(raw, &res) != nil {
+			t.Fatalf("job %s result %d: %s", sub.id, st, raw)
+		}
+		st, _, raw = httpDo(t, http.MethodGet, gw.URL+"/v1/objects/"+sub.key+"/report", "")
+		var obj struct {
+			Data struct {
+				Report any `json:"report"`
+			} `json:"data"`
+		}
+		if st != http.StatusOK || json.Unmarshal(raw, &obj) != nil {
+			t.Fatalf("report of %s: %d %s", sub.key, st, raw)
+		}
+		if !reflect.DeepEqual(res.Data, obj.Data.Report) {
+			t.Errorf("job %s of %s: result is not its key's report", sub.id, sub.body)
+		}
+	}
+}
+
+// TestGatewaySweepRouteJobsAnswerTheirPoint: every job id in a gateway
+// sweep's status names a route job on the gateway's own queue, so
+// GET /v1/jobs/{id} answers that point's key, /result its report, and
+// GET /v1/debug/traces/{id} the route job's gateway-side trace — even
+// when a shard holds a job of its own.
+func TestGatewaySweepRouteJobsAnswerTheirPoint(t *testing.T) {
+	shards, _, _, gw := startFleet(t, 2)
+	if st, _, raw := httpDo(t, http.MethodPost, shards[0].ts.URL+"/v1/compile", `{"words":64,"bpw":8,"bpc":4,"spares":4}`); st != http.StatusOK {
+		t.Fatalf("direct shard compile %d: %s", st, raw)
+	}
+	id, _ := runSweepVia(t, gw.URL)
+	st, _, raw := httpDo(t, http.MethodGet, gw.URL+"/v1/sweeps/"+id, "")
+	var env struct {
+		Sweep sweep.Status `json:"sweep"`
+	}
+	if st != http.StatusOK || json.Unmarshal(raw, &env) != nil {
+		t.Fatalf("sweep status %d: %s", st, raw)
+	}
+	for _, pt := range env.Sweep.Points {
+		if pt.JobID == "" {
+			t.Fatalf("point %d carries no job id: %s", pt.Index, raw)
+		}
+		job := jobWhenDone(t, gw.URL, pt.JobID)
+		if job["key"] != pt.Key {
+			t.Errorf("point %d job %s: key %v, want %s", pt.Index, pt.JobID, job["key"], pt.Key)
+		}
+		if st, _, raw := httpDo(t, http.MethodGet, gw.URL+"/v1/jobs/"+pt.JobID+"/result", ""); st != http.StatusOK {
+			t.Errorf("point %d job %s result %d: %s", pt.Index, pt.JobID, st, raw)
+		}
+		st, _, raw := httpDo(t, http.MethodGet, gw.URL+"/v1/debug/traces/"+pt.JobID+"?format=spans", "")
+		if st != http.StatusOK {
+			t.Errorf("point %d job %s trace %d: %s", pt.Index, pt.JobID, st, raw)
+			continue
+		}
+		ss, err := obs.ParseSpanSet(raw)
+		if err != nil || ss.Node != gatewayNode || !slices.ContainsFunc(ss.Spans, func(s obs.WireSpan) bool { return s.Name == "proxy.route" }) {
+			t.Errorf("point %d job %s trace is not the gateway route job's (%v): %s", pt.Index, pt.JobID, err, raw)
+		}
+	}
+}
+
+// TestJobTableConcurrentBound: concurrent puts and gets keep the
+// gateway's job table at jobs.KeepFinished routes, and sequential puts
+// evict the oldest id first.
+func TestJobTableConcurrentBound(t *testing.T) {
+	var tab jobTable
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := strconv.Itoa(g*1000 + i)
+				tab.put(id, route{peer: id})
+				tab.get(id)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(tab.byID); n != jobs.KeepFinished {
+		t.Fatalf("table holds %d, want %d", n, jobs.KeepFinished)
+	}
+
+	var fifo jobTable
+	for i := 0; i <= jobs.KeepFinished; i++ {
+		fifo.put(strconv.Itoa(i), route{})
+	}
+	if _, ok := fifo.get("0"); ok {
+		t.Fatal("oldest id not evicted")
+	}
+	if _, ok := fifo.get(strconv.Itoa(jobs.KeepFinished)); !ok {
+		t.Fatal("newest id missing")
+	}
+}
+
 // TestGatewaySweepByteIdenticalAndZeroRecompiles: the acceptance
 // criterion — a fresh sweep served by a 3-shard cluster returns a
 // results document byte-identical to a standalone daemon's, and
@@ -412,17 +602,21 @@ func answerOf(t *testing.T, method, url, body string) answer {
 // TestGatewayMethodTable: every row goes both to a daemon and to a
 // gateway over one shard, and the two must answer alike — status,
 // Allow, Content-Type, envelope member and error code. Both sides
-// compile the same request and run the same sweep first, so their job
-// and sweep ids line up.
+// compile the same request and run the same sweep first, so their
+// sweep ids line up; the {job} rows use the job id each side's own
+// compile returned.
 func TestGatewayMethodTable(t *testing.T) {
 	daemon := startShard(t)
 	_, _, _, gw := startFleet(t, 1)
 	var key string
+	jobIDs := map[string]string{}
 	for _, base := range []string{daemon.ts.URL, gw.URL} {
-		key, _ = compileVia(t, base)["key"].(string)
+		job := compileVia(t, base)
+		key, _ = job["key"].(string)
+		jobIDs[base], _ = job["job_id"].(string)
 		runSweepVia(t, base)
 	}
-	job, sw, obj := "/v1/jobs/job-000001", "/v1/sweeps/sweep-000001", "/v1/objects/"+key
+	job, sw, obj := "/v1/jobs/{job}", "/v1/sweeps/sweep-000001", "/v1/objects/"+key
 	type row struct{ method, path, body string }
 	routes := []row{
 		{http.MethodPost, "/v1/compile", gwReq},
@@ -437,7 +631,7 @@ func TestGatewayMethodTable(t *testing.T) {
 		{http.MethodGet, sw + "/events", ""},
 		{http.MethodGet, "/v1/processes", ""},
 		{http.MethodGet, "/v1/tests", ""},
-		{http.MethodGet, "/v1/debug/traces/job-000001", ""},
+		{http.MethodGet, "/v1/debug/traces/{job}", ""},
 	}
 	rows := append([]row(nil), routes...)
 	for _, rt := range routes {
@@ -453,9 +647,13 @@ func TestGatewayMethodTable(t *testing.T) {
 		{http.MethodGet, sw + "/results?limit=-2", ""},
 		{http.MethodHead, job + "/artifact/datasheet.txt", ""},
 	}...)
+	at := func(base, path string) string { return base + strings.Replace(path, "{job}", jobIDs[base], 1) }
 	for _, row := range rows {
-		want := answerOf(t, row.method, daemon.ts.URL+row.path, row.body)
-		got := answerOf(t, row.method, gw.URL+row.path, row.body)
+		want := answerOf(t, row.method, at(daemon.ts.URL, row.path), row.body)
+		got := answerOf(t, row.method, at(gw.URL, row.path), row.body)
+		if strings.Contains(row.path, "{job}") && row.method != http.MethodDelete && want.status != http.StatusOK {
+			t.Errorf("%s %s: daemon %+v, want 200 for its own job", row.method, row.path, want)
+		}
 		if got != want {
 			t.Errorf("%s %s: gateway %+v, daemon %+v", row.method, row.path, got, want)
 		}

@@ -1,9 +1,10 @@
 package cluster
 
 // View adapts a member table to the server's ClusterInfo window: the
-// read-only slice of federation state a shard reports in /healthz and
-// /metrics. It carries the shard's own identity (SelfURL) and the
-// advertised gateway, neither of which the table knows.
+// read-only slice of federation state a process reports in /healthz
+// and /metrics. It carries the process's own name (SelfURL: a shard's
+// base URL, or the gateway's role name) and the advertised gateway,
+// neither of which the table knows.
 type View struct {
 	SelfURL    string
 	GatewayURL string

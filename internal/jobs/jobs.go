@@ -15,6 +15,10 @@
 //     (until the drain context expires, at which point the base context
 //     is cancelled and the deadline kernels unwind), then joins every
 //     worker. No goroutine outlives Shutdown.
+//   - Registry: the queue is the process's one record of its jobs. Job
+//     IDs are random ("job-" plus 16 hex digits), so they are unique
+//     across a fleet, and Job answers for every queued or running job
+//     and the newest KeepFinished finished ones.
 package jobs
 
 import (
@@ -231,6 +235,11 @@ type Stats struct {
 	Deadline         time.Duration `json:"-"`
 }
 
+// KeepFinished bounds how many finished jobs a queue still answers
+// for (oldest evicted first); queued and running jobs are never
+// evicted.
+const KeepFinished = 512
+
 // Queue is the worker pool. Construct with New.
 type Queue struct {
 	cfg       Config
@@ -244,8 +253,14 @@ type Queue struct {
 	draining  bool
 	hardDrain bool // drain budget expired: fail queued jobs without running them
 	seq       uint64
-	nextID    uint64
 	wg        sync.WaitGroup
+
+	// byID holds every queued or running job and the newest
+	// KeepFinished finished ones; finished is the ring of finished IDs,
+	// nFinished counting every job ever written to it.
+	byID      map[string]*Job
+	finished  [KeepFinished]string
+	nFinished int
 
 	queueWait *obs.Histogram // nil when no registry is configured
 	waitNanos atomic.Int64   // cumulative queue wait, all jobs incl. cancelled
@@ -265,6 +280,7 @@ func New(cfg Config) *Queue {
 		baseCtx:  ctx,
 		cancel:   cancel,
 		inflight: map[string]*Job{},
+		byID:     map[string]*Job{},
 	}
 	q.cond = sync.NewCond(&q.mu)
 	// All Registry methods are nil-receiver safe, so the instruments
@@ -327,9 +343,8 @@ func (q *Queue) Submit(key string, pri Priority, tr *obs.Trace, fn Func) (job *J
 			"jobs: queue full (%d queued)", q.heap.Len())
 	}
 	q.seq++
-	q.nextID++
 	j := &Job{
-		ID:       fmt.Sprintf("job-%06d", q.nextID),
+		ID:       "job-" + obs.NewID(),
 		Key:      key,
 		Priority: pri,
 		fn:       fn,
@@ -342,6 +357,7 @@ func (q *Queue) Submit(key string, pri Priority, tr *obs.Trace, fn Func) (job *J
 	j.submitted = time.Now()
 	j.mu.Unlock()
 	q.inflight[key] = j
+	q.byID[j.ID] = j
 	heap.Push(&q.heap, j)
 	q.submitted++
 	q.cond.Signal()
@@ -379,6 +395,10 @@ func (q *Queue) worker() {
 		q.mu.Lock()
 		q.running--
 		delete(q.inflight, j.Key)
+		slot := &q.finished[q.nFinished%KeepFinished]
+		delete(q.byID, *slot) // the oldest finished job, once the ring is full
+		*slot = j.ID
+		q.nFinished++
 		if err == nil {
 			q.completed++
 		} else {
@@ -521,6 +541,15 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 	q.cancel()
 	q.wg.Wait()
 	return err
+}
+
+// Job returns the job with the given ID while the queue holds it:
+// queued, running, or among the newest KeepFinished finished jobs.
+func (q *Queue) Job(id string) (*Job, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	j, ok := q.byID[id]
+	return j, ok
 }
 
 // Stats snapshots the counters.

@@ -325,6 +325,11 @@ func TestConcurrentSubmitStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				// At most 400 jobs finish, fewer than KeepFinished.
+				if held, ok := q.Job(j.ID); !ok || held != j {
+					t.Errorf("finished job %s not held", j.ID)
+					return
+				}
 			}
 		}(g)
 	}
@@ -587,5 +592,59 @@ func TestTerminalStateOnlyOnceReadable(t *testing.T) {
 	}
 	if st := q.Stats(); st.Completed != 1 || st.Failed != 0 {
 		t.Fatalf("counted completed %d, failed %d; want 1, 0", st.Completed, st.Failed)
+	}
+}
+
+// TestQueueKeepsNewestFinishedJobs: Job answers for every queued or
+// running job and the newest KeepFinished finished ones — the oldest
+// finished job is evicted first and a running job never is — and job
+// IDs are random, so two queues mint distinct ones.
+func TestQueueKeepsNewestFinishedJobs(t *testing.T) {
+	q := New(Config{Workers: 2})
+	defer q.Shutdown(context.Background())
+	noop := func(context.Context) (any, error) { return nil, nil }
+	entered, release := make(chan struct{}), make(chan struct{})
+	held, _, err := q.Submit("held", Interactive, nil, func(context.Context) (any, error) {
+		close(entered)
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	seen := map[string]bool{held.ID: true}
+	var ids []string
+	for i := 0; i < KeepFinished+2; i++ {
+		j, _, err := q.Submit(fmt.Sprintf("noop-%d", i), Interactive, nil, noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Result(context.Background())
+		ids = append(ids, j.ID)
+		seen[j.ID] = true
+	}
+	for i, id := range ids {
+		if _, ok := q.Job(id); ok != (i >= 2) {
+			t.Fatalf("finished job %d of %d: held = %v", i, len(ids), ok)
+		}
+	}
+	if j, ok := q.Job(held.ID); !ok || j != held || j.State() != StateRunning {
+		t.Fatalf("running job evicted: %v %v", j, ok)
+	}
+	close(release)
+
+	q2 := New(Config{Workers: 1})
+	defer q2.Shutdown(context.Background())
+	for i := 0; i < 8; i++ {
+		j, _, err := q2.Submit(fmt.Sprintf("noop-%d", i), Interactive, nil, noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hex, ok := strings.CutPrefix(j.ID, "job-")
+		if !ok || len(hex) != 16 || strings.Trim(hex, "0123456789abcdef") != "" || seen[j.ID] {
+			t.Fatalf("second queue minted %q: not job- plus 16 hex digits, or not unique", j.ID)
+		}
+		seen[j.ID] = true
 	}
 }

@@ -9,6 +9,7 @@ package leafcell
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/spice"
@@ -149,11 +150,17 @@ func (c *Cell) Extract(ckt *spice.Circuit, prefix string) {
 		ckt.M(prefix+m.Name, pin(m.D), pin(m.G), pin(m.S), m.Type,
 			float64(m.W)*1e-9, float64(m.L)*1e-9, c.P)
 	}
-	for n, cap := range c.WireCaps() {
-		if n == "0" {
-			continue
+	// Capacitors in net order, so one cell always yields one deck.
+	caps := c.WireCaps()
+	nets := make([]string, 0, len(caps))
+	for n := range caps {
+		if n != "0" {
+			nets = append(nets, n)
 		}
-		ckt.C(pin(n), "0", cap)
+	}
+	slices.Sort(nets)
+	for _, n := range nets {
+		ckt.C(pin(n), "0", caps[n])
 	}
 }
 

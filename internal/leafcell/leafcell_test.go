@@ -169,6 +169,23 @@ func TestExtractIntoSpice(t *testing.T) {
 	}
 }
 
+// TestExtractDeterministic: extracting the sense amplifier, the deck
+// bisramgen writes as senseamp.sp, yields one deck run after run.
+func TestExtractDeterministic(t *testing.T) {
+	sa := lib(t).SenseAmp
+	var first string
+	for i := 0; i < 20; i++ {
+		ckt := spice.New()
+		sa.Extract(ckt, "x")
+		deck := ckt.Deck("extracted current-mode sense amplifier")
+		if i == 0 {
+			first = deck
+		} else if deck != first {
+			t.Fatalf("extraction %d gave another deck:\n%s\nfirst:\n%s", i, deck, first)
+		}
+	}
+}
+
 func TestExtractedInverterSwitches(t *testing.T) {
 	c := Inv(tech.CDA07, 2)
 	ckt := spice.New()

@@ -60,8 +60,8 @@ type Span struct {
 // live on the stack of the code holding the end function — so a
 // snapshot is always consistent.
 type Trace struct {
-	// ID is the trace identity (the service uses the job ID, the CLIs
-	// mint a random one).
+	// ID is the trace identity: a random one (NewID), or the caller's
+	// when the trace continues an incoming Traceparent.
 	ID string
 
 	nextID atomic.Uint64

@@ -92,7 +92,8 @@ func TestEnvelopeAndMethodTable(t *testing.T) {
 		{"GET", "/v1/tests", "", "data", ""},
 	}
 	for _, rt := range routes {
-		t.Run(rt.method+" "+rt.path, func(t *testing.T) {
+		// Job IDs are random, so subtests name the route pattern.
+		t.Run(rt.method+" "+strings.Replace(rt.path, jobID, "{id}", 1), func(t *testing.T) {
 			resp, raw := rawRequest(t, rt.method, ts.URL+rt.path, rt.body)
 			if resp.StatusCode >= 400 {
 				t.Fatalf("status %d: %s", resp.StatusCode, raw)

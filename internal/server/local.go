@@ -22,14 +22,9 @@ import (
 
 // local is the daemon's Backend: compiles run on the server's own
 // queue, content-addressed over the in-memory cache and the optional
-// disk store, and every job is remembered (bounded by TraceBudget) for
-// the job and trace reads.
+// disk store. The queue answers the job and trace reads.
 type local struct {
-	s    *Server
-	jobs *JobTable[localJob]
-	// node names this process in its span sets: the shard's own URL
-	// when federated, else "".
-	node string
+	s *Server
 
 	cacheHits    *obs.Counter
 	storeHits    *obs.Counter
@@ -43,21 +38,8 @@ type local struct {
 	parDegree    *obs.Histogram
 }
 
-// localJob is the daemon's record of one job; the job carries its
-// trace.
-type localJob struct {
-	job *jobs.Job
-	key string
-}
-
 func newLocal(s *Server) *local {
-	l := &local{s: s, jobs: NewJobTable(s.cfg.TraceBudget, func(r localJob) bool {
-		_, _, done := r.job.Peek()
-		return !done
-	})}
-	if cl := s.cfg.Cluster; cl != nil {
-		l.node = cl.Self()
-	}
+	l := &local{s: s}
 	l.registerMetrics()
 	s.latency = l.compileDur
 	return l
@@ -228,7 +210,6 @@ func (l *local) Compile(w http.ResponseWriter, r *http.Request, c Compile) error
 		// ERR_OVERLOADED -> 429 + Retry-After via the standard mapping.
 		return err
 	}
-	l.track(job, c.Key)
 	if deduped {
 		l.dedupes.Inc()
 	}
@@ -328,7 +309,7 @@ func (l *local) observeCompile(tr *obs.Trace, dur time.Duration, key string, err
 		fmt.Fprintf(&b, " err=%s", cerr.CodeOf(err))
 	}
 	b.WriteByte('\n')
-	b.WriteString(tr.SpanSet(l.node).Tree())
+	b.WriteString(tr.SpanSet(s.node).Tree())
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	io.WriteString(w, b.String())
@@ -351,117 +332,9 @@ func annotateCache(w http.ResponseWriter, state string) {
 	}
 }
 
-// track remembers a job (and so its trace) for the job and trace
-// reads. It is also the sweep manager's OnJob hook, so sweep jobs are
-// visible on /v1/jobs.
-func (l *local) track(j *jobs.Job, key string) {
-	l.jobs.Put(j.ID, localJob{job: j, key: key})
-}
-
-// jobStatusBody is the "job" payload of GET /v1/jobs/{id}.
-type jobStatusBody struct {
-	JobID     string  `json:"job_id"`
-	Key       string  `json:"key"`
-	State     string  `json:"state"`
-	Priority  string  `json:"priority"`
-	Attached  int64   `json:"attached"`
-	QueuedMs  float64 `json:"queued_ms"`
-	RunMs     float64 `json:"run_ms,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	ErrorCode string  `json:"error_code,omitempty"`
-}
-
-// Job answers the job reads from the remembered jobs.
-func (l *local) Job(w http.ResponseWriter, r *http.Request, id, part string) bool {
-	rec, ok := l.jobs.Get(id)
-	if !ok {
-		return false
-	}
-	j := rec.job
-	if part == "" {
-		WriteJSON(w, http.StatusOK, envelope{Job: jobStatus(j, rec.key)})
-		return true
-	}
-	value, jerr, done := j.Peek()
-	switch {
-	case !done:
-		WriteJSON(w, http.StatusAccepted, envelope{Job: map[string]string{"job_id": j.ID, "state": j.State().String()}})
-	case jerr != nil:
-		l.s.writeError(w, jerr, 0)
-	case part == "result":
-		// The canonical compile report under the envelope's "data" member.
-		WriteJSON(w, http.StatusOK, envelope{Data: json.RawMessage(value.(*cache.Entry).Report)})
-	default:
-		l.writeArtifact(w, r, value.(*cache.Entry), r.PathValue("name"))
-	}
-	return true
-}
-
-// jobStatus is the status payload of job j.
-func jobStatus(j *jobs.Job, key string) jobStatusBody {
-	submitted, started, finished := j.Times()
-	body := jobStatusBody{
-		JobID: j.ID, Key: key, State: j.State().String(),
-		Priority: j.Priority.String(), Attached: j.Attached(),
-	}
-	switch {
-	case started.IsZero() && !finished.IsZero():
-		// Cancelled before execution (drain fast-fail): the queue wait
-		// ended when the job was failed, not now.
-		body.QueuedMs = float64(finished.Sub(submitted).Microseconds()) / 1000
-	case started.IsZero():
-		body.QueuedMs = msSince(submitted)
-	default:
-		body.QueuedMs = float64(started.Sub(submitted).Microseconds()) / 1000
-	}
-	if !started.IsZero() {
-		end := finished
-		if end.IsZero() {
-			end = time.Now()
-		}
-		body.RunMs = float64(end.Sub(started).Microseconds()) / 1000
-	}
-	if _, jerr, done := j.Peek(); done && jerr != nil {
-		body.Error = jerr.Error()
-		body.ErrorCode = cerr.CodeOf(jerr).String()
-	}
-	return body
-}
-
-// writeArtifact streams an artifact from a job's own whole entry (the
-// cache tiers hold no bodies) with its per-kind content type and an
-// explicit Content-Length, so clients can size progress bars and
-// proxies never have to buffer for chunking. HEAD requests get the
-// identical headers with no body — how clients size a download
-// without paying for it.
-func (l *local) writeArtifact(w http.ResponseWriter, r *http.Request, entry *cache.Entry, name string) {
-	body, ok := entry.Artifacts[name]
-	if !ok {
-		l.s.writeError(w, cerr.New(cerr.CodeInvalidParams,
-			"server: no artifact %q (have %v)", name, entry.ArtifactNames()), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", artifactContentType(name))
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		w.Write(body)
-	}
-}
-
-// artifactContentType maps an artifact name to its media type.
-func artifactContentType(name string) string {
-	switch {
-	case strings.HasSuffix(name, ".json"):
-		return "application/json; charset=utf-8"
-	case strings.HasSuffix(name, ".svg"):
-		return "image/svg+xml"
-	case strings.HasSuffix(name, ".gds"):
-		return "application/octet-stream"
-	default:
-		return "text/plain; charset=utf-8"
-	}
-}
+// Job answers no id: every job the daemon runs is on its own queue,
+// which the server asks first.
+func (l *local) Job(http.ResponseWriter, *http.Request, string, string) bool { return false }
 
 // Object serves GET/HEAD /v1/objects/{key} and its report.
 //
@@ -511,15 +384,8 @@ func (l *local) Object(w http.ResponseWriter, r *http.Request, key string, repor
 	return nil
 }
 
-// Trace returns the span set of a remembered job, stamped with this
-// process's node.
-func (l *local) Trace(_ context.Context, id string) (obs.SpanSet, bool) {
-	rec, ok := l.jobs.Get(id)
-	if !ok {
-		return obs.SpanSet{}, false
-	}
-	return rec.job.Trace().SpanSet(l.node), true
-}
+// Trace likewise knows no id the queue does not hold.
+func (l *local) Trace(context.Context, string) (obs.SpanSet, bool) { return obs.SpanSet{}, false }
 
 // Health reports the worker pool, the shard identity when federated,
 // and "draining" once the queue sheds new work.

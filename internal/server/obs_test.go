@@ -10,7 +10,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -279,61 +278,6 @@ func TestSlowCompileLog(t *testing.T) {
 	reg.WritePrometheus(&expo)
 	if !strings.Contains(expo.String(), "compile_slow_total 1") {
 		t.Fatalf("slow counter not bumped:\n%s", expo.String())
-	}
-}
-
-// TestTraceBudgetEviction: the job table is FIFO-bounded.
-func TestTraceBudgetEviction(t *testing.T) {
-	q := jobs.New(jobs.Config{Workers: 1, Deadline: time.Minute})
-	defer q.Shutdown(nil2())
-	s := New(Config{Queue: q, Cache: cache.New(0), TraceBudget: 2})
-	l := s.backend.(*local)
-	ids := []string{}
-	for i := 0; i < 3; i++ {
-		j, _, err := q.Submit("k"+strconv.Itoa(i), jobs.Interactive, obs.NewTrace(""),
-			func(ctx context.Context) (any, error) { return nil, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Only finished jobs are evicted.
-		if _, err := j.Result(nil2()); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, j.ID)
-		l.track(j, j.Key)
-	}
-	_, oldest := l.jobs.Get(ids[0])
-	_, newest := l.jobs.Get(ids[2])
-	if n := l.jobs.Len(); n != 2 {
-		t.Fatalf("job table holds %d, want 2", n)
-	}
-	if oldest {
-		t.Fatal("oldest job not evicted")
-	}
-	if !newest {
-		t.Fatal("newest job missing")
-	}
-}
-
-// TestJobTableConcurrentBound: concurrent puts and gets keep the table
-// within its budget.
-func TestJobTableConcurrentBound(t *testing.T) {
-	tab := NewJobTable[int](8, nil)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := strconv.Itoa(g*1000 + i)
-				tab.Put(id, i)
-				tab.Get(id)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := tab.Len(); n != 8 {
-		t.Fatalf("table holds %d, want 8", n)
 	}
 }
 

@@ -51,7 +51,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,20 +73,17 @@ import (
 // plane files included).
 const MaxRequestBody = 8 << 20
 
-// DefaultTraceBudget bounds how many finished jobs each backend
-// remembers for the job, trace and routing reads (FIFO eviction).
-const DefaultTraceBudget = 512
-
 // Config wires a server.
 type Config struct {
-	// Backend answers compiles, job and object reads, traces, health
-	// and the sweep seams. Nil selects the local daemon backend over
-	// Queue, Cache and Store; the fields from Cache down to
-	// CompileParallelism configure that backend and are unused with any
-	// other.
+	// Backend answers compiles, object reads, health, the sweep seams,
+	// and the job and trace reads of ids the Queue does not hold. Nil
+	// selects the local daemon backend over Queue, Cache and Store; the
+	// fields from Cache down to CompileParallelism configure that
+	// backend and are unused with any other.
 	Backend Backend
 	// Queue runs the sweep points (and, locally, every compile); its
-	// stats appear in /metrics and feed the Retry-After hint.
+	// stats appear in /metrics and feed the Retry-After hint, and it
+	// answers the job and trace reads of every job it holds.
 	Queue *jobs.Queue
 	Cache *cache.Cache
 	// Store is the optional disk tier under the in-memory cache.
@@ -102,9 +98,6 @@ type Config struct {
 	// SlowLogWriter receives slow-compile span trees; nil falls back
 	// to LogWriter.
 	SlowLogWriter io.Writer
-	// TraceBudget bounds the finished jobs remembered for the job and
-	// trace reads; <= 0 means DefaultTraceBudget.
-	TraceBudget int
 	// CompileParallelism is the per-compile goroutine fan-out applied
 	// to compiles that leave the knob at 0, POST /v1/compile requests
 	// and sweep points alike (requests naming an explicit parallelism
@@ -115,10 +108,11 @@ type Config struct {
 	CompileParallelism int
 
 	// Cluster, when non-nil, is the federation this process belongs to:
-	// the cluster gauges join the /metrics expositions, and a daemon's
-	// /healthz reports its shard identity and fleet view. The interface
-	// keeps this package independent of internal/cluster — the caller
-	// wires the concrete view in.
+	// the cluster gauges join the /metrics expositions, a daemon's
+	// /healthz reports its shard identity and fleet view, and span sets
+	// name this process by its Self. The interface keeps this package
+	// independent of internal/cluster — the caller wires the concrete
+	// view in.
 	Cluster ClusterInfo
 	// LogWriter receives one JSON line per request; nil disables
 	// request logging.
@@ -147,7 +141,8 @@ type Config struct {
 // ClusterInfo is the server's read-only window onto the federation
 // layer.
 type ClusterInfo interface {
-	// Self is this shard's own base URL in the ring.
+	// Self names this process in the fleet: a shard's own base URL in
+	// the ring, or the gateway's role name.
 	Self() string
 	// Gateway is the advertised gateway URL ("" when none).
 	Gateway() string
@@ -166,15 +161,16 @@ type Backend interface {
 	// Compile answers a POST /v1/compile whose body already parsed and
 	// keyed.
 	Compile(w http.ResponseWriter, r *http.Request, c Compile) error
-	// Job answers GET /v1/jobs/{id}: the status when part is "", else
-	// the "result" or the "artifact" named by r.PathValue("name"). It
-	// reports false when the job is unknown, which the server answers
-	// 404.
+	// Job answers GET /v1/jobs/{id} for an id the process's own queue
+	// does not hold: the status when part is "", else the "result" or
+	// the "artifact" named by r.PathValue("name"). It reports false when
+	// the job is unknown, which the server answers 404.
 	Job(w http.ResponseWriter, r *http.Request, id, part string) bool
 	// Object answers GET|HEAD /v1/objects/{key}, or its cached report
 	// when report is set.
 	Object(w http.ResponseWriter, r *http.Request, key string, report bool) error
-	// Trace returns the retained trace of job id as a span set.
+	// Trace returns the trace of job id, which the process's own queue
+	// does not hold, as a span set.
 	Trace(ctx context.Context, id string) (obs.SpanSet, bool)
 	// Health adds the backend's members to the /healthz document and
 	// returns a non-empty state when it cannot take work (503).
@@ -194,66 +190,17 @@ type Compile struct {
 	Start    time.Time // when the server began handling the request
 }
 
-// JobTable keeps one record per job id for the job, trace and routing
-// reads, evicting the oldest first once it holds more than its budget.
-// A record live reports as still queued or running is never evicted.
-// Safe for concurrent use.
-type JobTable[R any] struct {
-	budget int
-	live   func(R) bool
-	mu     sync.Mutex
-	byID   map[string]R
-	order  []string // oldest first
-}
-
-// NewJobTable builds a table of at most budget finished records; live
-// may be nil.
-func NewJobTable[R any](budget int, live func(R) bool) *JobTable[R] {
-	return &JobTable[R]{budget: budget, live: live, byID: map[string]R{}}
-}
-
-// Put records rec under id; an id already held keeps its place in the
-// eviction order.
-func (t *JobTable[R]) Put(id string, rec R) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, held := t.byID[id]; !held {
-		t.order = append(t.order, id)
-	}
-	t.byID[id] = rec
-	for i := 0; len(t.byID) > t.budget && i < len(t.order); {
-		if t.live != nil && t.live(t.byID[t.order[i]]) {
-			i++
-			continue
-		}
-		delete(t.byID, t.order[i])
-		t.order = slices.Delete(t.order, i, i+1)
-	}
-}
-
-// Get returns the record held for id.
-func (t *JobTable[R]) Get(id string) (R, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rec, ok := t.byID[id]
-	return rec, ok
-}
-
-// Len reports how many records the table holds.
-func (t *JobTable[R]) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byID)
-}
-
 // Server is the HTTP layer. Construct with New; serve s.Handler().
 type Server struct {
 	cfg     Config
 	backend Backend
 	mux     *http.ServeMux
 	start   time.Time
-	logMu   sync.Mutex
-	sweeps  *sweep.Manager
+	// node names this process in its span sets (ClusterInfo.Self; ""
+	// when not federated).
+	node   string
+	logMu  sync.Mutex
+	sweeps *sweep.Manager
 
 	httpRequests *obs.CounterVec // http_requests_total{status}
 	httpErrors   *obs.CounterVec // http_errors_total{code}
@@ -271,15 +218,13 @@ func New(cfg Config) *Server {
 	if cfg.SlowLogWriter == nil {
 		cfg.SlowLogWriter = cfg.LogWriter
 	}
-	if cfg.TraceBudget <= 0 {
-		cfg.TraceBudget = DefaultTraceBudget
-	}
 	s := &Server{cfg: cfg, backend: cfg.Backend, mux: http.NewServeMux(), start: time.Now()}
+	if cfg.Cluster != nil {
+		s.node = cfg.Cluster.Self()
+	}
 	s.registerMetrics()
-	var onJob func(*jobs.Job, string)
 	if s.backend == nil {
-		l := newLocal(s)
-		s.backend, onJob = l, l.track
+		s.backend = newLocal(s)
 	}
 	// The sweep manager shares the backend's lookup and compile seams,
 	// so sweep points dedup against interactive traffic and fill the
@@ -288,7 +233,6 @@ func New(cfg Config) *Server {
 		Queue:    cfg.Queue,
 		Lookup:   s.backend.Lookup,
 		Run:      s.backend.Run,
-		OnJob:    onJob,
 		Registry: cfg.Metrics,
 		Journal:  cfg.SweepJournal,
 		Chaos:    cfg.Chaos,
@@ -659,13 +603,119 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJob serves one part of GET /v1/jobs/{id}.
+// handleJob serves one part of GET /v1/jobs/{id}: from the process's
+// own queue when it holds the job, else from the backend.
 func (s *Server) handleJob(part string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
+		if j, ok := s.cfg.Queue.Job(id); ok {
+			s.writeJob(w, r, j, part)
+			return
+		}
 		if !s.backend.Job(w, r, id, part) {
 			s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: unknown job %q", id), http.StatusNotFound)
 		}
+	}
+}
+
+// writeJob answers one part of a job the queue holds: its status, or,
+// once it finished, the report or a named artifact of its entry (a
+// gateway route job's entry holds the report only).
+func (s *Server) writeJob(w http.ResponseWriter, r *http.Request, j *jobs.Job, part string) {
+	if part == "" {
+		WriteJSON(w, http.StatusOK, envelope{Job: jobStatus(j)})
+		return
+	}
+	value, jerr, done := j.Peek()
+	switch {
+	case !done:
+		WriteJSON(w, http.StatusAccepted, envelope{Job: map[string]string{"job_id": j.ID, "state": j.State().String()}})
+	case jerr != nil:
+		s.writeError(w, jerr, 0)
+	case part == "result":
+		// The canonical compile report under the envelope's "data" member.
+		WriteJSON(w, http.StatusOK, envelope{Data: json.RawMessage(value.(*cache.Entry).Report)})
+	default:
+		s.writeArtifact(w, r, value.(*cache.Entry), r.PathValue("name"))
+	}
+}
+
+// jobStatusBody is the "job" payload of GET /v1/jobs/{id}.
+type jobStatusBody struct {
+	JobID     string  `json:"job_id"`
+	Key       string  `json:"key"`
+	State     string  `json:"state"`
+	Priority  string  `json:"priority"`
+	Attached  int64   `json:"attached"`
+	QueuedMs  float64 `json:"queued_ms"`
+	RunMs     float64 `json:"run_ms,omitempty"`
+	Error     string  `json:"error,omitempty"`
+	ErrorCode string  `json:"error_code,omitempty"`
+}
+
+// jobStatus is the status payload of job j.
+func jobStatus(j *jobs.Job) jobStatusBody {
+	submitted, started, finished := j.Times()
+	body := jobStatusBody{
+		JobID: j.ID, Key: j.Key, State: j.State().String(),
+		Priority: j.Priority.String(), Attached: j.Attached(),
+	}
+	switch {
+	case started.IsZero() && !finished.IsZero():
+		// Cancelled before execution (drain fast-fail): the queue wait
+		// ended when the job was failed, not now.
+		body.QueuedMs = float64(finished.Sub(submitted).Microseconds()) / 1000
+	case started.IsZero():
+		body.QueuedMs = msSince(submitted)
+	default:
+		body.QueuedMs = float64(started.Sub(submitted).Microseconds()) / 1000
+	}
+	if !started.IsZero() {
+		end := finished
+		if end.IsZero() {
+			end = time.Now()
+		}
+		body.RunMs = float64(end.Sub(started).Microseconds()) / 1000
+	}
+	if _, jerr, done := j.Peek(); done && jerr != nil {
+		body.Error = jerr.Error()
+		body.ErrorCode = cerr.CodeOf(jerr).String()
+	}
+	return body
+}
+
+// writeArtifact streams an artifact from a job's own whole entry (the
+// cache tiers hold no bodies) with its per-kind content type and an
+// explicit Content-Length, so clients can size progress bars and
+// proxies never have to buffer for chunking. HEAD requests get the
+// identical headers with no body — how clients size a download
+// without paying for it.
+func (s *Server) writeArtifact(w http.ResponseWriter, r *http.Request, entry *cache.Entry, name string) {
+	body, ok := entry.Artifacts[name]
+	if !ok {
+		s.writeError(w, cerr.New(cerr.CodeInvalidParams,
+			"server: no artifact %q (have %v)", name, entry.ArtifactNames()), http.StatusNotFound)
+		return
+	}
+	w.Header().Set("Content-Type", artifactContentType(name))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if r.Method != http.MethodHead {
+		w.Write(body)
+	}
+}
+
+// artifactContentType maps an artifact name to its media type.
+func artifactContentType(name string) string {
+	switch {
+	case strings.HasSuffix(name, ".json"):
+		return "application/json; charset=utf-8"
+	case strings.HasSuffix(name, ".svg"):
+		return "image/svg+xml"
+	case strings.HasSuffix(name, ".gds"):
+		return "application/octet-stream"
+	default:
+		return "text/plain; charset=utf-8"
 	}
 }
 
@@ -837,19 +887,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, body)
 }
 
-// handleTrace is GET /v1/debug/traces/{id}: the retained span set of
-// a completed (or in-flight) job. The representation is negotiated:
-// ?format=tree|spans|chrome wins when present, otherwise an Accept
-// header of text/plain selects the indented text tree and anything
-// else the Chrome trace-event JSON (load it in chrome://tracing or
-// Perfetto).
+// handleTrace is GET /v1/debug/traces/{id}: the span set of a job the
+// queue holds (finished or in flight), else the backend's. The
+// representation is negotiated: ?format=tree|spans|chrome wins when
+// present, otherwise an Accept header of text/plain selects the
+// indented text tree and anything else the Chrome trace-event JSON
+// (load it in chrome://tracing or Perfetto).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if format == "" && strings.HasPrefix(r.Header.Get("Accept"), "text/plain") {
 		format = "tree"
 	}
 	id := r.PathValue("id")
-	ss, ok := s.backend.Trace(r.Context(), id)
+	var ss obs.SpanSet
+	j, ok := s.cfg.Queue.Job(id)
+	if ok {
+		ss = j.Trace().SpanSet(s.node)
+	} else {
+		ss, ok = s.backend.Trace(r.Context(), id)
+	}
 	if !ok {
 		s.writeError(w, cerr.New(cerr.CodeInvalidParams, "server: no trace for job %q", id), http.StatusNotFound)
 		return

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cerr"
-	"repro/internal/chaos"
 	"repro/internal/jobs"
 )
 
@@ -473,56 +473,27 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 }
 
-// TestJobTableBoundsFinishedJobs: the daemon remembers at most
-// TraceBudget finished jobs — once budget + k newer compiles finish,
-// the oldest answers 404 — while a job still running is never evicted.
-func TestJobTableBoundsFinishedJobs(t *testing.T) {
-	inj, err := chaos.Parse([]byte(`{"rules":[{"point":"compile.stage.floorplan","mode":"delay","delay_ms":3000,"max":1}]}`))
-	if err != nil {
-		t.Fatal(err)
+// TestEvictedJobAnswers404: the queue answers for its newest
+// jobs.KeepFinished finished jobs, so once that many newer jobs finish,
+// a compile's job and trace reads answer 404.
+func TestEvictedJobAnswers404(t *testing.T) {
+	ts, _, q, _ := testServer(t, jobs.Config{}, 64<<20)
+	_, m := postCompile(t, ts, smallReq, "")
+	id, _ := m["job_id"].(string)
+	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+id); code != http.StatusOK {
+		t.Fatalf("fresh job %s: %d, want 200", id, code)
 	}
-	q := jobs.New(jobs.Config{Workers: 2, Deadline: time.Minute})
-	const budget, k = 3, 2
-	s := New(Config{Queue: q, Cache: cache.New(64 << 20), TraceBudget: budget, Chaos: inj})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		q.Shutdown(ctx)
-	})
-
-	// The held job sleeps in its floorplan stage while the rest finish.
-	status, held := postCompile(t, ts, `{"words":1024,"bpw":8,"bpc":4,"spares":4}`, "?async=1")
-	if status != http.StatusAccepted {
-		t.Fatalf("held submit: %d %v", status, held)
-	}
-	for deadline := time.Now().Add(10 * time.Second); inj.Fired() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("held job never reached its floorplan stage")
+	for i := 0; i < jobs.KeepFinished; i++ {
+		j, _, err := q.Submit("noop-"+strconv.Itoa(i), jobs.Batch, nil,
+			func(context.Context) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		j.Result(context.Background())
 	}
-	var ids []string
-	for _, words := range []int{64, 128, 256, 512, 2048}[:budget+k] {
-		status, m := postCompile(t, ts, fmt.Sprintf(`{"words":%d,"bpw":8,"bpc":4,"spares":4}`, words), "")
-		if status != http.StatusOK {
-			t.Fatalf("compile words=%d: %d %v", words, status, m)
+	for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/result", "/v1/debug/traces/" + id} {
+		if code, _ := getJSON(t, ts.URL+path); code != http.StatusNotFound {
+			t.Fatalf("evicted job: GET %s answered %d, want 404", path, code)
 		}
-		ids = append(ids, m["job_id"].(string))
-	}
-
-	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+ids[0]); code != http.StatusNotFound {
-		t.Fatalf("oldest finished job %s: %d, want 404", ids[0], code)
-	}
-	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+ids[len(ids)-1]); code != http.StatusOK {
-		t.Fatalf("newest job %s: %d, want 200", ids[len(ids)-1], code)
-	}
-	code, m := getJSON(t, ts.URL+"/v1/jobs/"+held["job_id"].(string))
-	if code != http.StatusOK || m["state"] != "running" {
-		t.Fatalf("running job evicted: %d %v", code, m)
-	}
-	if n := s.backend.(*local).jobs.Len(); n > budget {
-		t.Fatalf("job table holds %d, budget %d", n, budget)
 	}
 }

@@ -8,10 +8,9 @@
 // lands, a numbered terminal summary event closes the feed. Numbered
 // events are replayable by cursor (`?from=` / Last-Event-ID), so a
 // subscriber that connects late — or reconnects after a drop — still
-// sees every point exactly once. The feed is bounded, but its cap is
-// sized to the sweep (two events per point plus the summary), so in
-// practice nothing is evicted before the retention layer drops the
-// whole sweep.
+// sees every point exactly once. A sweep emits at most two numbered
+// events per point plus the summary, so the feed keeps them all until
+// the retention layer drops the whole sweep.
 package sweep
 
 import (
@@ -65,38 +64,27 @@ type SummaryEvent struct {
 	Terminal bool   `json:"terminal"`
 }
 
-// feed is the per-sweep bounded event log plus subscriber wakeups.
+// feed is the per-sweep event log plus subscriber wakeups. The event
+// numbered Seq is events[Seq-1].
 type feed struct {
-	mu       sync.Mutex
-	sweepID  string
-	max      int
-	firstSeq int // Seq of events[0]; grows only under eviction
-	nextSeq  int
-	events   []Event
-	subs     map[chan struct{}]struct{}
+	mu      sync.Mutex
+	sweepID string
+	events  []Event
+	subs    map[chan struct{}]struct{}
 }
 
-func newFeed(sweepID string, max int) *feed {
-	if max < 16 {
-		max = 16
-	}
-	return &feed{sweepID: sweepID, max: max, firstSeq: 1, subs: map[chan struct{}]struct{}{}}
+func newFeed(sweepID string) *feed {
+	return &feed{sweepID: sweepID, subs: map[chan struct{}]struct{}{}}
 }
 
-// emit numbers and appends ev, evicting the oldest frame past the
-// cap, then wakes every subscriber (non-blocking — each subscriber
-// channel has capacity 1, a pending wakeup is wakeup enough).
+// emit numbers and appends ev, then wakes every subscriber
+// (non-blocking — each subscriber channel has capacity 1, a pending
+// wakeup is wakeup enough).
 func (f *feed) emit(ev Event) {
 	f.mu.Lock()
-	f.nextSeq++
-	ev.Seq = f.nextSeq
+	ev.Seq = len(f.events) + 1
 	ev.SweepID = f.sweepID
 	f.events = append(f.events, ev)
-	if len(f.events) > f.max {
-		drop := len(f.events) - f.max
-		f.events = append([]Event(nil), f.events[drop:]...)
-		f.firstSeq += drop
-	}
 	for ch := range f.subs {
 		select {
 		case ch <- struct{}{}:
@@ -106,19 +94,15 @@ func (f *feed) emit(ev Event) {
 	f.mu.Unlock()
 }
 
-// since returns a copy of the numbered events with Seq > after. A
-// cursor older than the retained window restarts at the window edge.
+// since returns a copy of the numbered events with Seq > after.
 func (f *feed) since(after int) []Event {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	idx := after - f.firstSeq + 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(f.events) {
+	after = max(after, 0)
+	if after >= len(f.events) {
 		return nil
 	}
-	return append([]Event(nil), f.events[idx:]...)
+	return append([]Event(nil), f.events[after:]...)
 }
 
 // subscribe registers a wakeup channel; the returned cancel must be

@@ -11,10 +11,10 @@ import (
 )
 
 // TestFeedReplayExactlyOnce: numbered events replay from any cursor
-// without gaps or duplicates, and a cursor inside the retained window
-// resumes exactly where it left off.
+// without gaps or duplicates, and a mid-stream cursor resumes exactly
+// where it left off.
 func TestFeedReplayExactlyOnce(t *testing.T) {
-	f := newFeed("sw-1", 100)
+	f := newFeed("sw-1")
 	for i := 0; i < 5; i++ {
 		f.emit(Event{Type: "point", Point: &PointEvent{Index: i}})
 	}
@@ -37,26 +37,10 @@ func TestFeedReplayExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestFeedEviction: past the cap the oldest frames evict and an
-// ancient cursor restarts at the window edge instead of failing.
-func TestFeedEviction(t *testing.T) {
-	f := newFeed("sw-1", 0) // floors at 16
-	for i := 0; i < 40; i++ {
-		f.emit(Event{Type: "point", Point: &PointEvent{Index: i}})
-	}
-	got := f.since(0)
-	if len(got) != 16 {
-		t.Fatalf("retained %d events, want 16", len(got))
-	}
-	if got[0].Seq != 25 || got[15].Seq != 40 {
-		t.Fatalf("window = [%d, %d], want [25, 40]", got[0].Seq, got[15].Seq)
-	}
-}
-
 // TestFeedSubscribeWakeup: a subscriber is woken on emit, and a
 // pending wakeup coalesces instead of blocking the emitter.
 func TestFeedSubscribeWakeup(t *testing.T) {
-	f := newFeed("sw-1", 100)
+	f := newFeed("sw-1")
 	wake, cancel := f.subscribe()
 	defer cancel()
 	f.emit(Event{Type: "point", Point: &PointEvent{Index: 0}})

@@ -1,21 +1,18 @@
 // Sweep durability: a write-ahead journal that lets a restarted
 // daemon resume in-flight sweeps instead of losing them.
 //
-// Layout (every file is written by store.WriteAtomic, the store's own
+// Layout (the record is written by store.WriteAtomic, the store's own
 // temp+rename write):
 //
 //	<dir>/tmp/                  scratch for atomic writes (swept on open)
 //	<dir>/<id>.sweep            JSON record: {id, created_at, spec}
-//	<dir>/<id>.done/<key>       empty marker: group <key> completed and
-//	                            its entry is durably in the artifact store
 //
-// The record is written before any group launches (write-ahead), a
-// done marker is written only after the group's entry landed in the
-// store, and Complete removes everything once the sweep finishes
-// cleanly. Resume therefore re-expands the journaled spec and replays
-// finished groups through the content-addressed store lookup — zero
-// recompiles of journaled points, byte-identical rows (the compiler is
-// deterministic for a fixed spec).
+// The record is written before any group launches (write-ahead), and
+// Complete removes it once the sweep finishes cleanly. Resume
+// therefore re-expands the journaled spec and replays every group
+// whose entry reached the store through the content-addressed lookup
+// — no recompiles of those points, byte-identical rows (the compiler
+// is deterministic for a fixed spec).
 package sweep
 
 import (
@@ -32,9 +29,8 @@ import (
 )
 
 const (
-	journalExt     = ".sweep"
-	journalDoneExt = ".done"
-	journalTmpDir  = "tmp"
+	journalExt    = ".sweep"
+	journalTmpDir = "tmp"
 )
 
 // Journal persists sweep progress. A nil *Journal disables durability:
@@ -50,9 +46,6 @@ type JournalRecord struct {
 	ID        string `json:"id"`
 	CreatedAt string `json:"created_at"`
 	Spec      Spec   `json:"spec"`
-	// Done holds the content keys of completed groups (loaded from the
-	// marker directory, not part of the record file).
-	Done map[string]bool `json:"-"`
 }
 
 // OpenJournal creates the journal directory layout and clears
@@ -77,8 +70,7 @@ func (j *Journal) Dir() string {
 }
 
 // Begin writes the sweep record (write-ahead: call before launching
-// any group) and creates its marker directory. Idempotent — resuming
-// rewrites the same record.
+// any group). Idempotent — resuming rewrites the same record.
 func (j *Journal) Begin(id string, spec Spec) error {
 	if j == nil {
 		return nil
@@ -93,43 +85,14 @@ func (j *Journal) Begin(id string, spec Spec) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := os.MkdirAll(filepath.Join(j.dir, id+journalDoneExt), 0o755); err != nil {
-		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal markers for %s", id)
-	}
 	if err := store.WriteAtomic(j.tmpDir(), filepath.Join(j.dir, id+journalExt), data); err != nil {
 		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal record %s", id)
 	}
 	return nil
 }
 
-// MarkDone records that the group keyed key completed and its entry is
-// durably in the artifact store. Call only after the store put.
-func (j *Journal) MarkDone(id, key string) error {
-	if j == nil {
-		return nil
-	}
-	if !validSweepID(id) || !store.ValidKey(key) {
-		return cerr.New(cerr.CodeInvalidParams, "sweep: journal rejects marker %q/%q", id, key)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	dir := filepath.Join(j.dir, id+journalDoneExt)
-	if _, err := os.Stat(filepath.Join(j.dir, id+journalExt)); err != nil {
-		// The sweep already completed (or was never journaled): a late
-		// marker must not resurrect a directory Complete removed.
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal markers for %s", id)
-	}
-	if err := store.WriteAtomic(j.tmpDir(), filepath.Join(dir, key)); err != nil {
-		return cerr.Wrap(cerr.CodeInternal, err, "sweep: journal marker %s/%s", id, key)
-	}
-	return nil
-}
-
-// Complete removes the sweep's record and markers: the sweep finished
-// and needs no resume.
+// Complete removes the sweep's record: the sweep finished and needs no
+// resume.
 func (j *Journal) Complete(id string) error {
 	if j == nil {
 		return nil
@@ -139,18 +102,14 @@ func (j *Journal) Complete(id string) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// Record first: once it is gone the sweep can never resume, so a
-	// crash between the two removals leaves only an orphaned marker
-	// directory, which Pending ignores and a later Begin reuses.
 	if err := os.Remove(filepath.Join(j.dir, id+journalExt)); err != nil && !os.IsNotExist(err) {
 		return cerr.Wrap(cerr.CodeInternal, err, "sweep: completing journal %s", id)
 	}
-	os.RemoveAll(filepath.Join(j.dir, id+journalDoneExt))
 	return nil
 }
 
 // Pending returns every journaled sweep that never completed, sorted
-// by ID (creation order), each with its done-marker key set.
+// by ID (creation order).
 func (j *Journal) Pending() ([]JournalRecord, error) {
 	if j == nil {
 		return nil, nil
@@ -176,14 +135,6 @@ func (j *Journal) Pending() ([]JournalRecord, error) {
 			// A corrupt or mislabeled record cannot be resumed; leave it
 			// on disk for forensics, skip it for resume.
 			continue
-		}
-		rec.Done = map[string]bool{}
-		if marks, merr := os.ReadDir(filepath.Join(j.dir, rec.ID+journalDoneExt)); merr == nil {
-			for _, mk := range marks {
-				if !mk.IsDir() {
-					rec.Done[mk.Name()] = true
-				}
-			}
 		}
 		out = append(out, rec)
 	}

@@ -100,9 +100,6 @@ func TestJournalCompletesCleanSweep(t *testing.T) {
 	if files := h.sweepFiles(); len(files) != 0 {
 		t.Fatalf("clean sweep left journal records %v", files)
 	}
-	if _, err := os.Stat(filepath.Join(h.dir, sw.ID+journalDoneExt)); !os.IsNotExist(err) {
-		t.Fatalf("clean sweep left marker directory")
-	}
 }
 
 func TestJournalRetainsTransientlyFailedSweep(t *testing.T) {
@@ -152,20 +149,11 @@ func TestJournalResumeReplaysDoneGroupsWithoutRecompiles(t *testing.T) {
 	runsBefore := h.runs.Load()
 
 	// Simulate a crash after completion but before Complete(): rewrite
-	// the journal record as an interrupted sweep with every group
-	// already marked done.
+	// the journal record as an interrupted sweep whose every group is
+	// already in the store.
 	if err := h.journal.Begin(sw.ID, spec); err != nil {
 		t.Fatal(err)
 	}
-	h.mu.Lock()
-	for key := range h.store {
-		h.mu.Unlock()
-		if err := h.journal.MarkDone(sw.ID, key); err != nil {
-			t.Fatal(err)
-		}
-		h.mu.Lock()
-	}
-	h.mu.Unlock()
 
 	h.boot()
 	if n, err := h.mgr.Resume(); err != nil || n != 1 {
@@ -234,17 +222,6 @@ func TestJournalValidation(t *testing.T) {
 			t.Errorf("Begin(%q) accepted", id)
 		}
 	}
-	if err := j.MarkDone("sweep-000001", "../../etc/passwd"); err == nil {
-		t.Error("path-shaped marker key accepted")
-	}
-	// Marking against an unjournaled sweep is a silent no-op (the
-	// Complete race), never a resurrection.
-	if err := j.MarkDone("sweep-000099", validTestKey()); err != nil {
-		t.Errorf("late marker errored: %v", err)
-	}
-	if _, serr := os.Stat(filepath.Join(j.Dir(), "sweep-000099"+journalDoneExt)); !os.IsNotExist(serr) {
-		t.Error("late marker resurrected a completed sweep's directory")
-	}
 	var nilJ *Journal
 	if err := nilJ.Begin("sweep-000001", Spec{}); err != nil {
 		t.Errorf("nil journal Begin: %v", err)
@@ -272,12 +249,4 @@ func TestTransientFailureClassification(t *testing.T) {
 	if transientFailure(nil) {
 		t.Error("nil error classified transient")
 	}
-}
-
-func validTestKey() string {
-	b := make([]byte, 64)
-	for i := range b {
-		b[i] = 'a'
-	}
-	return string(b)
 }

@@ -428,17 +428,13 @@ type Config struct {
 	Queue  *jobs.Queue
 	Lookup func(key string) (*cache.Entry, bool)
 	Run    func(ctx context.Context, key string, req canon.Request, p compiler.Params) (*cache.Entry, error)
-	// OnJob, when non-nil, observes every job the manager submits
-	// (the server uses it to make sweep jobs visible on /v1/jobs).
-	OnJob func(j *jobs.Job, key string)
 	// Registry receives the sweep counters; nil disables telemetry.
 	Registry *obs.Registry
 	// Journal, when non-nil, checkpoints sweeps to disk: the spec is
-	// written before any group launches, each completed group leaves a
-	// done marker, and a cleanly-finished sweep removes its record. A
-	// sweep that ends with transiently-failed points (shed or drained
-	// compiles) keeps its record so Resume can finish it after a
-	// restart.
+	// written before any group launches, and a cleanly-finished sweep
+	// removes its record. A sweep that ends with transiently-failed
+	// points (shed or drained compiles) keeps its record so Resume can
+	// finish it after a restart.
 	Journal *Journal
 	// Chaos, when non-nil, is threaded into the Monte-Carlo yield
 	// engine so fault-injection configs can abort mc.sample chunks.
@@ -506,11 +502,10 @@ func (m *Manager) Create(spec Spec) (*Sweep, error) {
 }
 
 // Resume re-launches every journaled sweep that never completed,
-// keeping its original ID. Finished groups replay through the
-// content-addressed Lookup (their entries are durably in the store —
-// the done marker is written only after the store put), so resumed
-// sweeps converge to byte-identical results with zero recompiles of
-// journaled points. Returns how many sweeps resumed.
+// keeping its original ID. Groups whose entries reached the store
+// replay through the content-addressed Lookup, so resumed sweeps
+// converge to byte-identical results without recompiling them.
+// Returns how many sweeps resumed.
 func (m *Manager) Resume() (int, error) {
 	if m.cfg.Journal == nil {
 		return 0, nil
@@ -598,11 +593,9 @@ func (m *Manager) create(spec Spec, forcedID string) (*Sweep, error) {
 		m.nextID++
 		sw.ID = fmt.Sprintf("sweep-%06d", m.nextID)
 	}
-	// Two numbered events per point (started + terminal) plus the
-	// terminal summary: the bound that makes the feed drop-free for
-	// the sweep's whole lifetime. Assigned before the sweep becomes
-	// visible so a racing events subscriber never sees a nil feed.
-	sw.feed = newFeed(sw.ID, 2*len(sw.points)+16)
+	// Assigned before the sweep becomes visible so a racing events
+	// subscriber never sees a nil feed.
+	sw.feed = newFeed(sw.ID)
 	m.sweeps[sw.ID] = sw
 	m.order = append(m.order, sw.ID)
 	m.retainLocked()
@@ -644,9 +637,6 @@ func (m *Manager) create(spec Spec, forcedID string) (*Sweep, error) {
 				Index: pt.index, Key: pt.key, Status: "started",
 			}})
 		}
-		if m.cfg.OnJob != nil {
-			m.cfg.OnJob(job, key)
-		}
 		go func() {
 			v, jerr := job.Result(context.Background())
 			if jerr != nil {
@@ -668,21 +658,15 @@ func parsePriority(s string) (jobs.Priority, error) {
 	return jobs.ParsePriority(s)
 }
 
-// finishGroup marks every point of g terminal with the given outcome,
-// checkpoints the completion in the journal, and — once the whole
-// sweep is terminal — either completes the journal record (clean
-// finish) or retains it for resume (a shed or drained group means the
-// sweep was cut short by overload/shutdown, not by its own inputs).
+// finishGroup marks every point of g terminal with the given outcome
+// and — once the whole sweep is terminal — either completes the
+// journal record (clean finish) or retains it for resume (a shed or
+// drained group means the sweep was cut short by overload/shutdown,
+// not by its own inputs).
 func (m *Manager) finishGroup(sw *Sweep, g *group, entry *cache.Entry, err error, cached bool) {
 	var met Metrics
 	if err == nil {
 		met, err = MetricsFromEntry(entry)
-	}
-	if err == nil {
-		// The entry is durably in the artifact store before the job
-		// completes, so the marker's invariant (marker => store hit on
-		// resume) holds.
-		m.cfg.Journal.MarkDone(sw.ID, g.key)
 	}
 	// Statistical yield runs after the compile succeeds but before the
 	// sweep lock: estimates cost real CPU time, and other groups must
