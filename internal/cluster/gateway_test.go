@@ -645,6 +645,8 @@ func TestGatewayMethodTable(t *testing.T) {
 		{http.MethodPost, "/v1/compile", strings.Repeat("x", server.MaxRequestBody+1)},
 		{http.MethodPost, "/v1/compile?priority=urgent", gwReq},
 		{http.MethodGet, sw + "/results?limit=-2", ""},
+		{http.MethodPost, "/v1/sweeps", `{"base":{"words":256,"bpw":8,"bpc":4,"spares":4},"axes":{"defects":[1000]}}`},
+		{http.MethodPost, "/v1/sweeps", `{"base":{"words":256,"bpw":8,"bpc":4,"spares":4},"axes":{"defects":[-5]}}`},
 		{http.MethodHead, job + "/artifact/datasheet.txt", ""},
 	}...)
 	at := func(base, path string) string { return base + strings.Replace(path, "{job}", jobIDs[base], 1) }

@@ -302,6 +302,44 @@ func TestSweepLifecycleOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsOutOfRangeDefects: a defect count that is negative,
+// or so large that e^-n underflows and the improvement factor becomes
+// +Inf, is a 400 ERR_INVALID_PARAMS naming the value at POST, never an
+// accepted sweep whose rows report clamped yields or whose results
+// fail to encode.
+func TestSweepRejectsOutOfRangeDefects(t *testing.T) {
+	ts, _, _, _ := testServer(t, jobs.Config{}, 64<<20)
+	for _, df := range []string{"1000", "-5", "1e308"} {
+		body := `{"base":{"words":256,"bpw":8,"bpc":4,"spares":4},"axes":{"defects":[` + df + `]}}`
+		resp, raw := rawRequest(t, http.MethodPost, ts.URL+"/v1/sweeps", body)
+		if resp.StatusCode == http.StatusAccepted {
+			var env struct {
+				Sweep struct{ ID string } `json:"sweep"`
+			}
+			if err := json.Unmarshal(raw, &env); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if _, err := sweep.NewClient(ts.URL).WaitSweep(ctx, env.Sweep.ID, 20*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			res, rraw := rawRequest(t, http.MethodGet, ts.URL+"/v1/sweeps/"+env.Sweep.ID+"/results", "")
+			t.Errorf("defects %s: POST 202, then results %d %s; want a 400 at POST", df, res.StatusCode, rraw)
+			continue
+		}
+		var env struct{ Error sweep.WireError }
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		v, _ := strconv.ParseFloat(df, 64)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "ERR_INVALID_PARAMS" ||
+			!strings.Contains(env.Error.Message, fmt.Sprintf("defect count %g", v)) {
+			t.Errorf("defects %s: %d %s; want 400 ERR_INVALID_PARAMS naming the value", df, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestStoreTierRestartWarm: a compile persisted to the disk store is
 // served as a cache hit by a fresh server (new process's cache, same
 // store directory), annotated with the disk tier; a corrupted object

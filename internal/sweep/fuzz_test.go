@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/cerr"
+	"repro/internal/cjson"
 )
 
 // FuzzParseSpec drives the sweep-request decoder with arbitrary
@@ -14,6 +16,8 @@ import (
 // the wire shapes the handlers actually see: the paper's Fig. 4 sweep,
 // single-point specs, version pins, and the classic decoder traps
 // (unknown fields, trailing garbage, deep nesting, huge numbers).
+// Every point of an accepted spec must also give finite results-row
+// values, so the results document always encodes.
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		// Paper evaluation shape: yield vs defects across spare counts.
@@ -47,11 +51,39 @@ func FuzzParseSpec(f *testing.F) {
 			}
 			return
 		}
-		if _, err := spec.Expand(DefaultMaxPoints); err != nil {
+		pts, err := spec.Expand(DefaultMaxPoints)
+		if err != nil {
 			var ce *cerr.Error
 			if !errors.As(err, &ce) {
 				t.Fatalf("Expand returned untyped error %T: %v", err, err)
 			}
+			return
 		}
+		checkFiniteRows(t, pts)
 	})
+}
+
+// checkFiniteRows evaluates the results row of every point as a done
+// point of a 64x64 array with growth factor 1.2 and requires finite
+// yields and improvement, and a results document that encodes.
+func checkFiniteRows(t *testing.T, pts []Point) {
+	t.Helper()
+	sw := &Sweep{ID: "sweep-000001"}
+	for i, p := range pts {
+		sw.points = append(sw.points, &point{
+			index: i, req: p.Req, defects: p.Defects, spares: 4, state: pointDone,
+			metrics: Metrics{Rows: 64, Cols: 64, GrowthFactor: 1.2},
+		})
+	}
+	res := sw.Results()
+	for _, row := range res.Rows {
+		for _, v := range []float64{row.Defects, row.YieldNoRepair, row.YieldBISR, row.Improvement} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted defects %g gives a non-finite row %+v", row.Defects, row)
+			}
+		}
+	}
+	if _, err := cjson.MarshalIndent(res); err != nil {
+		t.Fatalf("results document does not encode: %v", err)
+	}
 }

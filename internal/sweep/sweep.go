@@ -139,6 +139,11 @@ func (s Spec) Expand(maxPoints int) ([]Point, error) {
 	if len(defects) == 0 {
 		defects = []float64{0}
 	}
+	for _, df := range defects {
+		if err := yield.CheckDefects(df); err != nil {
+			return nil, cerr.Wrap(cerr.CodeOf(err), err, "sweep: defects axis")
+		}
+	}
 	mcSamples := s.Axes.MCSamples
 	if len(mcSamples) == 0 {
 		mcSamples = []int{s.Base.MCSamples}

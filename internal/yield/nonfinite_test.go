@@ -49,7 +49,11 @@ func TestCheckDefects(t *testing.T) {
 	}{
 		{"zero", 0, nil},
 		{"positive", 12.5, nil},
+		{"at the representable bound", maxDefects, nil},
 		{"negative", -3, cerr.ErrInvalidParams},
+		{"past the representable bound", math.Nextafter(maxDefects, math.Inf(1)), cerr.ErrInvalidParams},
+		{"e^-n underflows", 1000, cerr.ErrInvalidParams},
+		{"largest finite", math.MaxFloat64, cerr.ErrInvalidParams},
 		{"nan", math.NaN(), cerr.ErrNonFinite},
 		{"+inf", math.Inf(1), cerr.ErrNonFinite},
 		{"-inf", math.Inf(-1), cerr.ErrNonFinite},
@@ -77,6 +81,27 @@ func TestCheckDefects(t *testing.T) {
 				t.Fatalf("YieldBISRIteratedErr: want %v, got %v", tc.want, err)
 			}
 		})
+	}
+}
+
+// TestAcceptedDefectsStayFinite: at every count CheckDefects accepts,
+// up to its bound, the yields and the improvement factor a sweep row
+// reports are finite.
+func TestAcceptedDefectsStayFinite(t *testing.T) {
+	for _, d := range []float64{0, 5, 700, maxDefects} {
+		if err := CheckDefects(d); err != nil {
+			t.Fatalf("defects %g rejected: %v", d, err)
+		}
+		for _, m := range []Model{
+			{Rows: 64, Cols: 32, Spares: 4, GrowthFactor: 1},
+			{Rows: 1024, Cols: 128, Spares: 16, GrowthFactor: 1.3},
+		} {
+			for _, v := range []float64{m.YieldNoRepair(d), m.YieldBISR(d), m.ImprovementFactor(d)} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("defects %g, model %+v: non-finite value %g", d, m, v)
+				}
+			}
+		}
 	}
 }
 

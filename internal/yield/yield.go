@@ -49,17 +49,27 @@ func (m Model) Validate() error {
 	return nil
 }
 
+// maxDefects is the largest defect count whose yields stay
+// representable. Past ln(MaxFloat64) ≈ 709.8 the unrepaired yield e^-n
+// is below 1/MaxFloat64, so ImprovementFactor, at most 1/e^-n,
+// overflows to +Inf; past about 745, e^-n itself rounds to 0.
+var maxDefects = math.Log(math.MaxFloat64)
+
 // CheckDefects validates a defect-count axis value: non-finite inputs
-// are rejected with cerr.ErrNonFinite, negative ones with
-// cerr.ErrInvalidParams. The plain evaluation methods clamp negative
-// inputs to zero; callers wanting a hard failure use this (or the
-// *Err variants) first.
+// are rejected with cerr.ErrNonFinite, negative ones and ones above
+// maxDefects with cerr.ErrInvalidParams. The plain evaluation methods
+// clamp negative inputs to zero, so a caller taking the count from a
+// client checks it here first.
 func CheckDefects(defects float64) error {
 	if math.IsNaN(defects) || math.IsInf(defects, 0) {
 		return cerr.New(cerr.CodeNonFinite, "yield: non-finite defect count %v", defects)
 	}
 	if defects < 0 {
 		return cerr.New(cerr.CodeInvalidParams, "yield: negative defect count %g", defects)
+	}
+	if defects > maxDefects {
+		return cerr.New(cerr.CodeInvalidParams,
+			"yield: defect count %g is above %.1f, where the unrepaired yield e^-n leaves float64's range", defects, maxDefects)
 	}
 	return nil
 }
