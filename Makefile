@@ -1,8 +1,9 @@
 # BISRAMGEN build/test entry points.
 #
 #   make check — the default pre-merge gate: vet (gofmt included),
-#                build, race-enabled tests, the benchmark module's vet
-#                and tests, the serve-smoke + obs-smoke + sweep-smoke +
+#                build, the unreached-function gate, race-enabled
+#                tests, the benchmark module's vet and tests, the
+#                serve-smoke + obs-smoke + sweep-smoke +
 #                chaos-smoke + cluster-smoke + obs-fleet-smoke +
 #                mc-smoke end-to-end daemon checks, and the bench-delta
 #                soft benchmark-regression gate.
@@ -31,11 +32,11 @@ BENCH_CPU_PATTERN = 'BenchmarkCompileRefine|BenchmarkCompileCold|BenchmarkMCYiel
 # which case the -baseline flag is simply omitted.
 BENCH_BASELINE ?= $(shell ls results/BENCH_*.json 2>/dev/null | grep -vx '$(BENCH_OUT)' | sort -V | tail -1)
 
-.PHONY: all check build vet test race bisrbench-check serve-smoke obs-smoke sweep-smoke chaos-smoke cluster-smoke obs-fleet-smoke mc-smoke fuzz-smoke campaign serve ci bench bench-smoke bench-delta
+.PHONY: all check build vet unreached test race bisrbench-check serve-smoke obs-smoke sweep-smoke chaos-smoke cluster-smoke obs-fleet-smoke mc-smoke fuzz-smoke campaign serve ci bench bench-smoke bench-delta
 
 all: check
 
-check: vet build race bisrbench-check serve-smoke obs-smoke sweep-smoke chaos-smoke cluster-smoke obs-fleet-smoke mc-smoke bench-smoke bench-delta
+check: vet build unreached race bisrbench-check serve-smoke obs-smoke sweep-smoke chaos-smoke cluster-smoke obs-fleet-smoke mc-smoke bench-smoke bench-delta
 
 build:
 	$(GO) build ./...
@@ -47,6 +48,14 @@ vet:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt: the following files need reformatting:"; echo "$$out"; exit 1; \
 	fi
+
+# Every internal/ function must be contained in a program (cmd/*,
+# examples/*, cmd/bisrbench; built with inlining off) or named with its
+# reason in cmd/unreached/allowlist.txt. Fails on an unreached function
+# missing from the list and on a list line whose function a program now
+# reaches or that is gone, so the list only shrinks.
+unreached:
+	$(GO) run ./cmd/unreached
 
 test:
 	$(GO) test ./...

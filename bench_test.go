@@ -82,20 +82,20 @@ func BenchmarkTable1Overhead(b *testing.B) {
 }
 
 func BenchmarkTable2DieCost(b *testing.B) {
-	growth(b)
+	gf := growth(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(); err != nil {
+		if _, err := experiments.Table2With(gf); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkTable3TotalCost(b *testing.B) {
-	growth(b)
+	gf := growth(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table3(); err != nil {
+		if _, err := experiments.Table3With(gf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,7 +297,7 @@ func BenchmarkSpiceInverterTransient(b *testing.B) {
 	l := float64(p.Feature) * 1e-9
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := spice.InverterDelays(p, 2e-6, 4e-6, l, 50e-15); err != nil {
+		if _, _, err := spice.InverterDelaysCtx(context.Background(), p, 2e-6, 4e-6, l, 50e-15); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,7 +320,15 @@ func BenchmarkGateLevelRepair(b *testing.B) {
 		if err := arr.Inject(sram.CellAddr{Row: 3, Col: 2}, sram.Fault{Kind: sram.SA1}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := bisr.RunGateLevelRepair(arr, march.IFA9(), 4_000_000); err != nil {
+		prog, err := bist.Assemble(march.IFA9())
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := bisr.NewGateLevel(arr, prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := g.Run(4_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -367,18 +375,6 @@ func BenchmarkChannelRoute(b *testing.B) {
 	}
 }
 
-func BenchmarkSpareAllocation(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	f := bisr.NewFaultBitmap(64, 64)
-	for i := 0; i < 40; i++ {
-		_ = f.Mark(rng.Intn(64), rng.Intn(64))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bisr.AllocateSpares(f, 8, 8)
-	}
-}
-
 func BenchmarkGDSExport(b *testing.B) {
 	d, err := compiler.Compile(compiler.Params{
 		Words: 1024, BPW: 8, BPC: 4, Spares: 4,
@@ -394,18 +390,6 @@ func BenchmarkGDSExport(b *testing.B) {
 		if err := gds.Write(&buf, d.Top, "bench"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkPLAMinimize(b *testing.B) {
-	p, err := bist.Assemble(march.IFA13())
-	if err != nil {
-		b.Fatal(err)
-	}
-	gray := p.Reencode(bist.GrayMapping(p.StateBits))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gray.Minimize()
 	}
 }
 

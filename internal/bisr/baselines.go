@@ -35,16 +35,8 @@ func (s *Sawada) Register(addr int) bool {
 	return true
 }
 
-// Divert reports whether an incoming address is redirected to the
-// spare module.
-func (s *Sawada) Divert(addr int) bool { return s.valid && addr == s.failAddr }
-
 // Repaired reports whether all registered faults are covered.
 func (s *Sawada) Repaired() bool { return !s.overflowed }
-
-// CompareOps returns the number of address comparisons per access
-// (one register: one compare).
-func (s *Sawada) CompareOps() int { return 1 }
 
 // ChenSunadaConfig describes the hierarchical organisation of the
 // Chen–Sunada 1993 scheme: the memory is decomposed into subblocks,
@@ -102,30 +94,6 @@ func (c *ChenSunada) Resolve() bool {
 	}
 	sort.Ints(c.deadBlocks)
 	return len(c.deadBlocks) <= c.cfg.SpareBlocks
-}
-
-// DeadBlocks returns the subblocks excluded by the last Resolve.
-func (c *ChenSunada) DeadBlocks() []int {
-	return append([]int(nil), c.deadBlocks...)
-}
-
-// RepairableAddrsPerSubblock is the scheme's per-subblock limit.
-func (c *ChenSunada) RepairableAddrsPerSubblock() int { return 2 }
-
-// CompareOps returns the number of sequential address comparisons an
-// access suffers in a subblock with n captured faults: the paper
-// stresses that Chen–Sunada compare *sequentially* against the two
-// fault-capture blocks, versus the TLB's single parallel compare.
-func (c *ChenSunada) CompareOps(addr int) int {
-	b := addr / c.cfg.SubblockWords
-	n := len(c.capture[b])
-	if n > 2 {
-		n = 2
-	}
-	if n == 0 {
-		return 1 // still one compare against an empty capture block
-	}
-	return n
 }
 
 // TLBCompareOps is BISRAMGEN's parallel equivalent: always a single

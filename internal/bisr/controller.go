@@ -185,24 +185,3 @@ func maxCyclesFor(words, bpw int, t march.Test) int64 {
 	perPass := int64(t.OpCount()+4) * int64(words) * int64(bpw+2)
 	return 2*perPass + 10_000
 }
-
-// StrictGoodness implements the paper's manufacturing "goodness"
-// criterion for the yield model: a BISR'ed RAM is good iff the number
-// of faulty regular rows is at most the spare count and all spares are
-// fault-free (BISRAMGEN's base flow performs a single round of spare
-// substitution).
-func StrictGoodness(faultyRegularRows, faultySpareRows, spares int) bool {
-	return faultySpareRows == 0 && faultyRegularRows <= spares
-}
-
-// IteratedRepairable is the relaxed criterion achieved by the 2k-pass
-// flow: faulty spares are themselves replaced, so the RAM is
-// repairable iff the number of fault-free spares covers the faulty
-// regular rows.
-func IteratedRepairable(faultyRegularRows, faultySpareRows, spares int) bool {
-	good := spares - faultySpareRows
-	if good < 0 {
-		good = 0
-	}
-	return faultyRegularRows <= good
-}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bist"
 	"repro/internal/logicsim"
-	"repro/internal/march"
 	"repro/internal/sram"
 )
 
@@ -270,22 +269,4 @@ func (g *GateLevel) WatchNets() []int {
 	nets = append(nets, g.pattern...)
 	nets = append(nets, g.errNet, g.tlb.Hit, g.tlb.Full)
 	return nets
-}
-
-// RunGateLevelRepair is the convenience wrapper used by tests and the
-// experiments: it assembles the program for the given march test,
-// builds the netlist and runs it.
-func RunGateLevelRepair(arr *sram.Array, test march.Test, maxCycles int64) (*GateLevel, error) {
-	prog, err := bist.Assemble(test)
-	if err != nil {
-		return nil, err
-	}
-	g, err := NewGateLevel(arr, prog)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Run(maxCycles); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

@@ -46,8 +46,11 @@ func TestRerunMatchesFresh(t *testing.T) {
 			}
 			return a
 		}
-		fresh, err := RunGateLevelRepair(build(), march.IFA9(), 4_000_000)
+		fresh, err := NewGateLevel(build(), prog)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Run(4_000_000); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.Rerun(build(), 4_000_000); err != nil {

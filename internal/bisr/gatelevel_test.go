@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bist"
 	"repro/internal/march"
 	"repro/internal/sram"
 )
@@ -12,9 +13,23 @@ func glConfig() sram.Config {
 	return sram.Config{Words: 32, BPW: 4, BPC: 4, SpareRows: 4}
 }
 
+// runIFA9 builds the gate-level netlist for the IFA-9 program over arr
+// and runs it for at most maxCycles.
+func runIFA9(arr *sram.Array, maxCycles int64) (*GateLevel, error) {
+	prog, err := bist.Assemble(march.IFA9())
+	if err != nil {
+		return nil, err
+	}
+	g, err := NewGateLevel(arr, prog)
+	if err != nil {
+		return nil, err
+	}
+	return g, g.Run(maxCycles)
+}
+
 func TestGateLevelFaultFree(t *testing.T) {
 	arr := sram.MustNew(glConfig())
-	g, err := RunGateLevelRepair(arr, march.IFA9(), 2_000_000)
+	g, err := runIFA9(arr, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +49,7 @@ func TestGateLevelRepairsFaultyRow(t *testing.T) {
 	if err := arr.Inject(sram.CellAddr{Row: 5, Col: 9}, sram.Fault{Kind: sram.SA1}); err != nil {
 		t.Fatal(err)
 	}
-	g, err := RunGateLevelRepair(arr, march.IFA9(), 2_000_000)
+	g, err := runIFA9(arr, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +72,7 @@ func TestGateLevelDetectsUnrepairable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g, err := RunGateLevelRepair(arr, march.IFA9(), 2_000_000)
+	g, err := runIFA9(arr, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +113,7 @@ func TestGateLevelMatchesBehavioural(t *testing.T) {
 			}
 			return a
 		}
-		g, err := RunGateLevelRepair(build(), march.IFA9(), 2_000_000)
+		g, err := runIFA9(build(), 2_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +135,11 @@ func TestGateLevelMatchesBehavioural(t *testing.T) {
 
 func TestGateLevelRejectsBadGeometry(t *testing.T) {
 	arr := sram.MustNew(sram.Config{Words: 48, BPW: 4, BPC: 4, SpareRows: 4})
-	if _, err := RunGateLevelRepair(arr, march.IFA9(), 1000); err == nil {
+	if _, err := runIFA9(arr, 1000); err == nil {
 		t.Fatal("non-power-of-2 word count accepted")
 	}
 	arr2 := sram.MustNew(sram.Config{Words: 32, BPW: 4, BPC: 4})
-	if _, err := RunGateLevelRepair(arr2, march.IFA9(), 1000); err == nil {
+	if _, err := runIFA9(arr2, 1000); err == nil {
 		t.Fatal("zero spares accepted")
 	}
 }

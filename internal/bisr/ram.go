@@ -77,6 +77,3 @@ func (r *RAM) Write(addr int, data uint64) {
 	}
 	r.Arr.Write(addr, data)
 }
-
-// TLBStats returns the lookup and hit counts accumulated in Map mode.
-func (r *RAM) TLBStats() (lookups, hits int64) { return r.tlbLookups, r.tlbHits }

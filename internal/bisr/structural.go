@@ -3,7 +3,6 @@ package bisr
 import (
 	"fmt"
 
-	"repro/internal/cerr"
 	"repro/internal/logicsim"
 )
 
@@ -161,60 +160,3 @@ func BuildStructuralTLB(s *logicsim.Sim, spares, addrBits int, prefix string) *S
 	}
 	return t
 }
-
-// Reset initialises the structural TLB (all entries invalid, fill
-// pointer zero).
-func (t *StructuralTLB) Reset() error {
-	s := t.Sim
-	s.Set(t.RstN, logicsim.L0)
-	s.Set(t.Store, logicsim.L0)
-	s.SetBus(t.Addr, 0)
-	if err := s.Settle(); err != nil {
-		return err
-	}
-	if err := s.ApplyResets(); err != nil {
-		return err
-	}
-	s.Set(t.RstN, logicsim.L1)
-	return s.Settle()
-}
-
-// StoreRow captures a row address into the next spare entry (one
-// clock). It returns false when the TLB was already full.
-func (t *StructuralTLB) StoreRow(row int) (bool, error) {
-	s := t.Sim
-	s.SetBus(t.Addr, uint64(row))
-	s.Set(t.Store, logicsim.L1)
-	if err := s.Settle(); err != nil {
-		return false, err
-	}
-	wasFull := s.Value(t.Full) == logicsim.L1
-	if err := s.ClockEdge(); err != nil {
-		return false, err
-	}
-	s.Set(t.Store, logicsim.L0)
-	if err := s.Settle(); err != nil {
-		return false, err
-	}
-	return !wasFull, nil
-}
-
-// Lookup drives the address and returns (spare index, hit).
-func (t *StructuralTLB) Lookup(row int) (int, bool, error) {
-	s := t.Sim
-	s.SetBus(t.Addr, uint64(row))
-	if err := s.Settle(); err != nil {
-		return 0, false, err
-	}
-	if s.Value(t.Hit) != logicsim.L1 {
-		return 0, false, nil
-	}
-	v, ok := s.ReadBus(t.SpareIdx)
-	if !ok {
-		return 0, false, cerr.New(cerr.CodeSimDiverged, "bisr: spare index bus unknown")
-	}
-	return int(v), true, nil
-}
-
-// IsFull reports the registered full flag.
-func (t *StructuralTLB) IsFull() bool { return t.Sim.Value(t.Full) == logicsim.L1 }

@@ -81,32 +81,11 @@ func (t *TLB) Lookup(row int) (int, bool) {
 	return 0, false
 }
 
-// Has reports whether the row currently has a valid mapping.
-func (t *TLB) Has(row int) bool {
-	_, ok := t.Lookup(row)
-	return ok
-}
-
 // Used returns the number of spares consumed (valid or superseded).
 func (t *TLB) Used() int { return len(t.entries) }
-
-// Spares returns the TLB capacity.
-func (t *TLB) Spares() int { return t.spares }
 
 // Overflow reports whether a store was rejected for lack of spares.
 func (t *TLB) Overflow() bool { return t.overflow }
 
 // Entries returns a copy of the entry table (for reports).
 func (t *TLB) Entries() []Entry { return append([]Entry(nil), t.entries...) }
-
-// StrictlyIncreasing verifies the invariant that spare indices were
-// issued in increasing order (always true by construction; exposed for
-// property tests).
-func (t *TLB) StrictlyIncreasing() bool {
-	for i := range t.entries {
-		if t.entries[i].Spare != i {
-			return false
-		}
-	}
-	return true
-}

@@ -75,7 +75,7 @@ func TestDataGen(t *testing.T) {
 	if g.Compare(0b1110, true) || !g.Compare(0b1111, true) {
 		t.Fatal("inverted comparator wrong")
 	}
-	if len(g.Backgrounds()) != 5 {
+	if len(g.bgs) != 5 {
 		t.Fatal("background export wrong")
 	}
 }
@@ -254,18 +254,6 @@ func TestRunCycleGuard(t *testing.T) {
 	e := NewEngine(p, newRAM(t), 4)
 	if _, err := e.Run(10); err == nil {
 		t.Fatal("tiny cycle budget should error, not hang")
-	}
-}
-
-func TestSigAndCondNames(t *testing.T) {
-	if SigName(SigRead) != "read" || SigName(SigUnsucc) != "unsucc" {
-		t.Fatal("sig names wrong")
-	}
-	if SigName(99) != "sig99" {
-		t.Fatal("fallback sig name wrong")
-	}
-	if CondName(CondTC) != "tc" || CondName(CondPass2) != "pass2" {
-		t.Fatal("cond names wrong")
 	}
 }
 

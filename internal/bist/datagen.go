@@ -52,6 +52,3 @@ func (g *DataGen) Pattern(inverted bool) uint64 {
 func (g *DataGen) Compare(read uint64, inverted bool) bool {
 	return (read^g.Pattern(inverted))&g.mask != 0
 }
-
-// Backgrounds returns the full background list (for reporting).
-func (g *DataGen) Backgrounds() []uint64 { return append([]uint64(nil), g.bgs...) }

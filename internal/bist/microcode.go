@@ -39,17 +39,6 @@ const (
 	NumSigs
 )
 
-// SigName returns the mnemonic for a control signal index.
-func SigName(s int) string {
-	names := [...]string{"read", "write", "invert", "compare", "addrstep",
-		"addrup", "addrload", "datastep", "dataload", "delay", "capture",
-		"setpass", "done", "unsucc"}
-	if s < 0 || s >= len(names) {
-		return fmt.Sprintf("sig%d", s)
-	}
-	return names[s]
-}
-
 // Condition input positions, appended after the state bits in the
 // PLA's input vector.
 const (
@@ -59,11 +48,6 @@ const (
 	CondPass2         // STREG pass-2 flag
 	NumConds
 )
-
-// CondName returns the mnemonic for a condition input index.
-func CondName(c int) string {
-	return [...]string{"tc", "bgdone", "err", "pass2"}[c]
-}
 
 // Term is one product term: a ternary match over the input vector
 // (state bits then condition bits) and the set of outputs it asserts

@@ -114,59 +114,3 @@ func BuildStructuralPLA(s *logicsim.Sim, p *Program, prefix string) *StructuralP
 // OR2 returns the OR kind (helper to keep the constant-one idiom
 // readable above).
 func OR2() logicsim.Kind { return logicsim.OR }
-
-// Reset drives and releases the asynchronous reset, leaving the PLA in
-// state 0 with the pass-2 flag clear.
-func (sp *StructuralPLA) Reset() error {
-	s := sp.Sim
-	s.Set(sp.RstN, logicsim.L0)
-	s.Set(sp.TC, logicsim.L0)
-	s.Set(sp.BGDone, logicsim.L0)
-	s.Set(sp.Err, logicsim.L0)
-	if err := s.Settle(); err != nil {
-		return err
-	}
-	if err := s.ApplyResets(); err != nil {
-		return err
-	}
-	s.Set(sp.RstN, logicsim.L1)
-	return s.Settle()
-}
-
-// SetConds drives the condition inputs and settles the combinational
-// planes.
-func (sp *StructuralPLA) SetConds(conds uint64) error {
-	s := sp.Sim
-	s.Set(sp.TC, logicsim.Bool(conds&(1<<CondTC) != 0))
-	s.Set(sp.BGDone, logicsim.Bool(conds&(1<<CondBGDone) != 0))
-	s.Set(sp.Err, logicsim.Bool(conds&(1<<CondErr) != 0))
-	// Pass2 is internal state; callers cannot drive it.
-	return s.Settle()
-}
-
-// ReadSigs returns the current control-signal bitset.
-func (sp *StructuralPLA) ReadSigs() (uint64, error) {
-	var out uint64
-	for i, n := range sp.Sigs {
-		switch sp.Sim.Value(n) {
-		case logicsim.L1:
-			out |= 1 << uint(i)
-		case logicsim.L0:
-		default:
-			return 0, fmt.Errorf("bist: signal %s is %v", SigName(i), sp.Sim.Value(n))
-		}
-	}
-	return out, nil
-}
-
-// State returns the registered state value.
-func (sp *StructuralPLA) State() (int, error) {
-	v, ok := sp.Sim.ReadBus(sp.StateQ)
-	if !ok {
-		return 0, fmt.Errorf("bist: state register holds unknowns")
-	}
-	return int(v), nil
-}
-
-// Clock advances the state register one cycle.
-func (sp *StructuralPLA) Clock() error { return sp.Sim.ClockEdge() }

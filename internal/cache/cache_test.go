@@ -38,7 +38,7 @@ func TestPutKeepsReportAndSizes(t *testing.T) {
 	if sizes := got.ArtifactSizes(); len(sizes) != len(want) || sizes["layout.gds"] != want["layout.gds"] || sizes["datasheet.txt"] != want["datasheet.txt"] {
 		t.Fatalf("artifact sizes %v, want %v", sizes, want)
 	}
-	if b := c.Bytes(); b != got.Size() || b >= 1000 {
+	if b := c.Stats().Bytes; b != got.Size() || b >= 1000 {
 		t.Fatalf("resident bytes %d, want the resident entry's %d (< 1000)", b, got.Size())
 	}
 	if len(whole.Artifacts["layout.gds"]) != 50_000 {
@@ -92,7 +92,7 @@ func TestByteBudgetRespected(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put(entry(fmt.Sprintf("k%03d", i), 900))
 	}
-	if b := c.Bytes(); b > 10_000 {
+	if b := c.Stats().Bytes; b > 10_000 {
 		t.Fatalf("resident bytes %d exceed budget", b)
 	}
 	if c.Len() == 0 {
@@ -114,16 +114,16 @@ func TestOversizeEntryRejected(t *testing.T) {
 func TestReplaceSameKeyAccounting(t *testing.T) {
 	c := New(1 << 20)
 	c.Put(entry("k", 1000))
-	before := c.Bytes()
+	before := c.Stats().Bytes
 	c.Put(entry("k", 2000))
 	if c.Len() != 1 {
 		t.Fatalf("len %d, want 1", c.Len())
 	}
-	if c.Bytes() <= before {
+	if c.Stats().Bytes <= before {
 		t.Fatal("replacement should grow resident size")
 	}
 	c.Put(entry("k", 100))
-	if c.Bytes() >= before {
+	if c.Stats().Bytes >= before {
 		t.Fatal("shrinking replacement should shrink resident size")
 	}
 }
@@ -169,7 +169,27 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if b := c.Bytes(); b > 50_000 {
+	if b := c.Stats().Bytes; b > 50_000 {
 		t.Fatalf("budget violated under concurrency: %d", b)
 	}
+}
+
+// Contains reports whether key is resident without promoting it or
+// touching the hit/miss counters.
+func (c *Cache) Contains(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[key]
+	return ok
+}
+
+// Keys returns resident keys from most- to least-recently used.
+func (c *Cache) Keys() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*Entry).Key)
+	}
+	return out
 }

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -299,20 +298,4 @@ func (in *Injector) Fired() uint64 {
 		n += uint64(r.fired)
 	}
 	return n
-}
-
-// Snapshot reports per-rule firing counts keyed "point/mode", sorted
-// for deterministic rendering in logs and tests.
-func (in *Injector) Snapshot() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.rules))
-	for _, r := range in.rules {
-		out = append(out, fmt.Sprintf("%s/%s: hits=%d fired=%d", r.Point, r.Mode, r.hits, r.fired))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -197,7 +197,7 @@ func TestGatewayCompileAndReadsMatchSingleDaemon(t *testing.T) {
 		t.Fatalf("cluster key %v, single-daemon key %s", job["key"], refKey)
 	}
 	// The compile must have landed on the ring owner, nowhere else.
-	owner := tab.Ring().Owner(refKey)
+	owner := tab.Ring().Successors(refKey, 1)[0]
 	for _, sh := range shards {
 		holds := sh.st.Contains(refKey)
 		if (sh.ts.URL == owner) != holds {
@@ -302,7 +302,7 @@ func TestGatewayAsyncJobsReadBackTheirOwnCompile(t *testing.T) {
 			for _, spares := range []int{0, 4} {
 				body := fmt.Sprintf(`{"words":%d,"bpw":%d,"bpc":4,"spares":%d}`, words, bpw, spares)
 				key := keyOf(t, body)
-				if owner := tab.Ring().Owner(key); perShard[owner] < 3 {
+				if owner := tab.Ring().Successors(key, 1)[0]; perShard[owner] < 3 {
 					perShard[owner]++
 					subs = append(subs, submission{body: body, key: key})
 				}
@@ -480,7 +480,7 @@ func TestGatewayFailoverToSuccessor(t *testing.T) {
 	shards, g, tab, gw := startFleet(t, 3)
 	job := compileVia(t, gw.URL)
 	key, _ := job["key"].(string)
-	owner := tab.Ring().Owner(key)
+	owner := tab.Ring().Successors(key, 1)[0]
 	for _, sh := range shards {
 		if sh.ts.URL == owner {
 			sh.ts.Close() // hard kill: connections refused from here on

@@ -122,12 +122,6 @@ func (r *Ring) successorIndex(h uint64) int {
 	return i
 }
 
-// Owner returns the member owning key: the first virtual node
-// clockwise from the key's hash.
-func (r *Ring) Owner(key string) string {
-	return r.points[r.successorIndex(keyHash(key))].member
-}
-
 // Successors returns up to n DISTINCT members in ring order starting
 // at the key's owner — the owner first, then the failover candidates
 // in the order routing should try them.

@@ -34,7 +34,7 @@ func TestRingGoldenPinning(t *testing.T) {
 		{"d1e73bb4cd6444b01d2827587bf640ed6f93046659afe3a58b4381536dbfe1af", "http://shard-a:8047"},
 	}
 	for i, g := range golden {
-		if got := r.Owner(g.key); got != g.owner {
+		if got := r.Successors(g.key, 1)[0]; got != g.owner {
 			t.Errorf("golden %d: key %s owned by %s, pinned to %s", i, g.key[:12], got, g.owner)
 		}
 	}
@@ -49,7 +49,7 @@ func TestRingIsOrderAndDuplicateInvariant(t *testing.T) {
 	b, _ := NewRing(shuffled, 16)
 	for i := 0; i < 200; i++ {
 		key := goldenKey(fmt.Sprintf("inv-%d", i))
-		if a.Owner(key) != b.Owner(key) {
+		if a.Successors(key, 1)[0] != b.Successors(key, 1)[0] {
 			t.Fatalf("member order changed ownership of %s", key[:12])
 		}
 	}
@@ -67,7 +67,7 @@ func TestRingRebalance(t *testing.T) {
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := goldenKey(fmt.Sprintf("rebalance-%d", i))
-		before, after := full.Owner(key), reduced.Owner(key)
+		before, after := full.Successors(key, 1)[0], reduced.Successors(key, 1)[0]
 		if before == goldenMembers[2] {
 			moved++
 			continue // orphaned keys must land somewhere else, any owner is fine
@@ -93,8 +93,8 @@ func TestRingSuccessors(t *testing.T) {
 	if len(succ) != len(goldenMembers) {
 		t.Fatalf("successors %v, want all %d members", succ, len(goldenMembers))
 	}
-	if succ[0] != r.Owner(key) {
-		t.Fatalf("successors %v do not start at owner %s", succ, r.Owner(key))
+	if owner := r.Successors(key, 1)[0]; succ[0] != owner {
+		t.Fatalf("successors %v do not start at owner %s", succ, owner)
 	}
 	seen := map[string]bool{}
 	for _, m := range succ {

@@ -74,9 +74,6 @@ func (t *Table) setState(member string, up bool) bool {
 // speed. The prober brings the member back.
 func (t *Table) MarkDown(member string) bool { return t.setState(member, false) }
 
-// MarkUp records a member as healthy.
-func (t *Table) MarkUp(member string) bool { return t.setState(member, true) }
-
 // Route returns the members to try for key, owner first, down members
 // filtered out. An empty slice means the whole fleet is down — callers
 // should then fall back to trying everyone (the table may be stale).

@@ -26,7 +26,7 @@ func TestTableTransitionsAndVersion(t *testing.T) {
 	if tab.Version() != 2 || tab.PeersUp() != 2 || tab.Up(goldenMembers[0]) {
 		t.Fatalf("after down: version %d, up %d", tab.Version(), tab.PeersUp())
 	}
-	if !tab.MarkUp(goldenMembers[0]) || tab.Version() != 3 || tab.PeersUp() != 3 {
+	if !tab.setState(goldenMembers[0], true) || tab.Version() != 3 || tab.PeersUp() != 3 {
 		t.Fatalf("after recovery: version %d, up %d", tab.Version(), tab.PeersUp())
 	}
 }

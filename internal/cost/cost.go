@@ -7,7 +7,6 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -177,9 +176,3 @@ func AnalyzeBISR(c Chip, p CostParams, d DefectModel, ramImprovement, areaOverhe
 
 // Chip returns a copy (helper for grown-die analysis).
 func (c Chip) Chip() Chip { return c }
-
-// String renders a compact description.
-func (c Chip) String() string {
-	return fmt.Sprintf("%s (%d, %.2fµm %dM, %.0fmm², %d pins %s)",
-		c.Name, c.Year, c.FeatureUm, c.Metals, c.DieMm2, c.Pins, c.Package)
-}

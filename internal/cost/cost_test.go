@@ -2,7 +2,6 @@ package cost
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -157,9 +156,6 @@ func TestChipsDatabase(t *testing.T) {
 	// The headline pair from the paper's Table III must be present.
 	if !names["Intel486DX2"] || !names["TI SuperSPARC"] {
 		t.Fatal("missing headline chips")
-	}
-	if !strings.Contains(cs[1].String(), "486") {
-		t.Fatal("String() broken")
 	}
 }
 

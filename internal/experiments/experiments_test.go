@@ -35,8 +35,19 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// growthFactors compiles the growth factors the tables and Fig. 4
+// evaluate, as cmd/experiments does.
+func growthFactors(t *testing.T) map[int]float64 {
+	t.Helper()
+	gf, err := GrowthFactors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gf
+}
+
 func TestFig4Shape(t *testing.T) {
-	tb, err := Fig4(30, 5)
+	tb, err := Fig4With(growthFactors(t), 30, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +132,12 @@ func TestTables2And3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles growth-factor layouts")
 	}
-	t2, err := Table2()
+	gf := growthFactors(t)
+	t2, err := Table2With(gf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t3, err := Table3()
+	t3, err := Table3With(gf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +269,7 @@ func TestWaferStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles growth-factor layouts")
 	}
-	tb, art, err := WaferStudy()
+	tb, art, err := WaferStudyWith(growthFactors(t))
 	if err != nil {
 		t.Fatal(err)
 	}

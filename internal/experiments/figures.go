@@ -41,19 +41,6 @@ func GrowthFactors() (map[int]float64, error) {
 	return out, nil
 }
 
-// Fig4 regenerates the yield-vs-defects plot: four series for 0, 4,
-// 8 and 16 spares, with defects swept on the nonredundant-array axis
-// exactly as the paper plots it. Growth factors come from local
-// compiles; Fig4With accepts them from any source (e.g. the sweep
-// service).
-func Fig4(maxDefects int, step float64) (*Table, error) {
-	gf, err := GrowthFactors()
-	if err != nil {
-		return nil, err
-	}
-	return Fig4With(gf, maxDefects, step)
-}
-
 // Fig4With builds the Fig. 4 table from pre-measured growth factors
 // (keys 4, 8, 16; 0 is implicit). The table depends only on gf, so a
 // service-fetched map yields byte-identical output to a local one.

@@ -65,18 +65,6 @@ func cacheYieldImprovement(c cost.Chip, d cost.DefectModel, growth float64) floa
 	return m.ImprovementFactor(defects)
 }
 
-// Table2 regenerates the paper's Table II: cost per good die before
-// wafer testing, with and without embedded-RAM BISR (four spare
-// rows), for the commercial microprocessor database. Chips on
-// 2-metal processes get blank BISR entries exactly as in the paper.
-func Table2() (*Table, error) {
-	gf, err := GrowthFactors()
-	if err != nil {
-		return nil, err
-	}
-	return Table2With(gf)
-}
-
 // Table2With builds Table II from pre-measured growth factors (see
 // Fig4With).
 func Table2With(gf map[int]float64) (*Table, error) {
@@ -104,16 +92,6 @@ func Table2With(gf map[int]float64) (*Table, error) {
 	return t, nil
 }
 
-// Table3 regenerates the paper's Table III: total manufacturing cost
-// per packaged and tested chip, with and without RAM BISR.
-func Table3() (*Table, error) {
-	gf, err := GrowthFactors()
-	if err != nil {
-		return nil, err
-	}
-	return Table3With(gf)
-}
-
 // Table3With builds Table III from pre-measured growth factors (see
 // Fig4With).
 func Table3With(gf map[int]float64) (*Table, error) {
@@ -139,19 +117,6 @@ func Table3With(gf map[int]float64) (*Table, error) {
 	}
 	t.Note("paper band: reductions from 2.35%% (Intel486DX2) to 47.2%% (TI SuperSPARC)")
 	return t, nil
-}
-
-// WaferStudy evaluates the cost story at wafer-map resolution: dies
-// placed on a 200 mm wafer with a radial defect gradient (edge dies
-// worse, the classic process signature). BISR lifts every zone, and
-// lifts the defect-dense edge zone the most — extra good dies per
-// wafer that the flat Table II/III model underestimates.
-func WaferStudy() (*Table, string, error) {
-	gf, err := GrowthFactors()
-	if err != nil {
-		return nil, "", err
-	}
-	return WaferStudyWith(gf)
 }
 
 // WaferStudyWith builds the wafer study from pre-measured growth

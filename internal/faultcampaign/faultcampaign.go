@@ -116,18 +116,13 @@ func (r *Report) Counts() map[Outcome]int {
 // instead of wedging the campaign.
 const DefaultTimeout = 30 * time.Second
 
-// Run executes every case, each on its own goroutine with a recover
-// barrier and the given per-case timeout (0 means DefaultTimeout).
-// A timed-out case's goroutine is abandoned, not killed — acceptable
-// for a diagnostic harness.
-func Run(cases []Case, timeout time.Duration) *Report {
-	return RunTraced(cases, timeout, nil)
-}
-
-// RunTraced is Run with an optional span collector: each case records
-// one span (annotated with kind and outcome) and the pipeline's own
-// stage spans nest underneath, so a campaign trace shows exactly where
-// each adversarial input spent its time. A nil trace is Run.
+// RunTraced executes every case, each on its own goroutine with a
+// recover barrier and the given per-case timeout (0 means
+// DefaultTimeout). A timed-out case's goroutine is abandoned, not
+// killed — acceptable for a diagnostic harness. With a non-nil trace
+// each case records one span (annotated with kind and outcome) and the
+// pipeline's own stage spans nest underneath, so a campaign trace shows
+// exactly where each adversarial input spent its time.
 func RunTraced(cases []Case, timeout time.Duration, tr *obs.Trace) *Report {
 	if timeout <= 0 {
 		timeout = DefaultTimeout

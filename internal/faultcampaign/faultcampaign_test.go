@@ -14,7 +14,7 @@ func TestCampaignIsClean(t *testing.T) {
 	if len(cases) < 50 {
 		t.Fatalf("campaign has %d cases, contract requires >= 50", len(cases))
 	}
-	rep := Run(cases, 0)
+	rep := RunTraced(cases, 0, nil)
 	for _, res := range rep.Results {
 		if !res.Outcome.Acceptable() {
 			t.Errorf("%-35s [%s] %v: %s", res.Name, res.Kind, res.Outcome, res.Detail)
@@ -30,7 +30,7 @@ func TestCampaignIsClean(t *testing.T) {
 // TestControlCasesCompile: the four clean control inputs must compile,
 // proving the campaign is not rejecting everything.
 func TestControlCasesCompile(t *testing.T) {
-	rep := Run(Cases(), 0)
+	rep := RunTraced(Cases(), 0, nil)
 	controls := 0
 	for _, res := range rep.Results {
 		if strings.HasPrefix(res.Name, "control:") {
@@ -48,7 +48,7 @@ func TestControlCasesCompile(t *testing.T) {
 // TestAdversarialCasesRejected: no adversarial case may silently
 // succeed — each must carry a taxonomy code.
 func TestAdversarialCasesRejected(t *testing.T) {
-	rep := Run(Cases(), 0)
+	rep := RunTraced(Cases(), 0, nil)
 	for _, res := range rep.Results {
 		if strings.HasPrefix(res.Name, "control:") {
 			continue
@@ -65,7 +65,7 @@ func TestAdversarialCasesRejected(t *testing.T) {
 // TestRunnerClassifiesPanics: the harness itself must convert an
 // escaped panic into a Panicked verdict, not die.
 func TestRunnerClassifiesPanics(t *testing.T) {
-	rep := Run([]Case{{Name: "boom", Kind: "meta", Run: func(context.Context) error { panic("boom") }}}, 0)
+	rep := RunTraced([]Case{{Name: "boom", Kind: "meta", Run: func(context.Context) error { panic("boom") }}}, 0, nil)
 	if got := rep.Results[0].Outcome; got != Panicked {
 		t.Fatalf("want Panicked, got %v", got)
 	}

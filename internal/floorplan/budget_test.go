@@ -25,7 +25,7 @@ func TestRefineCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := RefineCtx(ctx, tech.CDA07, macros, nil, base, maxRefineIterations, 7)
+	res, err := RefineMultiCtx(ctx, tech.CDA07, macros, nil, base, maxRefineIterations, 7, 1, 1)
 	elapsed := time.Since(start)
 	if !errors.Is(err, cerr.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
@@ -49,7 +49,7 @@ func TestRefineCtxBudgetCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RefineCtx(context.Background(), tech.CDA07, macros, nil, base, maxRefineIterations+1, 1)
+	_, err = RefineMultiCtx(context.Background(), tech.CDA07, macros, nil, base, maxRefineIterations+1, 1, 1, 1)
 	if !errors.Is(err, cerr.ErrInvalidParams) {
 		t.Fatalf("want ErrInvalidParams, got %v", err)
 	}

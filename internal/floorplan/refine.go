@@ -23,30 +23,16 @@ const maxRefineIterations = 10_000_000
 // maxRefineStarts caps the multi-start fan-out.
 const maxRefineStarts = 64
 
-// Refine improves a greedy floorplan by simulated annealing over
-// macro placements: random re-orientation, relocation against another
-// macro's edge, and pairwise position swaps, accepted under a
+// RefineMultiCtx improves a greedy floorplan by simulated annealing
+// over macro placements: random re-orientation, relocation against
+// another macro's edge, and pairwise position swaps, accepted under a
 // geometric cooling schedule. The cost is the same outline-area /
 // rectangularity / wirelength blend the constructive pass optimises,
-// so Refine can only confirm or improve it. Deterministic for a given
-// seed. Refine is RefineCtx with a background context.
-func Refine(p *tech.Process, macros []Macro, nets []Net, initial *Result, iterations int, seed int64) (*Result, error) {
-	return RefineCtx(context.Background(), p, macros, nets, initial, iterations, seed)
-}
-
-// RefineCtx is Refine under a context deadline: a single annealing
-// start. The loop checks ctx every ctxCheckMoves moves; on expiry it
-// rebuilds the floorplan from the best placements found so far and
-// returns that partial result together with a
-// cerr.ErrBudgetExceeded error, so callers keep a legal (if less
-// optimised) floorplan as a diagnostic. An iteration budget above
-// maxRefineIterations is rejected with cerr.ErrInvalidParams before
-// any work runs. RefineCtx is RefineMultiCtx with one start.
-func RefineCtx(ctx context.Context, p *tech.Process, macros []Macro, nets []Net, initial *Result, iterations int, seed int64) (*Result, error) {
-	return RefineMultiCtx(ctx, p, macros, nets, initial, iterations, seed, 1, 1)
-}
-
-// RefineMultiCtx runs `starts` independent annealing starts with the
+// so refining can only confirm or improve it. An iteration budget
+// above maxRefineIterations is rejected with cerr.ErrInvalidParams
+// before any work runs.
+//
+// It runs `starts` independent annealing starts with the
 // deterministic seed sequence seed, seed+1, …, seed+starts-1, the
 // total move budget split evenly across starts (earlier starts absorb
 // the remainder), and returns the floorplan of the winning start.

@@ -27,7 +27,7 @@ func TestRefineImprovesBadInitial(t *testing.T) {
 	}
 	init.Area = 8 * 500 * 500
 	init.AspectRatio = 8
-	refined, err := Refine(tech.CDA07, macros, nil, init, 4000, 11)
+	refined, err := RefineMultiCtx(context.Background(), tech.CDA07, macros, nil, init, 4000, 11, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestRefineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Refine(tech.CDA07, macros, nil, base, 1500, 7)
+	r1, err := RefineMultiCtx(context.Background(), tech.CDA07, macros, nil, base, 1500, 7, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Refine(tech.CDA07, macros, nil, base, 1500, 7)
+	r2, err := RefineMultiCtx(context.Background(), tech.CDA07, macros, nil, base, 1500, 7, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRefineDeterministic(t *testing.T) {
 			r1.Area, r1.Wirelength, r2.Area, r2.Wirelength)
 	}
 	// Zero iterations is the identity.
-	same, err := Refine(tech.CDA07, macros, nil, base, 0, 7)
+	same, err := RefineMultiCtx(context.Background(), tech.CDA07, macros, nil, base, 0, 7, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRefineNeverWorseThanGreedyByMuch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Refine(tech.CDA07, macros, nil, base, 2500, 3)
+	refined, err := RefineMultiCtx(context.Background(), tech.CDA07, macros, nil, base, 2500, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

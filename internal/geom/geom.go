@@ -12,9 +12,6 @@ package geom
 import (
 	"fmt"
 	"slices"
-	"sort"
-
-	"repro/internal/cerr"
 )
 
 // DBUPerMicron is the number of database units per micron. All layout
@@ -28,9 +25,6 @@ type Point struct {
 
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p translated by -q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
 // Rect is an axis-aligned rectangle. A Rect is canonical when
 // X0 <= X1 and Y0 <= Y1; Canon returns the canonical form.
@@ -97,11 +91,6 @@ func (r Rect) Intersect(s Rect) Rect {
 // Overlaps reports whether r and s share interior area.
 func (r Rect) Overlaps(s Rect) bool {
 	return r.X0 < s.X1 && s.X0 < r.X1 && r.Y0 < s.Y1 && s.Y0 < r.Y1
-}
-
-// Contains reports whether r fully contains s.
-func (r Rect) Contains(s Rect) bool {
-	return r.X0 <= s.X0 && r.Y0 <= s.Y0 && r.X1 >= s.X1 && r.Y1 >= s.Y1
 }
 
 // Inset returns r shrunk by d on every side. Insetting past the
@@ -175,22 +164,6 @@ func (d PortDir) String() string {
 	}
 }
 
-// Opposite returns the facing direction (North<->South, East<->West).
-// Inner is its own opposite.
-func (d PortDir) Opposite() PortDir {
-	switch d {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	case West:
-		return East
-	}
-	return Inner
-}
-
 // Port is a named connection point of a cell: a rectangle on a routing
 // layer, tagged with the boundary edge it sits on.
 type Port struct {
@@ -211,16 +184,6 @@ type Instance struct {
 // Bounds returns the placed bounding box of the instance.
 func (in *Instance) Bounds() Rect {
 	return TransformRect(in.Cell.Bounds(), in.Orient).Translate(in.At)
-}
-
-// PortRect returns the placed rectangle of the named child port and
-// whether it exists.
-func (in *Instance) PortRect(name string) (Rect, Layer, bool) {
-	p, ok := in.Cell.Port(name)
-	if !ok {
-		return Rect{}, 0, false
-	}
-	return TransformRect(p.Rect, in.Orient).Translate(in.At), p.Layer, true
 }
 
 // Cell is a layout cell: local shapes, child instances, and ports.
@@ -311,32 +274,6 @@ func (c *Cell) Port(name string) (Port, bool) {
 	return c.Ports[i], true
 }
 
-// PortErr is Port with a typed error: a missing port returns
-// cerr.ErrGeometry. Use it wherever the port name is not statically
-// guaranteed by the caller (e.g. names derived from user input).
-func (c *Cell) PortErr(name string) (Port, error) {
-	p, ok := c.Port(name)
-	if !ok {
-		return Port{}, cerr.New(cerr.CodeGeometry, "geom: cell %q has no port %q", c.Name, name)
-	}
-	return p, nil
-}
-
-// MustPort is Port but panics when the port is missing; generators use
-// it ONLY for ports they themselves created moments earlier, so a
-// failure is a programming error in the generator. This is one of the
-// documented residual panic sites of the cerr panic policy (see
-// package cerr); every generator runs behind a compile-stage Recover
-// guard, so even this panic surfaces to compiler callers as a typed
-// ErrInternal. Code handling user-derived port names must use PortErr.
-func (c *Cell) MustPort(name string) Port {
-	p, ok := c.Port(name)
-	if !ok {
-		panic(fmt.Sprintf("geom: cell %q has no port %q", c.Name, name))
-	}
-	return p
-}
-
 // Grow makes room for n more instances, so a generator that knows its
 // instance count sizes the slice once instead of growing it by
 // appends.
@@ -371,11 +308,6 @@ func (c *Cell) Bounds() Rect {
 // Area returns the area of the cell bounding box in dbu².
 func (c *Cell) Area() int64 { return c.Bounds().Area() }
 
-// AreaUm2 returns the bounding-box area in µm².
-func (c *Cell) AreaUm2() float64 {
-	return float64(c.Area()) / (DBUPerMicron * DBUPerMicron)
-}
-
 // Flatten returns every shape in the cell subtree transformed into the
 // coordinate system of c. Port shapes are not included.
 func (c *Cell) Flatten() []Shape {
@@ -394,24 +326,4 @@ func (c *Cell) flattenInto(out *[]Shape, o Orient, at Point) {
 		cAt := TransformPoint(in.At, o).Add(at)
 		in.Cell.flattenInto(out, co, cAt)
 	}
-}
-
-// CountShapes returns the total number of flattened shapes without
-// materialising them (used for statistics on big arrays).
-func (c *Cell) CountShapes() int64 {
-	n := int64(len(c.Shapes))
-	for i := range c.Instances {
-		n += c.Instances[i].Cell.CountShapes()
-	}
-	return n
-}
-
-// PortNames returns the cell's port names in sorted order.
-func (c *Cell) PortNames() []string {
-	names := make([]string, len(c.Ports))
-	for i, p := range c.Ports {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -68,36 +68,6 @@ func TransformRect(r Rect, o Orient) Rect {
 	return Rect{a.X, a.Y, b.X, b.Y}.Canon()
 }
 
-// TransformDir applies o to a port edge direction.
-func TransformDir(d PortDir, o Orient) PortDir {
-	if d == Inner {
-		return Inner
-	}
-	// Represent as a unit vector, transform, convert back.
-	var v Point
-	switch d {
-	case North:
-		v = Point{0, 1}
-	case South:
-		v = Point{0, -1}
-	case East:
-		v = Point{1, 0}
-	case West:
-		v = Point{-1, 0}
-	}
-	v = TransformPoint(v, o)
-	switch {
-	case v.Y > 0:
-		return North
-	case v.Y < 0:
-		return South
-	case v.X > 0:
-		return East
-	default:
-		return West
-	}
-}
-
 // Compose returns the orientation equivalent to applying inner first,
 // then outer: Compose(outer, inner)(p) == outer(inner(p)).
 //
@@ -115,17 +85,4 @@ func Compose(outer, inner Orient) Orient {
 		}
 	}
 	panic("geom: compose produced a non-Manhattan transform")
-}
-
-// Invert returns the orientation o⁻¹ such that Compose(o, Invert(o))
-// is the identity. Inversion is total over the closed orientation
-// group; the panic below is a documented invariant site of the cerr
-// panic policy (see package cerr).
-func Invert(o Orient) Orient {
-	for _, inv := range AllOrients {
-		if Compose(o, inv) == R0 {
-			return inv
-		}
-	}
-	panic("geom: orientation has no inverse")
 }

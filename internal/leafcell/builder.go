@@ -117,20 +117,6 @@ func (b *B) Device(name string, x, y, w int, typ tech.MOSType, d, g, s string) g
 	return geom.R(x-1, y-2, x+12, y+w+2)
 }
 
-// Wire draws a metal wire of the layer's minimum width between two
-// lambda points (Manhattan: horizontal then vertical).
-func (b *B) Wire(l geom.Layer, x0, y0, x1, y1 int, net string) {
-	wHalf := b.P.MinWidth(l) / 2
-	p0 := geom.Point{X: b.L(x0), Y: b.L(y0)}
-	p1 := geom.Point{X: b.L(x1), Y: b.L(y1)}
-	if p0.X != p1.X {
-		b.RectDBU(l, geom.R(p0.X-wHalf, p0.Y-wHalf, p1.X+wHalf, p0.Y+wHalf), net)
-	}
-	if p0.Y != p1.Y {
-		b.RectDBU(l, geom.R(p1.X-wHalf, p0.Y-wHalf, p1.X+wHalf, p1.Y+wHalf), net)
-	}
-}
-
 // Done finalises and returns the cell.
 func (b *B) Done() *Cell { return b.C }
 

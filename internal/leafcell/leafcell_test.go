@@ -1,12 +1,19 @@
 package leafcell
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/spice"
 	"repro/internal/tech"
 )
+
+// areaUm2 is a cell's bounding-box area in µm².
+func areaUm2(c *Cell) float64 {
+	return float64(c.Area()) / (geom.DBUPerMicron * geom.DBUPerMicron)
+}
 
 func lib(t *testing.T) *Library {
 	t.Helper()
@@ -46,8 +53,8 @@ func TestCellsAreDRCClean(t *testing.T) {
 }
 
 func TestAreasScaleWithLambdaSquared(t *testing.T) {
-	a5 := SRAM6T(tech.CDA05).AreaUm2()
-	a7 := SRAM6T(tech.CDA07).AreaUm2()
+	a5 := areaUm2(SRAM6T(tech.CDA05))
+	a7 := areaUm2(SRAM6T(tech.CDA07))
 	ratio := a7 / a5
 	want := (0.7 / 0.5) * (0.7 / 0.5)
 	if ratio < want*0.95 || ratio > want*1.05 {
@@ -66,7 +73,7 @@ func TestSRAMCellProperties(t *testing.T) {
 		}
 	}
 	// Era-plausible area: a 0.7µm 6T cell should be tens of µm².
-	a := c.AreaUm2()
+	a := areaUm2(c)
 	if a < 30 || a > 400 {
 		t.Fatalf("implausible 6T area %.1f µm²", a)
 	}
@@ -193,7 +200,7 @@ func TestExtractedInverterSwitches(t *testing.T) {
 	ckt.V("vin", "xa", spice.Step(0, tech.CDA07.VDD, 1e-9, 0.1e-9))
 	c.Extract(ckt, "x")
 	ckt.C("xy", "0", 20e-15)
-	res, err := ckt.Transient(5e-9, 5e-12)
+	res, err := ckt.TransientCtx(context.Background(), 5e-9, 5e-12)
 	if err != nil {
 		t.Fatal(err)
 	}

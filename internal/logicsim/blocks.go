@@ -5,12 +5,6 @@ import "strconv"
 // This file provides structural building blocks used by the BIST/BISR
 // netlist generators: reduction trees, decoders, and registered buses.
 
-// XorReduce builds a balanced XOR tree over in and returns the output
-// net. A single input is buffered.
-func (s *Sim) XorReduce(name string, in []int) int {
-	return s.reduce(name, XOR, in)
-}
-
 // OrReduce builds a balanced OR tree over in and returns the output
 // net.
 func (s *Sim) OrReduce(name string, in []int) int {
@@ -102,38 +96,6 @@ func (s *Sim) EqComparator(name string, a, b []int) int {
 	eq := s.Net(name + ".eq")
 	s.Gate(NOT, eq, ne)
 	return eq
-}
-
-// Register builds an n-bit register: DFFs from d[i] to a new bus named
-// name[i], sharing one active-low reset net. It returns the Q bus.
-func (s *Sim) Register(name string, d []int, rstN int) []int {
-	q := s.Bus(name, len(d))
-	for i := range d {
-		s.DFF(d[i], q[i], rstN)
-	}
-	return q
-}
-
-// Mux2Bus builds a per-bit 2:1 mux: out = a when sel=0, b when sel=1.
-func (s *Sim) Mux2Bus(name string, sel int, a, b []int) []int {
-	if len(a) != len(b) {
-		s.Failf("logicsim: mux %q width mismatch (%d vs %d)", name, len(a), len(b))
-		return s.Bus(name, len(a))
-	}
-	out := s.Bus(name, len(a))
-	for i := range a {
-		s.Gate(MUX2, out[i], sel, a[i], b[i])
-	}
-	return out
-}
-
-// HalfAdd builds sum and carry nets for inputs a, b.
-func (s *Sim) HalfAdd(name string, a, b int) (sum, carry int) {
-	sum = s.Net(name + ".s")
-	carry = s.Net(name + ".c")
-	s.Gate(XOR, sum, a, b)
-	s.Gate(AND, carry, a, b)
-	return sum, carry
 }
 
 // UpDownCounterNets holds the interface nets of a structural binary

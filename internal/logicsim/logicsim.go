@@ -22,19 +22,6 @@ const (
 	Z // high impedance
 )
 
-func (v Value) String() string {
-	switch v {
-	case L0:
-		return "0"
-	case L1:
-		return "1"
-	case X:
-		return "X"
-	default:
-		return "Z"
-	}
-}
-
 // Bool converts a Go bool to a Value.
 func Bool(b bool) Value {
 	if b {
@@ -309,15 +296,6 @@ func (s *Sim) Net(name string) int {
 	return i
 }
 
-// Nets interns a slice of names.
-func (s *Sim) Nets(names ...string) []int {
-	out := make([]int, len(names))
-	for i, n := range names {
-		out[i] = s.Net(n)
-	}
-	return out
-}
-
 // Bus interns prefix[0..n) and returns indices, bit 0 first.
 func (s *Sim) Bus(prefix string, n int) []int {
 	out := make([]int, n)
@@ -340,9 +318,6 @@ func (s *Sim) Failf(format string, args ...any) {
 		s.err = cerr.New(cerr.CodeNetlist, format, args...)
 	}
 }
-
-// Err returns the first netlist construction error, or nil.
-func (s *Sim) Err() error { return s.err }
 
 // GateD adds a gate with an explicit delay in ticks (>= 1). A gate
 // with no inputs is recorded as a construction error (see Failf) and
@@ -388,15 +363,6 @@ func (s *Sim) DFF(d, q, rstN int) {
 
 // Value returns the current value of a net index.
 func (s *Sim) Value(net int) Value { return s.values[net] }
-
-// ValueOf returns the value of a named net.
-func (s *Sim) ValueOf(name string) Value {
-	i, ok := s.netIdx[name]
-	if !ok {
-		return X
-	}
-	return s.values[i]
-}
 
 // OnChange registers a callback invoked whenever the net commits a new
 // value.
@@ -552,22 +518,8 @@ func (s *Sim) ApplyResets() error {
 // Now returns the current simulation time in ticks.
 func (s *Sim) Now() uint64 { return s.now }
 
-// Stats returns cumulative gate-evaluation count.
-func (s *Sim) Stats() uint64 { return s.evals }
-
 // NumGates returns the number of gates in the netlist.
 func (s *Sim) NumGates() int { return len(s.gates) }
-
-// GateCounts returns the number of gates of each kind — the compiler
-// uses the structural netlists' composition to compute the silicon
-// area of the BIST blocks.
-func (s *Sim) GateCounts() map[Kind]int {
-	out := map[Kind]int{}
-	for i := range s.gates {
-		out[s.gates[i].kind]++
-	}
-	return out
-}
 
 // GateInfo describes one gate for area accounting.
 type GateInfo struct {
@@ -587,9 +539,3 @@ func (s *Sim) Gates() []GateInfo {
 
 // NumDFFs returns the number of flip-flops.
 func (s *Sim) NumDFFs() int { return len(s.dffs) }
-
-// NumNets returns the number of interned nets (diagnostics).
-func (s *Sim) NumNets() int { return len(s.values) }
-
-// NetName returns the name of a net index (diagnostics).
-func (s *Sim) NetName(i int) string { return s.names[i] }

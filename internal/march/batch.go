@@ -13,8 +13,6 @@ package march
 // canonical implementation.
 type BatchDUT interface {
 	Words() int
-	// Lanes returns the number of packed machines (<= 64).
-	Lanes() int
 	// ReadBits senses the word at addr, storing bit b's lane mask into
 	// out[b]. out must have at least bpw elements.
 	ReadBits(addr int, out []uint64)

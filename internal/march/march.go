@@ -6,10 +6,7 @@
 package march
 
 import (
-	"fmt"
 	"strings"
-
-	"repro/internal/cerr"
 )
 
 // DUT is the device under test: a word-addressable memory. The
@@ -226,10 +223,6 @@ type Failure struct {
 	BG       uint64
 }
 
-func (f Failure) String() string {
-	return fmt.Sprintf("addr %d: expected %x got %x (element %d, bg %x)", f.Addr, f.Expected, f.Got, f.Element, f.BG)
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	Test       string
@@ -262,8 +255,6 @@ func (r *Result) FailedAddrs() []int {
 //
 // The function is total: out-of-range widths are clamped into the
 // representable [1, 64] (the behavioural model packs words in uint64).
-// Boundaries that must reject rather than clamp use
-// JohnsonBackgroundsChecked.
 func JohnsonBackgrounds(bpw int) []uint64 {
 	if bpw < 1 {
 		bpw = 1
@@ -279,16 +270,6 @@ func JohnsonBackgrounds(bpw int) []uint64 {
 		out = append(out, v)
 	}
 	return out
-}
-
-// JohnsonBackgroundsChecked is JohnsonBackgrounds with boundary
-// validation: word widths outside [1, 64] return a typed
-// cerr.ErrInvalidParams instead of being clamped.
-func JohnsonBackgroundsChecked(bpw int) ([]uint64, error) {
-	if bpw < 1 || bpw > 64 {
-		return nil, cerr.New(cerr.CodeInvalidParams, "march: bpw %d outside model range [1, 64]", bpw)
-	}
-	return JohnsonBackgrounds(bpw), nil
 }
 
 // SingleBackground is the degenerate background set (all-0 only) used

@@ -15,7 +15,7 @@ func shardRegistry(t *testing.T, jobs uint64, queueDepth float64, latencies []ti
 	r := NewRegistry()
 	c := r.Counter("jobs_completed_total", "compile jobs finished")
 	c.Add(jobs)
-	r.Gauge("queue_depth", "queued jobs right now").Set(queueDepth)
+	r.GaugeFunc("queue_depth", "queued jobs right now", func() float64 { return queueDepth })
 	cv := r.CounterVec("http_requests_total", "requests by code", "code")
 	cv.With("200").Add(jobs)
 	cv.With("429").Add(jobs / 2)

@@ -17,7 +17,7 @@ func FuzzExpositionRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, l1, l2 string, n uint32, g, x float64) {
 		r := NewRegistry()
 		r.Counter("c_total", "A counter.").Add(uint64(n))
-		r.Gauge("g", "A gauge.").Set(g)
+		r.GaugeFunc("g", "A gauge.", func() float64 { return g })
 		r.GaugeFunc("gf", "A gauge callback.", func() float64 { return x })
 		r.CounterFunc("cf_total", "A counter callback.", func() float64 { return float64(n) })
 		r.CounterFuncLabeled("cl_total", "Labelled callbacks.", map[string]string{"k": l1}, func() float64 { return 1 })

@@ -50,28 +50,6 @@ func (c *Counter) Value() uint64 {
 // Gauge is a settable float64. The nil Gauge is a no-op.
 type Gauge struct{ bits atomic.Uint64 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add increments by delta (CAS loop; gauges are low-frequency).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -371,15 +349,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}
 	m := r.register(&metric{name: name, help: help, typ: "counter", counter: &Counter{}})
 	return m.counter
-}
-
-// Gauge registers (or fetches) a settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	m := r.register(&metric{name: name, help: help, typ: "gauge", gauge: &Gauge{}})
-	return m.gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed at exposition

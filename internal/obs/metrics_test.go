@@ -70,8 +70,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("widgets_total", "Widgets made.")
 	c.Add(3)
-	g := r.Gauge("temperature_celsius", "Current temperature.")
-	g.Set(21.5)
+	r.GaugeFunc("temperature_celsius", "Current temperature.", func() float64 { return 21.5 })
 	r.Info("build_info", "Build metadata.", map[string]string{"version": `v1.0"beta`})
 	h := r.Histogram("latency_seconds", "Operation latency.", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -125,7 +124,7 @@ widgets_total 3
 func TestRegistryExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jobs_total", "Jobs finished.").Add(7)
-	r.Gauge("queue_depth", "Jobs waiting.").Set(2.5)
+	r.GaugeFunc("queue_depth", "Jobs waiting.", func() float64 { return 2.5 })
 	r.GaugeFunc("uptime_seconds", "Seconds since start.", func() float64 { return 12.25 })
 	r.CounterFunc("store_hits_total", "Store hits.", func() float64 { return 41 })
 	r.CounterFuncLabeled("peer_fetch_total", "Peer fetches, by outcome.", map[string]string{"outcome": "miss"}, func() float64 { return 3 })
@@ -229,12 +228,7 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter counted")
 	}
-	g := r.Gauge("b", "")
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge gauged")
-	}
+	r.GaugeFunc("b", "", func() float64 { return 3 })
 	h := r.Histogram("c", "", nil)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)

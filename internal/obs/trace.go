@@ -95,15 +95,6 @@ func NewTraceRemote(id string, remoteParent uint64) *Trace {
 	return tr
 }
 
-// RemoteParent returns the originating process's parent span ID, 0
-// for locally-rooted traces.
-func (t *Trace) RemoteParent() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.remoteParent
-}
-
 // NewID mints a 64-bit random hex trace ID.
 func NewID() string {
 	var b [8]byte

@@ -39,42 +39,6 @@ func TestValidateNonFinite(t *testing.T) {
 			if err := m.Validate(); !errors.Is(err, tc.want) {
 				t.Fatalf("want %v, got %v", tc.want, err)
 			}
-			if _, err := m.MTTFErr(); !errors.Is(err, tc.want) {
-				t.Fatalf("MTTFErr: want %v, got %v", tc.want, err)
-			}
-		})
-	}
-}
-
-// TestReliabilityErrAge covers the age-axis guard.
-func TestReliabilityErrAge(t *testing.T) {
-	m := goodModel()
-	cases := []struct {
-		name string
-		t    float64
-		want *cerr.Error // nil = accepted
-	}{
-		{"zero", 0, nil},
-		{"negative (clamps to R=1)", -10, nil},
-		{"year", HoursPerYear, nil},
-		{"nan", math.NaN(), cerr.ErrNonFinite},
-		{"+inf", math.Inf(1), cerr.ErrNonFinite},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r, err := m.ReliabilityErr(tc.t)
-			if tc.want == nil {
-				if err != nil {
-					t.Fatalf("unexpected rejection: %v", err)
-				}
-				if math.IsNaN(r) || r < 0 || r > 1 {
-					t.Fatalf("R(%g) = %g out of [0,1]", tc.t, r)
-				}
-				return
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("want %v, got %v", tc.want, err)
-			}
 		})
 	}
 }

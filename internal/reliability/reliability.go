@@ -43,38 +43,6 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// CheckAge validates an age axis value (hours): non-finite inputs are
-// rejected with cerr.ErrNonFinite. Negative finite ages are legal —
-// the survival function clamps them to R=1.
-func CheckAge(t float64) error {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return cerr.New(cerr.CodeNonFinite, "reliability: non-finite age %v", t)
-	}
-	return nil
-}
-
-// ReliabilityErr is Reliability with full input checking: the model
-// and the age must validate, otherwise the typed error is returned
-// instead of a NaN.
-func (m Model) ReliabilityErr(t float64) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if err := CheckAge(t); err != nil {
-		return 0, err
-	}
-	return m.Reliability(t), nil
-}
-
-// MTTFErr is MTTF with model checking, so a NaN failure rate surfaces
-// as cerr.ErrNonFinite rather than a nonsense integral.
-func (m Model) MTTFErr() (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	return m.MTTF(), nil
-}
-
 // Words returns the regular word count.
 func (m Model) Words() int { return m.Rows * m.BPC }
 
@@ -97,25 +65,6 @@ func (m Model) Reliability(t float64) float64 {
 	n := m.Words()
 	s := m.SpareWords()
 	return binomCDF(n, s, q) * math.Pow(1-q, float64(s))
-}
-
-// ReliabilityRowGranular is the row-level variant consistent with the
-// TLB's row-replacement architecture: at most Spares faulty regular
-// rows and all spare rows fault-free. It is the stricter (lower)
-// curve; the paper's plots use the word-granular formula above.
-func (m Model) ReliabilityRowGranular(t float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	cols := m.BPC * m.BPW
-	qRow := 1 - math.Exp(-m.LambdaBit*float64(cols)*t)
-	return binomCDF(m.Rows, m.Spares, qRow) * math.Pow(1-qRow, float64(m.Spares))
-}
-
-// FailurePDF returns f(t) = -dR/dt by central difference.
-func (m Model) FailurePDF(t float64) float64 {
-	h := math.Max(t*1e-4, 1e-3)
-	return (m.Reliability(t-h) - m.Reliability(t+h)) / (2 * h)
 }
 
 // MTTF integrates R(t) from 0 to infinity with an adaptive horizon:

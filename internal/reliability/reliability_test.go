@@ -136,25 +136,6 @@ func TestMTTFPositiveAndOrdering(t *testing.T) {
 	}
 }
 
-func TestFailurePDFNonNegative(t *testing.T) {
-	m := fig5Model(4)
-	for _, yr := range []float64{0.5, 2, 8, 20} {
-		if f := m.FailurePDF(yr * HoursPerYear); f < -1e-15 {
-			t.Fatalf("pdf negative at %g years: %g", yr, f)
-		}
-	}
-}
-
-func TestRowGranularStricter(t *testing.T) {
-	m := fig5Model(4)
-	for _, yr := range []float64{1, 5, 15} {
-		tH := yr * HoursPerYear
-		if !(m.ReliabilityRowGranular(tH) <= m.Reliability(tH)+1e-12) {
-			t.Fatalf("row-granular should be <= word-granular at %g years", yr)
-		}
-	}
-}
-
 // Property: R is within [0,1] and decreasing for random times.
 func TestQuickReliabilityShape(t *testing.T) {
 	m := fig5Model(8)

@@ -51,7 +51,7 @@ func TestTransientCtxDeadline(t *testing.T) {
 // static budget before any work happens.
 func TestTransientStepCap(t *testing.T) {
 	ckt := rcCircuit()
-	_, err := ckt.Transient(1, 1e-12) // 1e12 steps
+	_, err := ckt.TransientCtx(context.Background(), 1, 1e-12) // 1e12 steps
 	if !errors.Is(err, cerr.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -70,7 +70,7 @@ func TestTransientRejectsNonFiniteParams(t *testing.T) {
 	}
 	for _, tc := range cases {
 		ckt := rcCircuit()
-		if _, err := ckt.Transient(tc.tstop, tc.h); !errors.Is(err, cerr.ErrInvalidParams) {
+		if _, err := ckt.TransientCtx(context.Background(), tc.tstop, tc.h); !errors.Is(err, cerr.ErrInvalidParams) {
 			t.Fatalf("tstop=%g h=%g: want ErrInvalidParams, got %v", tc.tstop, tc.h, err)
 		}
 	}

@@ -3,12 +3,13 @@
 // implements a small modified-nodal-analysis (MNA) simulator with a
 // level-1 (Shichman–Hodges) MOS model, DC operating point and
 // fixed-step transient analysis, plus the measurement helpers (delay,
-// rise/fall time) and an Elmore RC estimator for interconnect.
+// rise/fall time).
 //
 // The paper states that BISRAMGEN has "built-in access to SPICE
 // utilities" to size the N and P transistors of critical gates so that
 // rise and fall times balance, and to extrapolate timing guarantees
-// from extracted leaf cells; this package is that utility.
+// from extracted leaf cells; this package is that utility. Compiles use
+// it for timing; none sizes transistors with it.
 package spice
 
 import (
@@ -34,9 +35,8 @@ type Circuit struct {
 	// are fluent (no per-call error return); an impossible element —
 	// non-positive resistance, negative or non-finite capacitance,
 	// degenerate MOS geometry — records a typed cerr.ErrNetlist here
-	// instead of panicking, and OP/Transient refuse to run until the
-	// netlist is rebuilt. Check Err after building, or rely on the
-	// analysis entry points surfacing it.
+	// instead of panicking, and OP/TransientCtx refuse to run until the
+	// netlist is rebuilt; the analysis entry points surface it.
 	err error
 }
 
@@ -153,9 +153,6 @@ func (c *Circuit) Failf(format string, args ...any) {
 		c.err = cerr.New(cerr.CodeNetlist, format, args...)
 	}
 }
-
-// Err returns the first netlist construction error, or nil.
-func (c *Circuit) Err() error { return c.err }
 
 // R adds a resistor of r ohms between nodes a and b. A non-positive
 // or non-finite resistance is a construction error (see Err); the

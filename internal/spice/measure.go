@@ -66,59 +66,6 @@ func (r *Result) PropDelay(in, out string, vdd, tEdge float64) (float64, error) 
 	}
 }
 
-// SourceCharge integrates the current delivered BY the named voltage
-// source over [t0, t1] (coulombs, positive = sourcing). Useful for
-// CV² energy checks: the charge a supply delivers into a switched
-// capacitor equals C·Vdd.
-func (r *Result) SourceCharge(srcName string, t0, t1 float64) (float64, error) {
-	w := r.wave("I(" + srcName + ")")
-	if w == nil {
-		return 0, fmt.Errorf("spice: no current recorded for source %q", srcName)
-	}
-	q := 0.0
-	for i := 1; i < len(r.Times); i++ {
-		ta, tb := r.Times[i-1], r.Times[i]
-		if tb <= t0 || ta >= t1 {
-			continue
-		}
-		// Branch current is node->source; negate for delivered charge.
-		q += -(w[i-1] + w[i]) / 2 * (tb - ta)
-	}
-	return q, nil
-}
-
-// RCStage is one segment of an RC ladder/tree for Elmore analysis.
-type RCStage struct {
-	R float64 // series resistance into the node
-	C float64 // capacitance at the node
-	// Children are downstream branches; Elmore delay to a leaf sums
-	// upstream R times total downstream C.
-	Children []*RCStage
-}
-
-// totalC returns the capacitance of the subtree rooted at s.
-func (s *RCStage) totalC() float64 {
-	c := s.C
-	for _, ch := range s.Children {
-		c += ch.totalC()
-	}
-	return c
-}
-
-// ElmoreDelay returns the Elmore delay from the tree root to the stage
-// reached by following the given child-index path (empty path = root
-// node itself).
-func ElmoreDelay(root *RCStage, path ...int) float64 {
-	delay := 0.0
-	node := root
-	delay += node.R * node.totalC()
-	for _, idx := range path {
-		node = node.Children[idx]
-		delay += node.R * node.totalC()
-	}
-	return delay
-}
-
 // WireRC returns the lumped resistance and capacitance of a wire of
 // the given length and width (both metres) with the given sheet
 // resistance, area cap (F/m²) and edge cap (F/m).

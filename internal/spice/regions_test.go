@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -43,7 +44,7 @@ func TestNMOSPassGateDegradedHigh(t *testing.T) {
 	c.V("vg", "g", DC(p.VDD))
 	c.M("mpass", "vdd", "g", "out", tech.NMOS, 2e-6, l, p)
 	c.C("out", "0", 10e-15)
-	res, err := c.Transient(20e-9, 20e-12)
+	res, err := c.TransientCtx(context.Background(), 20e-9, 20e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRingOscillatorFrequency(t *testing.T) {
 	// Kick-start: a brief pulse on node a.
 	c.R("kick", "a", 10000)
 	c.V("vk", "kick", PWL{T: []float64{0, 1e-10, 2e-9, 2.1e-9}, Y: []float64{5, 5, 5, 0}})
-	res, err := c.Transient(30e-9, 10e-12)
+	res, err := c.TransientCtx(context.Background(), 30e-9, 10e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +115,10 @@ func TestTransientRejectsBadParams(t *testing.T) {
 	c := New()
 	c.V("v", "a", DC(1))
 	c.R("a", "0", 100)
-	if _, err := c.Transient(0, 1e-9); err == nil {
+	if _, err := c.TransientCtx(context.Background(), 0, 1e-9); err == nil {
 		t.Fatal("zero tstop accepted")
 	}
-	if _, err := c.Transient(1e-9, 0); err == nil {
+	if _, err := c.TransientCtx(context.Background(), 1e-9, 0); err == nil {
 		t.Fatal("zero step accepted")
 	}
 }
@@ -125,19 +126,19 @@ func TestTransientRejectsBadParams(t *testing.T) {
 func TestBadElementsAreTypedErrors(t *testing.T) {
 	c := New()
 	c.R("a", "b", -5)
-	if err := c.Err(); err == nil {
+	if err := c.err; err == nil {
 		t.Error("non-positive resistor accepted")
 	} else if !errors.Is(err, cerr.ErrNetlist) {
 		t.Errorf("resistor error must be ErrNetlist, got %v", err)
 	}
 	c2 := New()
 	c2.C("a", "b", -1e-12)
-	if c2.Err() == nil {
+	if c2.err == nil {
 		t.Error("negative capacitor accepted")
 	}
 	c3 := New()
 	c3.C("a", "b", math.NaN())
-	if c3.Err() == nil {
+	if c3.err == nil {
 		t.Error("NaN capacitor accepted")
 	}
 	// A failed netlist refuses to simulate, with the construction error.

@@ -1,7 +1,5 @@
 package spice
 
-import "math"
-
 // Session is the batch-reuse entry point of the solver: it elaborates
 // a circuit ONCE — interned node indices, MNA dimensions, the dense
 // Jacobian slab — and then supports any number of parameter
@@ -31,7 +29,7 @@ type Session struct {
 type nomParams struct{ vt0, kp float64 }
 
 // NewSession elaborates c. Construction errors recorded by the fluent
-// builders surface here, exactly as OP/Transient would surface them.
+// builders surface here, exactly as OP/TransientCtx would surface them.
 func NewSession(c *Circuit) (*Session, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -48,10 +46,6 @@ func NewSession(c *Circuit) (*Session, error) {
 // Dim is the solution-vector length: node count plus source count.
 func (s *Session) Dim() int { return s.sys.dim }
 
-// Devices returns how many MOSFETs the circuit holds, indexable by
-// the order of the Circuit.M calls that built it.
-func (s *Session) Devices() int { return len(s.c.mos) }
-
 // Nominal returns MOSFET i's elaboration-time threshold voltage and
 // transconductance.
 func (s *Session) Nominal(i int) (vt0, kp float64) {
@@ -67,15 +61,6 @@ func (s *Session) Perturb(i int, dVT0, kpScale float64) {
 	m := &s.c.mos[i]
 	m.p.VT0 = s.nom[i].vt0 + dVT0
 	m.p.KP = s.nom[i].kp * kpScale
-}
-
-// Reset restores every device to its nominal parameters.
-func (s *Session) Reset() {
-	for i := range s.c.mos {
-		m := &s.c.mos[i]
-		m.p.VT0 = s.nom[i].vt0
-		m.p.KP = s.nom[i].kp
-	}
 }
 
 // NodeIndex resolves a node name to its slot in Solution (-1 for
@@ -100,19 +85,6 @@ func (s *Session) SolveFrom(init []float64) error {
 // source branch currents). It is valid until the next SolveFrom;
 // callers that need to keep it must copy.
 func (s *Session) Solution() []float64 { return s.v }
-
-// At returns the solved voltage of a named node (NaN for names the
-// circuit never interned; 0 for ground).
-func (s *Session) At(name string) float64 {
-	i := s.c.NodeIndex(name)
-	if i < 0 {
-		if _, ok := s.c.nodeIdx[name]; ok {
-			return 0 // ground alias
-		}
-		return math.NaN()
-	}
-	return s.v[i]
-}
 
 // OPInto solves the operating point from a zero guess and fills the
 // result map, preserving the historical OP contract on top of the

@@ -8,67 +8,10 @@ import (
 	"repro/internal/tech"
 )
 
-// BalancePWidth returns the PMOS width that balances the rise and fall
-// propagation delays of an inverter with the given NMOS width, found
-// by transient bisection around the analytic mobility-ratio seed. This
-// is the "automatic N/P sizing for balanced rise and fall times" the
-// paper attributes to BISRAMGEN's built-in SPICE access.
-//
-// Widths and lengths are in metres; cload is the external load in
-// farads.
-func BalancePWidth(p *tech.Process, wn, l, cload float64) (float64, error) {
-	seed := wn * p.BetaRatio()
-	lo, hi := seed*0.3, seed*3.0
-	skewLo, err := inverterSkew(p, wn, lo, l, cload)
-	if err != nil {
-		return 0, err
-	}
-	skewHi, err := inverterSkew(p, wn, hi, l, cload)
-	if err != nil {
-		return 0, err
-	}
-	if skewLo*skewHi > 0 {
-		// No sign change: return the analytic seed as best effort.
-		return seed, nil
-	}
-	for i := 0; i < 30; i++ {
-		mid := (lo + hi) / 2
-		s, err := inverterSkew(p, wn, mid, l, cload)
-		if err != nil {
-			return 0, err
-		}
-		if s == 0 || (hi-lo)/mid < 1e-3 {
-			return mid, nil
-		}
-		if s*skewLo > 0 {
-			lo, skewLo = mid, s
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// inverterSkew returns riseDelay - fallDelay for an inverter with the
-// given device widths driving cload.
-func inverterSkew(p *tech.Process, wn, wp, l, cload float64) (float64, error) {
-	rise, fall, err := InverterDelays(p, wn, wp, l, cload)
-	if err != nil {
-		return 0, err
-	}
-	return rise - fall, nil
-}
-
-// InverterDelays measures the output-rising and output-falling 50/50
-// propagation delays of a CMOS inverter under a fast input step.
-// InverterDelays is InverterDelaysCtx with a background context.
-func InverterDelays(p *tech.Process, wn, wp, l, cload float64) (rise, fall float64, err error) {
-	return InverterDelaysCtx(context.Background(), p, wn, wp, l, cload)
-}
-
-// InverterDelaysCtx is InverterDelays under a context: the two
-// transient simulations run on the caller's context, so deadlines
-// bound them and an attached obs.Trace records their spans.
+// InverterDelaysCtx measures the output-rising and output-falling
+// 50/50 propagation delays of a CMOS inverter under a fast input step.
+// The two transient simulations run on the caller's context, so
+// deadlines bound them and an attached obs.Trace records their spans.
 func InverterDelaysCtx(ctx context.Context, p *tech.Process, wn, wp, l, cload float64) (rise, fall float64, err error) {
 	tstop := 8e-9
 	edge := 2e-9

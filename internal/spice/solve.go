@@ -37,28 +37,6 @@ func (r *Result) wave(name string) []float64 {
 	return nil
 }
 
-// At returns node voltage at the sample nearest to t.
-func (r *Result) At(node string, t float64) float64 {
-	w := r.wave(node)
-	if len(w) == 0 {
-		return math.NaN()
-	}
-	// Times are uniform.
-	if t <= r.Times[0] {
-		return w[0]
-	}
-	if t >= r.Times[len(r.Times)-1] {
-		return w[len(w)-1]
-	}
-	h := r.Times[1] - r.Times[0]
-	i := int(t / h)
-	if i >= len(w)-1 {
-		i = len(w) - 2
-	}
-	frac := (t - r.Times[i]) / h
-	return w[i]*(1-frac) + w[i+1]*frac
-}
-
 // system is the assembled MNA problem at one time point. The matrix
 // structure (dimension, row slices) is fixed at elaboration; assemble
 // rebuilds the numeric content from scratch every Newton iteration, so
@@ -312,19 +290,14 @@ func (s *system) newton(v, vPrev []float64, t, h float64) error {
 // cerr.ErrBudgetExceeded before any stepping begins.
 const maxTransientSteps = 4_000_000
 
-// Transient runs a fixed-step transient analysis from the DC operating
-// point at t=0 to tstop with step h, recording every node.
-func (c *Circuit) Transient(tstop, h float64) (*Result, error) {
-	return c.TransientCtx(context.Background(), tstop, h)
-}
-
 // ctxCheckSteps is how many transient steps elapse between context
 // checks: frequent enough to honour millisecond deadlines, sparse
 // enough to keep ctx.Err off the inner Newton loop.
 const ctxCheckSteps = 64
 
-// TransientCtx is Transient with cooperative cancellation. The context
-// deadline is checked every ctxCheckSteps time steps; on expiry the
+// TransientCtx runs a fixed-step transient analysis from the DC
+// operating point at t=0 to tstop with step h, recording every node,
+// under cooperative cancellation. The context deadline is checked every ctxCheckSteps time steps; on expiry the
 // partial Result recorded so far is returned together with a typed
 // cerr.ErrBudgetExceeded, so callers can still inspect the waveforms
 // up to the cancellation point.

@@ -94,17 +94,8 @@ func NewBatch(cfg Config) (*BatchArray, error) {
 	}, nil
 }
 
-// Config returns the array geometry.
-func (b *BatchArray) Config() Config { return b.cfg }
-
 // Words returns the number of addressable regular words.
 func (b *BatchArray) Words() int { return b.cfg.Words }
-
-// Lanes returns the packing width (64).
-func (b *BatchArray) Lanes() int { return BatchLanes }
-
-// UsedLanes returns the mask of lanes carrying an injected fault.
-func (b *BatchArray) UsedLanes() uint64 { return b.used }
 
 func (b *BatchArray) cellIndex(c CellAddr) int { return c.Row*b.cfg.Cols() + c.Col }
 

@@ -319,29 +319,6 @@ func (a *Array) FaultCount() int {
 	return n
 }
 
-// FaultyRows returns the sorted set of physical rows containing at
-// least one fault record (victim side).
-func (a *Array) FaultyRows() []int {
-	seen := map[int]bool{}
-	for vi := range a.faults {
-		seen[vi/a.cfg.Cols()] = true
-	}
-	out := make([]int, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // writeCell stores v honouring stuck-at, transition and stuck-open
 // semantics, returning the previous value. Coupling effects are fired
 // by the caller after the whole word has been written: all bits of a
@@ -528,6 +505,3 @@ func (a *Array) writeRowWord(row, cs int, data uint64) {
 // Wait advances the retention clock by one tick (the BIST "Delay"
 // phase during which the embedded processor tristates the interface).
 func (a *Array) Wait() { a.tick++ }
-
-// Stats returns cumulative word read and write counts.
-func (a *Array) Stats() (reads, writes int64) { return a.reads, a.writes }

@@ -107,7 +107,7 @@ func TestPeerFetchCorruptQuarantines(t *testing.T) {
 	if dst.QuarantinedCount() != 1 {
 		t.Fatal("corrupt image not quarantined")
 	}
-	qents, _ := os.ReadDir(filepath.Join(dst.Dir(), quarantineDir))
+	qents, _ := os.ReadDir(filepath.Join(dst.dir, quarantineDir))
 	if len(qents) != 1 || !strings.HasPrefix(qents[0].Name(), e.Key+".") {
 		t.Fatalf("quarantine contents %v", qents)
 	}

@@ -318,9 +318,6 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store root.
-func (s *Store) Dir() string { return s.dir }
-
 // ValidKey accepts only 64-hex-digit content addresses, keeping path
 // construction from a key injection-proof.
 func ValidKey(key string) bool {

@@ -841,13 +841,6 @@ func (m *Manager) Get(id string) (*Sweep, bool) {
 	return sw, ok
 }
 
-// Count returns how many sweeps the manager currently retains.
-func (m *Manager) Count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.sweeps)
-}
-
 // Backlog is the /healthz view of sweep resume debt: what a restart
 // right now would owe.
 type Backlog struct {

@@ -447,8 +447,11 @@ func TestManagerRetention(t *testing.T) {
 		wait(t, sw)
 		last = sw
 	}
-	if m.Count() > DefaultRetain {
-		t.Fatalf("retained %d sweeps, cap %d", m.Count(), DefaultRetain)
+	m.mu.Lock()
+	n := len(m.sweeps)
+	m.mu.Unlock()
+	if n > DefaultRetain {
+		t.Fatalf("retained %d sweeps, cap %d", n, DefaultRetain)
 	}
 	if _, ok := m.Get(last.ID); !ok {
 		t.Fatal("most recent sweep evicted")

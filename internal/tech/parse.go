@@ -186,7 +186,3 @@ func Parse(r io.Reader) (*Process, error) {
 	}
 	return p, nil
 }
-
-// Register adds a parsed process to the ByName registry, replacing
-// any same-named deck. Safe for concurrent use.
-func Register(p *Process) { register(p) }

@@ -32,7 +32,7 @@ func TestParseDeck(t *testing.T) {
 		t.Fatal("threshold overrides lost")
 	}
 	// Rule override: metal1 4λ/4λ instead of the default 3λ/3λ.
-	if p.MinWidth(Metal1) != p.L(4) || p.MinSpacing(Metal1) != p.L(4) {
+	if p.MinWidth(Metal1) != p.L(4) || p.Rules[Metal1].MinSpacing != p.L(4) {
 		t.Fatalf("rule override lost: %v", p.Rules[Metal1])
 	}
 	// Non-overridden layers keep scalable defaults.
@@ -49,7 +49,7 @@ func TestParseRegisterLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Register(p)
+	register(p)
 	got, err := ByName("user035u4m1p")
 	if err != nil || got != p {
 		t.Fatal("registered deck not found")

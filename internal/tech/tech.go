@@ -112,9 +112,6 @@ func (p *Process) L(n int) int { return n * p.Lambda }
 // MinWidth returns the minimum drawn width for a layer.
 func (p *Process) MinWidth(l geom.Layer) int { return p.Rules[l].MinWidth }
 
-// MinSpacing returns the minimum same-layer spacing for a layer.
-func (p *Process) MinSpacing(l geom.Layer) int { return p.Rules[l].MinSpacing }
-
 // Pitch returns width+spacing for a routing layer: the track pitch.
 func (p *Process) Pitch(l geom.Layer) int {
 	r := p.Rules[l]

@@ -36,7 +36,7 @@ func TestLambdaScaling(t *testing.T) {
 		if p.MinWidth(Poly) != p.L(2) {
 			t.Errorf("%s: poly width %d != 2λ", p.Name, p.MinWidth(Poly))
 		}
-		if p.Pitch(Metal1) != p.MinWidth(Metal1)+p.MinSpacing(Metal1) {
+		if p.Pitch(Metal1) != p.MinWidth(Metal1)+p.Rules[Metal1].MinSpacing {
 			t.Errorf("%s: pitch arithmetic broken", p.Name)
 		}
 	}

@@ -28,27 +28,6 @@ type Model struct {
 	Alpha float64
 }
 
-// Validate checks model sanity. Non-finite numeric fields are
-// rejected with cerr.ErrNonFinite, out-of-range finite ones with
-// cerr.ErrInvalidParams, so a NaN can never leak into the integration
-// kernels below.
-func (m Model) Validate() error {
-	if m.Rows <= 0 || m.Cols <= 0 || m.Spares < 0 {
-		return cerr.New(cerr.CodeInvalidParams,
-			"yield: bad geometry rows=%d cols=%d spares=%d", m.Rows, m.Cols, m.Spares)
-	}
-	if math.IsNaN(m.GrowthFactor) || math.IsInf(m.GrowthFactor, 0) {
-		return cerr.New(cerr.CodeNonFinite, "yield: non-finite growth factor")
-	}
-	if m.GrowthFactor < 1 {
-		return cerr.New(cerr.CodeInvalidParams, "yield: growth factor %.3f < 1", m.GrowthFactor)
-	}
-	if math.IsNaN(m.Alpha) {
-		return cerr.New(cerr.CodeNonFinite, "yield: NaN clustering alpha")
-	}
-	return nil
-}
-
 // maxDefects is the largest defect count whose yields stay
 // representable. Past ln(MaxFloat64) ≈ 709.8 the unrepaired yield e^-n
 // is below 1/MaxFloat64, so ImprovementFactor, at most 1/e^-n,
@@ -84,10 +63,6 @@ func clampDefects(defects float64) float64 {
 	}
 	return defects
 }
-
-// CellYield returns the Poisson single-cell yield e^-lambda for an
-// average of lambda faults per cell.
-func CellYield(lambda float64) float64 { return math.Exp(-lambda) }
 
 // Stapper returns the negative-binomial yield (1 + n/alpha)^-alpha
 // for n expected defects with clustering alpha. As alpha -> inf it
@@ -140,19 +115,6 @@ func (m Model) lambdaCell(defects float64) float64 {
 // Stapper equivalent under clustering.
 func (m Model) YieldNoRepair(defects float64) float64 {
 	return Stapper(clampDefects(defects), m.Alpha)
-}
-
-// YieldNoRepairErr is YieldNoRepair with full input checking: the
-// model and the defect count must validate, otherwise the typed error
-// (ErrInvalidParams or ErrNonFinite) is returned instead of a NaN.
-func (m Model) YieldNoRepairErr(defects float64) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if err := CheckDefects(defects); err != nil {
-		return 0, err
-	}
-	return m.YieldNoRepair(defects), nil
 }
 
 // repairProbPoisson returns P_R for a fixed per-cell rate lambda:
@@ -230,29 +192,6 @@ func (m Model) YieldBISRIterated(defects float64) float64 {
 	return m.yieldBISR(defects, m.repairProbIterated)
 }
 
-// YieldBISRErr is YieldBISR with full input checking (see
-// YieldNoRepairErr).
-func (m Model) YieldBISRErr(defects float64) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if err := CheckDefects(defects); err != nil {
-		return 0, err
-	}
-	return m.YieldBISR(defects), nil
-}
-
-// YieldBISRIteratedErr is YieldBISRIterated with full input checking.
-func (m Model) YieldBISRIteratedErr(defects float64) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if err := CheckDefects(defects); err != nil {
-		return 0, err
-	}
-	return m.YieldBISRIterated(defects), nil
-}
-
 func (m Model) yieldBISR(defects float64, pr func(float64) float64) float64 {
 	defects = clampDefects(defects)
 	fixed := func(lambda float64) float64 {
@@ -314,21 +253,4 @@ func (m Model) ImprovementFactor(defects float64) float64 {
 		return math.Inf(1)
 	}
 	return m.YieldBISR(defects) / base
-}
-
-// ChipYield composes macrocell yields multiplicatively, the paper's
-// simplest whole-chip model.
-func ChipYield(macroYields ...float64) float64 {
-	y := 1.0
-	for _, v := range macroYields {
-		y *= v
-	}
-	return y
-}
-
-// EmbeddedRAMYield extracts the RAM macro yield from a die yield given
-// the RAM's area fraction, via the paper's Y_RAM = Y_die^frac
-// approximation.
-func EmbeddedRAMYield(dieYield, ramAreaFrac float64) float64 {
-	return math.Pow(dieYield, ramAreaFrac)
 }

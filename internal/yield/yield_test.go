@@ -10,15 +10,6 @@ func model(spares int) Model {
 	return Model{Rows: 1024, Cols: 16, Spares: spares, GrowthFactor: 1.05}
 }
 
-func TestCellYield(t *testing.T) {
-	if CellYield(0) != 1 {
-		t.Fatal("zero-defect cell yield must be 1")
-	}
-	if math.Abs(CellYield(1)-math.Exp(-1)) > 1e-15 {
-		t.Fatal("Poisson cell yield wrong")
-	}
-}
-
 func TestStapperLimits(t *testing.T) {
 	// As alpha grows, Stapper approaches Poisson.
 	n := 2.0
@@ -131,34 +122,6 @@ func TestGrowthFactorPenalty(t *testing.T) {
 	b.GrowthFactor = 1.5 // absurd BIST/BISR area
 	if !(a.YieldBISR(5) > b.YieldBISR(5)) {
 		t.Fatal("larger growth factor must lower yield")
-	}
-}
-
-func TestChipYieldAndEmbedded(t *testing.T) {
-	if math.Abs(ChipYield(0.9, 0.8, 0.5)-0.36) > 1e-12 {
-		t.Fatal("chip yield product wrong")
-	}
-	if ChipYield() != 1 {
-		t.Fatal("empty product must be 1")
-	}
-	y := EmbeddedRAMYield(0.64, 0.5)
-	if math.Abs(y-0.8) > 1e-12 {
-		t.Fatalf("embedded RAM yield %g", y)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if err := model(4).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := model(4)
-	bad.GrowthFactor = 0.5
-	if err := bad.Validate(); err == nil {
-		t.Fatal("growth < 1 accepted")
-	}
-	bad2 := Model{Rows: 0, Cols: 1, GrowthFactor: 1}
-	if err := bad2.Validate(); err == nil {
-		t.Fatal("zero rows accepted")
 	}
 }
 
