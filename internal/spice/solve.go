@@ -297,8 +297,9 @@ const ctxCheckSteps = 64
 
 // TransientCtx runs a fixed-step transient analysis from the DC
 // operating point at t=0 to tstop with step h, recording every node,
-// under cooperative cancellation. The context deadline is checked every ctxCheckSteps time steps; on expiry the
-// partial Result recorded so far is returned together with a typed
+// under cooperative cancellation. The context deadline is checked
+// every ctxCheckSteps time steps; on expiry the partial Result
+// recorded so far is returned together with a typed
 // cerr.ErrBudgetExceeded, so callers can still inspect the waveforms
 // up to the cancellation point.
 func (c *Circuit) TransientCtx(ctx context.Context, tstop, h float64) (*Result, error) {
