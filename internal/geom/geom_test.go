@@ -165,6 +165,9 @@ func TestCellPortsAndBounds(t *testing.T) {
 	if len(c.Ports) != 2 {
 		t.Fatalf("port replace duplicated: %d", len(c.Ports))
 	}
+	if p, _ := c.Port("vdd"); p.Rect != R(0, 0, 5, 50) {
+		t.Fatalf("replaced port rect = %v", p.Rect)
+	}
 }
 
 func TestCellAbutOverridesBounds(t *testing.T) {
