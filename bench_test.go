@@ -297,7 +297,7 @@ func BenchmarkSpiceInverterTransient(b *testing.B) {
 	l := float64(p.Feature) * 1e-9
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := spice.InverterDelaysCtx(context.Background(), p, 2e-6, 4e-6, l, 50e-15); err != nil {
+		if _, _, err := spice.InverterDelaysCtx(context.Background(), p, 2e-6, 4e-6, l, 50e-15, spice.StopAtPropDelay); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -109,30 +109,34 @@ func gateCap(proc *tech.Process, wLambda int) float64 {
 	return proc.MOS(tech.NMOS).CgsPerW * float64(proc.L(wLambda)) * 1e-9
 }
 
-// decodeTransient measures the access path's decode stage — a 2-stage
-// buffer driving the row-decoder NAND bank — with a transient on the
-// sized inverter, or serves it from the memo, under a "timing.access"
-// span.
+// decodeTransient measures the access path's decode stage, or serves it
+// from the memo, under a "timing.access" span.
 func (d *Design) decodeTransient(ctx context.Context) (edges inverterEdges, err error) {
-	p := d.Params
-	proc := p.Process
 	ctx, end := obs.Start(ctx, "timing.access")
 	var hit bool
 	defer func() { end(memoAttr(hit)) }()
+	edges, hit, err = decodeMemo.Do(decodeKey{lib: d.Lib.Fingerprint(), rows: d.Params.Rows()},
+		func() (inverterEdges, error) { return d.decodeEdges(ctx, spice.StopAtPropDelay) })
+	if err != nil {
+		return edges, fmt.Errorf("decode timing: %w", err)
+	}
+	return edges, nil
+}
+
+// decodeEdges simulates the decode stage — a 2-stage buffer driving the
+// row-decoder NAND bank — as a transient on the sized inverter. Each
+// run ends where stop says, as in spice.InverterDelaysCtx; nil
+// integrates the whole window.
+func (d *Design) decodeEdges(ctx context.Context, stop func(in, out string, vdd, tEdge float64) spice.Stop) (inverterEdges, error) {
+	p := d.Params
+	proc := p.Process
 	lm := float64(proc.Feature) * 1e-9
 	predecode := 1 << uint(p.RowAddrBits()/2)
 	decLoad := float64(p.Rows()) * gateCap(proc, 4) / float64(predecode)
 	wn := float64(proc.L(3*p.BufSize)) * 1e-9
 	wp := wn * proc.BetaRatio()
-	edges, hit, err = decodeMemo.Do(decodeKey{lib: d.Lib.Fingerprint(), rows: p.Rows()},
-		func() (inverterEdges, error) {
-			rise, fall, err := spice.InverterDelaysCtx(ctx, proc, wn, wp, lm, decLoad+20e-15)
-			return inverterEdges{rise: rise, fall: fall}, err
-		})
-	if err != nil {
-		return edges, fmt.Errorf("decode timing: %w", err)
-	}
-	return edges, nil
+	rise, fall, err := spice.InverterDelaysCtx(ctx, proc, wn, wp, lm, decLoad+20e-15, stop)
+	return inverterEdges{rise: rise, fall: fall}, err
 }
 
 // tlbTransient measures the TLB match-line discharge, or serves it from
@@ -143,7 +147,7 @@ func (d *Design) tlbTransient(ctx context.Context) (ns float64, err error) {
 	var hit bool
 	defer func() { end(memoAttr(hit)) }()
 	key := tlbKey{lib: d.Lib.Fingerprint(), bits: p.RowAddrBits(), spares: p.Spares}
-	ns, hit, err = tlbMemo.Do(key, func() (float64, error) { return d.tlbMatchDelay(ctx) })
+	ns, hit, err = tlbMemo.Do(key, func() (float64, error) { return d.tlbMatchDelay(ctx, spice.StopAtCross) })
 	if err != nil {
 		return 0, fmt.Errorf("tlb timing: %w", err)
 	}
@@ -235,8 +239,12 @@ func (d *Design) computeTiming(tr transients) {
 // tlbMatchDelay builds the match-line circuit from the CAM leaf cell
 // and simulates the worst-case discharge: the line is precharged high
 // and a single bit mismatch must pull it low through the series
-// compare stack, after which the match inverter switches.
-func (d *Design) tlbMatchDelay(ctx context.Context) (float64, error) {
+// compare stack, after which the match inverter switches. The run ends
+// where stop says: spice.StopAtCross ends it at the crossing it
+// measures, and nil integrates the whole 8 ns window, the oracle the
+// early stop is tested against.
+func (d *Design) tlbMatchDelay(ctx context.Context,
+	stop func(node string, level float64, rising bool, tAfter float64) spice.Stop) (float64, error) {
 	p := d.Params
 	proc := p.Process
 	lm := float64(proc.Feature) * 1e-9
@@ -273,11 +281,15 @@ func (d *Design) tlbMatchDelay(ctx context.Context) (float64, error) {
 		(2*nmos.CjPerW*float64(proc.L(3*p.BufSize))*1e-9+5e-15)
 	ckt.C("mlb", "0", busLoad)
 
-	res, err := ckt.TransientCtx(ctx, 8e-9, 5e-12)
+	t0 := 1e-9
+	var until spice.Stop
+	if stop != nil {
+		until = stop("mlb", proc.VDD/2, true, t0)
+	}
+	res, err := ckt.TransientCtx(ctx, 8e-9, 5e-12, until)
 	if err != nil {
 		return 0, err
 	}
-	t0 := 1e-9
 	tEdge, err := res.CrossTime("mlb", proc.VDD/2, true, t0)
 	if err != nil {
 		return 0, err

@@ -200,7 +200,7 @@ func TestExtractedInverterSwitches(t *testing.T) {
 	ckt.V("vin", "xa", spice.Step(0, tech.CDA07.VDD, 1e-9, 0.1e-9))
 	c.Extract(ckt, "x")
 	ckt.C("xy", "0", 20e-15)
-	res, err := ckt.TransientCtx(context.Background(), 5e-9, 5e-12)
+	res, err := ckt.TransientCtx(context.Background(), 5e-9, 5e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

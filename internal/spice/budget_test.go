@@ -31,7 +31,7 @@ func TestTransientCtxDeadline(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	// ~2M steps: far more than 1 ms of work.
-	res, err := ckt.TransientCtx(ctx, 2e-6, 1e-12)
+	res, err := ckt.TransientCtx(ctx, 2e-6, 1e-12, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, cerr.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
@@ -51,7 +51,7 @@ func TestTransientCtxDeadline(t *testing.T) {
 // static budget before any work happens.
 func TestTransientStepCap(t *testing.T) {
 	ckt := rcCircuit()
-	_, err := ckt.TransientCtx(context.Background(), 1, 1e-12) // 1e12 steps
+	_, err := ckt.TransientCtx(context.Background(), 1, 1e-12, nil) // 1e12 steps
 	if !errors.Is(err, cerr.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -70,7 +70,7 @@ func TestTransientRejectsNonFiniteParams(t *testing.T) {
 	}
 	for _, tc := range cases {
 		ckt := rcCircuit()
-		if _, err := ckt.TransientCtx(context.Background(), tc.tstop, tc.h); !errors.Is(err, cerr.ErrInvalidParams) {
+		if _, err := ckt.TransientCtx(context.Background(), tc.tstop, tc.h, nil); !errors.Is(err, cerr.ErrInvalidParams) {
 			t.Fatalf("tstop=%g h=%g: want ErrInvalidParams, got %v", tc.tstop, tc.h, err)
 		}
 	}

@@ -44,7 +44,7 @@ func TestNMOSPassGateDegradedHigh(t *testing.T) {
 	c.V("vg", "g", DC(p.VDD))
 	c.M("mpass", "vdd", "g", "out", tech.NMOS, 2e-6, l, p)
 	c.C("out", "0", 10e-15)
-	res, err := c.TransientCtx(context.Background(), 20e-9, 20e-12)
+	res, err := c.TransientCtx(context.Background(), 20e-9, 20e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRingOscillatorFrequency(t *testing.T) {
 	// Kick-start: a brief pulse on node a.
 	c.R("kick", "a", 10000)
 	c.V("vk", "kick", PWL{T: []float64{0, 1e-10, 2e-9, 2.1e-9}, Y: []float64{5, 5, 5, 0}})
-	res, err := c.TransientCtx(context.Background(), 30e-9, 10e-12)
+	res, err := c.TransientCtx(context.Background(), 30e-9, 10e-12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestTransientRejectsBadParams(t *testing.T) {
 	c := New()
 	c.V("v", "a", DC(1))
 	c.R("a", "0", 100)
-	if _, err := c.TransientCtx(context.Background(), 0, 1e-9); err == nil {
+	if _, err := c.TransientCtx(context.Background(), 0, 1e-9, nil); err == nil {
 		t.Fatal("zero tstop accepted")
 	}
-	if _, err := c.TransientCtx(context.Background(), 1e-9, 0); err == nil {
+	if _, err := c.TransientCtx(context.Background(), 1e-9, 0, nil); err == nil {
 		t.Fatal("zero step accepted")
 	}
 }

@@ -10,9 +10,13 @@ import (
 
 // InverterDelaysCtx measures the output-rising and output-falling
 // 50/50 propagation delays of a CMOS inverter under a fast input step.
-// The two transient simulations run on the caller's context, so
-// deadlines bound them and an attached obs.Trace records their spans.
-func InverterDelaysCtx(ctx context.Context, p *tech.Process, wn, wp, l, cload float64) (rise, fall float64, err error) {
+// Each of its two transient runs ends where stop says: StopAtPropDelay
+// ends it at the output crossing it measures, and a nil stop integrates
+// the whole window, the oracle the early stop is tested against. The
+// runs use the caller's context, so deadlines bound them and an
+// attached obs.Trace records their spans.
+func InverterDelaysCtx(ctx context.Context, p *tech.Process, wn, wp, l, cload float64,
+	stop func(in, out string, vdd, tEdge float64) Stop) (rise, fall float64, err error) {
 	tstop := 8e-9
 	edge := 2e-9
 	slew := 50e-12
@@ -31,8 +35,14 @@ func InverterDelaysCtx(ctx context.Context, p *tech.Process, wn, wp, l, cload fl
 		c.C("out", "0", cload)
 		return c
 	}
+	until := func() Stop {
+		if stop == nil {
+			return nil
+		}
+		return stop("in", "out", p.VDD, edge)
+	}
 	// Input rising -> output falls.
-	res, err := build(true).TransientCtx(ctx, tstop, 5e-12)
+	res, err := build(true).TransientCtx(ctx, tstop, 5e-12, until())
 	if err != nil {
 		return 0, 0, fmt.Errorf("fall sim: %w", err)
 	}
@@ -41,7 +51,7 @@ func InverterDelaysCtx(ctx context.Context, p *tech.Process, wn, wp, l, cload fl
 		return 0, 0, fmt.Errorf("fall measure: %w", err)
 	}
 	// Input falling -> output rises.
-	res, err = build(false).TransientCtx(ctx, tstop, 5e-12)
+	res, err = build(false).TransientCtx(ctx, tstop, 5e-12, until())
 	if err != nil {
 		return 0, 0, fmt.Errorf("rise sim: %w", err)
 	}

@@ -295,14 +295,23 @@ const maxTransientSteps = 4_000_000
 // enough to keep ctx.Err off the inner Newton loop.
 const ctxCheckSteps = 64
 
+// Stop ends a transient at the step that completes the measurement it
+// serves. TransientCtx calls it after recording each time step and
+// returns the run so far once it reports true. A Stop reads only the
+// newest samples, so the check costs O(1) per step; StopAtCross and
+// StopAtPropDelay build the ones the measurements use.
+type Stop func(r *Result) bool
+
 // TransientCtx runs a fixed-step transient analysis from the DC
 // operating point at t=0 to tstop with step h, recording every node,
-// under cooperative cancellation. The context deadline is checked
-// every ctxCheckSteps time steps; on expiry the partial Result
-// recorded so far is returned together with a typed
-// cerr.ErrBudgetExceeded, so callers can still inspect the waveforms
-// up to the cancellation point.
-func (c *Circuit) TransientCtx(ctx context.Context, tstop, h float64) (*Result, error) {
+// under cooperative cancellation. A non-nil stop ends the run at the
+// first step it accepts; the steps before it are the whole window's,
+// bit for bit. A nil stop, or one that never fires, integrates the
+// whole window. The context deadline is checked every ctxCheckSteps
+// time steps; on expiry the partial Result recorded so far is returned
+// together with a typed cerr.ErrBudgetExceeded, so callers can still
+// inspect the waveforms up to the cancellation point.
+func (c *Circuit) TransientCtx(ctx context.Context, tstop, h float64, stop Stop) (*Result, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -363,6 +372,9 @@ func (c *Circuit) TransientCtx(ctx context.Context, tstop, h float64) (*Result, 
 			return res, err
 		}
 		record(t)
+		if stop != nil && stop(res) {
+			break
+		}
 	}
 	return res, nil
 }

@@ -45,7 +45,7 @@ func TestRCTransient(t *testing.T) {
 	c.V("v1", "in", Step(0, 1, 0, 1e-9))
 	c.R("in", "out", 1000)
 	c.C("out", "0", 1e-9)
-	res, err := c.TransientCtx(context.Background(), 5e-6, 1e-8)
+	res, err := c.TransientCtx(context.Background(), 5e-6, 1e-8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestInverterDC(t *testing.T) {
 func TestInverterTransientDelaysPositive(t *testing.T) {
 	p := tech.CDA07
 	l := float64(p.Feature) * 1e-9
-	rise, fall, err := InverterDelaysCtx(context.Background(), p, 2e-6, 4e-6, l, 50e-15)
+	rise, fall, err := InverterDelaysCtx(context.Background(), p, 2e-6, 4e-6, l, 50e-15, StopAtPropDelay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCrossTimeErrors(t *testing.T) {
 	c := New()
 	c.V("v", "a", DC(1))
 	c.R("a", "0", 100)
-	res, err := c.TransientCtx(context.Background(), 1e-9, 1e-10)
+	res, err := c.TransientCtx(context.Background(), 1e-9, 1e-10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
