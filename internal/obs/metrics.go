@@ -47,17 +47,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable float64. The nil Gauge is a no-op.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket latency histogram: per-bucket atomic
 // counters (non-cumulative internally, cumulative at exposition),
 // an atomic observation count and an atomic float64-bits sum. Observe
@@ -272,7 +261,6 @@ type metric struct {
 	labelKey    string // vec label name
 
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 	vec     *HistogramVec
@@ -303,10 +291,8 @@ func (m *metric) series() []Series {
 		return []Series{{Hist: &h}}
 	case m.fn != nil:
 		return []Series{{Labels: m.labels, Value: m.fn()}}
-	case m.counter != nil:
-		return []Series{{Value: float64(m.counter.Value())}}
 	default:
-		return []Series{{Value: m.gauge.Value()}}
+		return []Series{{Value: float64(m.counter.Value())}}
 	}
 }
 
