@@ -24,11 +24,6 @@ type RAM struct {
 	Arr  *sram.Array
 	TLB  *TLB
 	Mode Mode
-
-	// tlbLookups counts address translations attempted in Map mode,
-	// for the delay-penalty accounting.
-	tlbLookups int64
-	tlbHits    int64
 }
 
 // NewRAM wraps an array whose config carries the spare-row count.
@@ -50,9 +45,7 @@ func (r *RAM) translate(addr int) (row, cs int, spare bool) {
 	bpc := r.Arr.Config().BPC
 	row, cs = addr/bpc, addr%bpc
 	if r.Mode == Map {
-		r.tlbLookups++
 		if sp, ok := r.TLB.Lookup(row); ok {
-			r.tlbHits++
 			return sp, cs, true
 		}
 	}

@@ -124,8 +124,6 @@ type Array struct {
 	// decoder selects another address's row/column instead.
 	afMap map[int]int
 
-	reads, writes int64
-
 	// wcScratch / oldScratch / newScratch are per-word working buffers
 	// reused across accesses so the read/write hot path never
 	// allocates. Safe because word accesses never nest: coupling
@@ -471,7 +469,6 @@ func (a *Array) WriteSpare(s, cs int, data uint64) {
 }
 
 func (a *Array) readRowWord(row, cs int) uint64 {
-	a.reads++
 	var w uint64
 	for b, ci := range a.wordCells(row, cs) {
 		if a.readCell(ci, b*a.cfg.BPC+cs) {
@@ -482,7 +479,6 @@ func (a *Array) readRowWord(row, cs int) uint64 {
 }
 
 func (a *Array) writeRowWord(row, cs int, data uint64) {
-	a.writes++
 	cells := a.wordCells(row, cs)
 	// Phase 1: all bits switch together.
 	olds := a.oldScratch
