@@ -2,8 +2,9 @@
 // the two prior schemes the paper critiques in Section III — the
 // Sawada'89 single fail-address register and the Chen-Sunada'93
 // hierarchical two-captures-per-subblock organisation — on identical
-// random fault patterns, plus the access-path comparison-latency
-// difference.
+// random fault patterns. The access-path comparison latency is a
+// property of each architecture, stated in the interpretation below,
+// not measured.
 package main
 
 import (
@@ -31,10 +32,12 @@ func main() {
 	fmt.Println("  - Sawada'89 registers a single faulty address: anything beyond one")
 	fmt.Println("    faulty word defeats it.")
 	fmt.Println("  - Chen-Sunada'93 repairs two faulty addresses per subblock and can")
-	fmt.Println("    retire whole subblocks, but compares its capture registers")
-	fmt.Println("    SEQUENTIALLY on every access (cs_cmp_ops), a growing delay the")
+	fmt.Println("    retire whole subblocks, but by its design compares its capture")
+	fmt.Println("    registers SEQUENTIALLY on every access, a growing delay the")
 	fmt.Println("    paper calls impractical for high-speed embedded RAM.")
-	fmt.Println("  - BISRAMGEN's TLB compares all entries in PARALLEL (one compare")
-	fmt.Println("    delay regardless of spare count) and repairs whole rows; the")
-	fmt.Println("    2k-pass variant additionally survives faulty spares.")
+	fmt.Println("  - BISRAMGEN's TLB by its design compares all entries in PARALLEL")
+	fmt.Println("    (one compare delay regardless of spare count) and repairs whole")
+	fmt.Println("    rows; the 2k-pass variant additionally survives faulty spares.")
+	fmt.Println("  - The table measures repair rates only; the compare latencies")
+	fmt.Println("    above follow from the two architectures and are not simulated.")
 }

@@ -95,7 +95,3 @@ func (c *ChenSunada) Resolve() bool {
 	sort.Ints(c.deadBlocks)
 	return len(c.deadBlocks) <= c.cfg.SpareBlocks
 }
-
-// TLBCompareOps is BISRAMGEN's parallel equivalent: always a single
-// comparison delay regardless of how many entries are stored.
-func TLBCompareOps() int { return 1 }

@@ -333,9 +333,6 @@ func TestChenSunadaBaseline(t *testing.T) {
 	if cs.Resolve() {
 		t.Fatal("two dead blocks with one spare should fail")
 	}
-	if TLBCompareOps() != 1 {
-		t.Fatal("TLB parallel compare must be a single op")
-	}
 }
 
 // Property: for random fault patterns within capacity, the controller
