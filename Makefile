@@ -87,7 +87,7 @@ obs-smoke:
 
 # End-to-end persistence + batch check: a daemon over -store-dir
 # compiles, drains, restarts and serves the same request from the disk
-# store (cache_tier "hit-disk", >= 10x faster, counters say warm); a
+# store (cache_tier "hit-disk", within a 5 ms budget, counters say warm); a
 # truncated object is quarantined and recompiled, never served. Then
 # the sweep API: a spares x defects sweep expands/dedups/completes, an
 # identical repeat sweep runs zero new compiles, and the experiments
