@@ -15,7 +15,7 @@ GO       ?= go
 FUZZTIME ?= 5s
 # BENCH_OUT names the checked-in benchmark evidence file; bump the
 # numeral with the PR that re-measures (schema in EXPERIMENTS.md).
-BENCH_OUT  ?= results/BENCH_21.json
+BENCH_OUT  ?= results/BENCH_27.json
 BENCHCOUNT ?= 3
 # NPROC drives the -cpu pass over the parallelism-sensitive
 # benchmarks; on a single-core box the pass degenerates to the serial
@@ -200,6 +200,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/sweep/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchEvaluator -fuzztime=$(FUZZTIME) ./internal/sram/
 	$(GO) test -run='^$$' -fuzz=FuzzRefineDifferential -fuzztime=$(FUZZTIME) ./internal/floorplan/
+	$(GO) test -run='^$$' -fuzz=FuzzEarlyStopDifferential -fuzztime=$(FUZZTIME) ./internal/compiler/
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalDifferential -fuzztime=$(FUZZTIME) ./internal/cjson/
 	$(GO) test -run='^$$' -fuzz=FuzzGDSDifferential -fuzztime=$(FUZZTIME) ./internal/gds/
 	$(GO) test -run='^$$' -fuzz=FuzzExpositionRoundTrip -fuzztime=$(FUZZTIME) ./internal/obs/
